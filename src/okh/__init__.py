@@ -64,9 +64,7 @@ from okh.precedence import (
     Order,
     PrecedenceIndex,
     build_precedence,
-    canonical_trajectory,
     effective_lead,
-    precedes,
 )
 from okh.relations import (
     CROSS_HORIZON_FAMILY,

@@ -103,6 +103,18 @@ def _make_store(graph: KnowledgeHypergraph, values: dict[str, Any]) -> Embedding
     return store
 
 
+def _load_retriever(values: dict[str, Any]) -> Retriever:
+    """Snapshot, embeddings and checkpoint, refusing a checkpoint of another dimension."""
+    graph, precedence = _load_graph(values)
+    store = _make_store(graph, values)
+    model = TransitionModel.load(values["checkpoint"])
+    if model.dim != store.dim:
+        raise SchemaError(
+            "checkpoint", f"checkpoint is {model.dim}-d but embeddings are {store.dim}-d"
+        )
+    return Retriever(graph, store, precedence, model)
+
+
 def _weights(values: dict[str, Any]) -> RetrievalWeights:
     return RetrievalWeights(
         lambda_coherence=float(values["lambda_"]),
@@ -272,14 +284,9 @@ def _cmd_retrieve(ns: argparse.Namespace) -> int:
     for key in ("snapshot", "checkpoint", "query"):
         if not values[key]:
             raise SchemaError("retrieve", f"--{key} is required")
-    graph, precedence = _load_graph(values)
-    store = _make_store(graph, values)
-    model = TransitionModel.load(values["checkpoint"])
-    if model.dim != store.dim:
-        raise SchemaError(
-            "retrieve", f"checkpoint is {model.dim}-d but embeddings are {store.dim}-d"
-        )
-    retriever = Retriever(graph, store, precedence, model)
+    retriever = _load_retriever(values)
+    if values["group"] and values["group"] not in retriever.hypergraph.groups:
+        raise SchemaError("group", f"unknown group {values['group']!r}")
     variant = AblationVariant(values["variant"])
     trajectories = retriever.retrieve(
         values["query"],
@@ -293,7 +300,7 @@ def _cmd_retrieve(ns: argparse.Namespace) -> int:
     print(json.dumps(result, sort_keys=True, ensure_ascii=False, indent=2))
     for i, trajectory in enumerate(trajectories, start=1):
         print(f"\n=== Trajectory {i} ===")
-        print(format_trajectory(trajectory, graph))
+        print(format_trajectory(trajectory, retriever.hypergraph))
     if values["out"]:
         _write_json(values["out"], result)
     return 0
@@ -313,10 +320,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     for key in ("snapshot", "checkpoint", "qa"):
         if not values[key]:
             raise SchemaError("eval", f"--{key} is required")
-    graph, precedence = _load_graph(values)
-    store = _make_store(graph, values)
-    model = TransitionModel.load(values["checkpoint"])
-    retriever = Retriever(graph, store, precedence, model)
+    retriever = _load_retriever(values)
 
     with open(values["qa"], encoding="utf-8") as handle:
         qa_raw = json.load(handle)
@@ -345,9 +349,9 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
             storm="",
             port="",
             horizons=(),
-            ground_truth=tuple(precedence.trajectory(group)),
+            ground_truth=tuple(retriever.precedence.trajectory(group)),
         )
-        for group in sorted(graph.groups)
+        for group in sorted(retriever.hypergraph.groups)
     ]
 
     if values["variant"] == "all":

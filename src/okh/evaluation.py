@@ -23,8 +23,6 @@ from okh.retrieval import (
     Retriever,
     ScopeConfig,
     SearchConfig,
-    beam_search,
-    scope_candidates,
     trajectory_score,
 )
 
@@ -203,19 +201,8 @@ def run_ablation(
         if scenario is None:
             raise ValueError(f"no scenario recorded for group {qa.group_id!r}")
         query_vector = retriever.store.embed_query(qa.question)
-        candidates = scope_candidates(
-            query_vector, retriever.hypergraph, retriever.store, scope, qa.group_id
-        )
-        matrix = retriever.transition_matrix(candidates, transition)
-        trajectories = beam_search(
-            query_vector,
-            candidates,
-            retriever.hypergraph,
-            retriever.store,
-            retriever.precedence,
-            active,
-            search,
-            transition_matrix=matrix,
+        trajectories = retriever.retrieve(
+            query_vector, active, search, scope, qa.group_id, transition
         )
         if not trajectories:
             continue
@@ -224,6 +211,7 @@ def run_ablation(
         total, breakdown = best.total_score, best.breakdown
         if variant is AblationVariant.SHUFFLED:
             steps = _shuffled_steps(steps, seed, query_index)
+            candidates, matrix = retriever._scoped(query_vector, scope, qa.group_id, transition)
             index_of = {eid: i for i, eid in enumerate(candidates)}
             all_relevance = retriever.store.relevance(query_vector)
             relevance = {

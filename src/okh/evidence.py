@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from okh.embedding import post_json_with_retries
 from okh.errors import ProviderError, UnknownEdge, UnparseableNumeric
 from okh.hypergraph import Hyperedge, KnowledgeHypergraph
-from okh.relations import phase_of_family
+from okh.relations import CAUSAL_RULES, CROSS_HORIZON_FAMILY, phase_of_family
 from okh.retrieval import Trajectory
 
 CHAT_API_KEY_ENV = "OKH_CHAT_API_KEY"
@@ -63,15 +63,16 @@ def _reasoning_tags(prev: Hyperedge, cur: Hyperedge) -> tuple[str, ...]:
     elif prev_h and cur_h and prev_h != cur_h:
         tags.append("cross_horizon")
     if same_single:
-        if prev.family == 4 and cur.family == 6:
-            tags.append("advisory_to_hazard")
-        if prev.family in (6, 7) and cur.family == 10:
-            tags.append("hazard_to_operation")
-        if prev.family in (6, 7) and cur.family == 11:
-            tags.append("hazard_to_impact")
-        if prev.family == 11 and cur.family == 12:
-            tags.append("impact_to_recovery")
-    if cur.family == 13 and prev.family <= 12 and prev.state_stems() & cur.state_stems():
+        tags.extend(
+            tag
+            for sources, targets, tag in CAUSAL_RULES
+            if prev.family in sources and cur.family in targets
+        )
+    if (
+        cur.family == CROSS_HORIZON_FAMILY
+        and prev.family < CROSS_HORIZON_FAMILY
+        and prev.state_stems() & cur.state_stems()
+    ):
         tags.append("family_to_change")
     return tuple(tags) if tags else ("none",)
 

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from okh.errors import CycleDetected
 from okh.hypergraph import Hyperedge, KnowledgeHypergraph
 from okh.relations import (
+    CAUSAL_RULES,
     CROSS_HORIZON_FAMILY,
     DEFAULT_VOCABULARY,
     RelationVocabulary,
@@ -36,17 +39,6 @@ RULE_EVOLUTION = "evolution"
 RULE_CAUSAL = "causal"
 RULE_CHANGE = "change"
 ALL_RULES = frozenset({RULE_PHASE, RULE_EVOLUTION, RULE_CAUSAL, RULE_CHANGE})
-
-# Within-horizon causal chains: advisories precede hazard forecasts, hazard
-# assessments precede operational decisions and impact predictions, and
-# impact predictions precede recovery status.
-_CAUSAL_CHAINS: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = (
-    ((4,), (6,)),
-    ((6, 7), (10,)),
-    ((6, 7), (11,)),
-    ((11,), (12,)),
-)
-
 
 def effective_lead(edge: Hyperedge) -> float:
     """Lead time used for ordering: own horizon, else the earliest anchor.
@@ -111,7 +103,7 @@ def _direct_edges(
 
     if RULE_CAUSAL in rules:
         for horizon_edges in by_horizon.values():
-            for src_families, dst_families in _CAUSAL_CHAINS:
+            for src_families, dst_families, _ in CAUSAL_RULES:
                 for src in horizon_edges:
                     if src.family not in src_families:
                         continue
@@ -144,7 +136,11 @@ def _topological_order(
     successors: Mapping[str, set[str]],
     vocab: RelationVocabulary,
 ) -> list[str]:
-    """Kahn's algorithm with the canonical tie-break on the ready heap."""
+    """Kahn's algorithm with the canonical tie-break on the ready heap.
+
+    Ties between DAG-incomparable edges resolve by descending lead time, then
+    family, then in-family relation rank, then text position, then id.
+    """
     indegree = {edge.id: 0 for edge in edges}
     for src in successors:
         for dst in successors[src]:
@@ -249,20 +245,6 @@ def build_precedence(
     return _build_group(edges, successors, vocab)
 
 
-def canonical_trajectory(
-    index: GroupPrecedence, group_edges: Iterable[Hyperedge] | None = None
-) -> list[str]:
-    """Deterministic full ordering of a group: topological with tie-breaks.
-
-    Ties between DAG-incomparable edges resolve by descending lead time,
-    then family, then in-family relation rank, then text position, then id.
-    """
-    if group_edges is None:
-        return list(index.trajectory)
-    edges = sorted(group_edges, key=lambda edge: edge.id)
-    return _topological_order(edges, index.successors, DEFAULT_VOCABULARY)
-
-
 class PrecedenceIndex:
     """Precedence across all groups of a hypergraph."""
 
@@ -318,6 +300,31 @@ class PrecedenceIndex:
             return Order.AFTER
         return Order.UNRELATED
 
+    def reach_matrix(self, edge_ids: Sequence[str]) -> np.ndarray:
+        """Boolean R over a candidate list: R[i, j] iff edge i must precede edge j.
+
+        Edges of different groups, and edges outside the index, never reach.
+        """
+        n = len(edge_ids)
+        reach = np.zeros((n, n), dtype=bool)
+        members: dict[str, list[tuple[int, int]]] = {}
+        for i, edge_id in enumerate(edge_ids):
+            group = self.group_of.get(edge_id)
+            if group is not None:
+                members.setdefault(group, []).append((i, self.groups[group].index_of[edge_id]))
+        for group, pairs in members.items():
+            prec = self.groups[group]
+            rows, local = np.array(pairs, dtype=np.int64).T
+            width = (len(prec.edge_ids) + 7) // 8
+            packed = b"".join(prec.closure[j].to_bytes(width, "little") for j in local)
+            bits = np.unpackbits(
+                np.frombuffer(packed, dtype=np.uint8).reshape(len(pairs), width),
+                axis=1,
+                bitorder="little",
+            )
+            reach[np.ix_(rows, rows)] = bits[:, local].astype(bool)
+        return reach
+
     def reachable(self, first: str, second: str) -> bool:
         group = self.group_of.get(first)
         if group is None or group != self.group_of.get(second):
@@ -336,6 +343,3 @@ class PrecedenceIndex:
     def direct_edges(self) -> dict[str, list[tuple[str, str]]]:
         return {group: prec.direct_pairs() for group, prec in self.groups.items()}
 
-
-def precedes(index: PrecedenceIndex, first: str, second: str) -> Order:
-    return index.precedes(first, second)

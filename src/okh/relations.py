@@ -68,13 +68,20 @@ PHASE_BY_FAMILY: dict[int, str] = {
     11: "impact_prediction",
     12: "recovery_status",
 }
-COVERAGE_PHASES: tuple[str, ...] = (
-    "advisory",
-    "hazard_forecast",
-    "hazard_observation",
-    "operation_status",
-    "impact_prediction",
-    "recovery_status",
+COVERAGE_PHASES: tuple[str, ...] = tuple(
+    PHASE_BY_FAMILY[family] for family in sorted(PHASE_BY_FAMILY)
+)
+
+# Within-horizon causal chains as (source families, target families, tag):
+# advisories precede hazard forecasts, hazard assessments precede operational
+# decisions and impact predictions, and impact predictions precede recovery
+# status. Precedence materializes them as DAG edges; evidence rendering names
+# each consecutive step that follows one with its tag, in this order.
+CAUSAL_RULES: tuple[tuple[tuple[int, ...], tuple[int, ...], str], ...] = (
+    ((4,), (6,), "advisory_to_hazard"),
+    ((6, 7), (10,), "hazard_to_operation"),
+    ((6, 7), (11,), "hazard_to_impact"),
+    ((11,), (12,), "impact_to_recovery"),
 )
 
 # Which change relation a given within-horizon family evolves through.
@@ -185,20 +192,6 @@ DEFAULT_VOCABULARY = RelationVocabulary()
 
 def normalize_relation(raw: str, vocab: RelationVocabulary = DEFAULT_VOCABULARY) -> tuple[str, int]:
     return vocab.normalize(raw)
-
-
-def phase_rank(relation: str, vocab: RelationVocabulary = DEFAULT_VOCABULARY) -> int:
-    """Family number of a relation, used as its coarse ordering rank."""
-    if vocab.is_canonical(relation):
-        return vocab.family(relation)
-    return vocab.normalize(relation)[1]
-
-
-def family_rank(relation: str, vocab: RelationVocabulary = DEFAULT_VOCABULARY) -> int:
-    """Rank of a relation inside its own family, for fine tie-breaking."""
-    if not vocab.is_canonical(relation):
-        relation = vocab.normalize(relation)[0]
-    return vocab.rank_in_family(relation)
 
 
 def phase_of_family(family: int) -> str:

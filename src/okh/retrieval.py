@@ -20,7 +20,7 @@ from okh.errors import EmptyCorpus, UnknownEdge
 from okh.hypergraph import Hyperedge, KnowledgeHypergraph
 from okh.precedence import Order, PrecedenceIndex
 from okh.relations import COVERAGE_PHASES, phase_of_family
-from okh.transition import TransitionModel, log_softmax_rows
+from okh.transition import TransitionModel
 
 HEURISTIC_FORWARD = 0.0
 HEURISTIC_UNRELATED = -1.0
@@ -226,25 +226,6 @@ def scope_candidates(
     return ranked(pool)[: config.pool_cap]
 
 
-def heuristic_transition_matrix(
-    candidate_ids: Sequence[str], precedence: PrecedenceIndex
-) -> np.ndarray:
-    """Rule-derived stand-in for learned transitions: forward 0, unrelated -1,
-    backward -5."""
-    n = len(candidate_ids)
-    matrix = np.full((n, n), HEURISTIC_UNRELATED, dtype=np.float64)
-    for i, src in enumerate(candidate_ids):
-        for j, dst in enumerate(candidate_ids):
-            if i == j:
-                continue
-            order = precedence.precedes(src, dst)
-            if order is Order.BEFORE:
-                matrix[i, j] = HEURISTIC_FORWARD
-            elif order is Order.AFTER:
-                matrix[i, j] = HEURISTIC_BACKWARD
-    return matrix
-
-
 class _CandidateContext:
     """Per-query precomputation shared by the search loops."""
 
@@ -254,22 +235,16 @@ class _CandidateContext:
         candidate_ids: Sequence[str],
         hypergraph: KnowledgeHypergraph,
         store: EmbeddingStore,
-        precedence: PrecedenceIndex | None,
-        model: TransitionModel | None,
-        transition_matrix: np.ndarray | None,
+        precedence: PrecedenceIndex,
+        log_transition: np.ndarray,
     ):
         self.ids = list(candidate_ids)
         n = len(self.ids)
+        if log_transition.shape != (n, n):
+            raise ValueError("transition matrix must align with the candidate list")
+        self.log_transition = log_transition
         rows = np.stack([store.vector(eid) for eid in self.ids]) if n else np.zeros((0, store.dim))
         self.relevance = rows @ np.asarray(query_vector, dtype=np.float64)
-        if transition_matrix is not None:
-            if transition_matrix.shape != (n, n):
-                raise ValueError("transition matrix must align with the candidate list")
-            self.log_transition = transition_matrix
-        elif model is not None and n:
-            self.log_transition = model.log_transition_matrix(rows)
-        else:
-            self.log_transition = np.zeros((n, n), dtype=np.float64)
 
         self.edges = [_edge(hypergraph, eid) for eid in self.ids]
         entity_universe: dict[str, int] = {}
@@ -284,20 +259,8 @@ class _CandidateContext:
             [_PHASE_INDEX.get(phase_of_family(edge.family), -1) for edge in self.edges],
             dtype=np.int64,
         )
-        self.reach_masks = [0] * n
-        if precedence is not None:
-            index_of = {eid: i for i, eid in enumerate(self.ids)}
-            for group, prec in precedence.groups.items():
-                members = [
-                    (index_of[eid], prec.index_of[eid]) for eid in prec.edge_ids if eid in index_of
-                ]
-                for i, local_i in members:
-                    closure = prec.closure[local_i]
-                    mask = 0
-                    for j, local_j in members:
-                        if closure >> local_j & 1:
-                            mask |= 1 << j
-                    self.reach_masks[i] = mask
+        # 1.0 where the row's edge must precede the column's edge.
+        self.reach = precedence.reach_matrix(self.ids).astype(np.float64)
         self._jaccard_rows: dict[int, np.ndarray] = {}
         # Tie-break piece per candidate: higher relevance first, then id.
         self.tie_piece = [(-float(self.relevance[i]), self.ids[i]) for i in range(n)]
@@ -315,12 +278,6 @@ class _CandidateContext:
             )
             self._jaccard_rows[i] = row
         return row
-
-    def reach_row(self, i: int) -> np.ndarray:
-        mask = self.reach_masks[i]
-        return np.array(
-            [float(mask >> j & 1) for j in range(len(self.ids))], dtype=np.float64
-        )
 
 
 @dataclass
@@ -382,10 +339,9 @@ def beam_search(
     hypergraph: KnowledgeHypergraph,
     store: EmbeddingStore,
     precedence: PrecedenceIndex,
+    log_transition: np.ndarray,
     weights: RetrievalWeights = RetrievalWeights(),
     config: SearchConfig = SearchConfig(),
-    model: TransitionModel | None = None,
-    transition_matrix: np.ndarray | None = None,
 ) -> list[Trajectory]:
     """Beam search over distinct-step trajectories.
 
@@ -396,9 +352,12 @@ def beam_search(
     Retention keeps the best B beams after the diversity penalty. The final
     trajectories are re-scored with the exact objective, where precedence
     and continuity are normalized over the whole trajectory.
+
+    ``log_transition[i, j]`` scores a step from candidate i to candidate j;
+    ``Retriever.transition_matrix`` builds it.
     """
     ctx = _CandidateContext(
-        query_vector, candidate_ids, hypergraph, store, precedence, model, transition_matrix
+        query_vector, candidate_ids, hypergraph, store, precedence, log_transition
     )
     n = len(ctx.ids)
     if n == 0:
@@ -430,7 +389,7 @@ def beam_search(
             scores = (
                 ctx.relevance
                 + weights.lambda_coherence * ctx.log_transition[beam.last]
-                + weights.mu_precedence * ctx.reach_row(beam.last)
+                + weights.mu_precedence * ctx.reach[beam.last]
                 + weights.nu_continuity * ctx.jaccard_row(beam.last)
             )
             if weights.rho_coverage:
@@ -498,11 +457,10 @@ def viterbi(
     query_vector: np.ndarray,
     candidate_ids: Sequence[str],
     store: EmbeddingStore,
-    model: TransitionModel | None,
+    log_transition: np.ndarray,
     lambda_coherence: float,
     length: int,
     no_repeat: bool = False,
-    transition_matrix: np.ndarray | None = None,
 ) -> Trajectory:
     """Exact optimum of relevance plus weighted transition log-probability.
 
@@ -517,12 +475,6 @@ def viterbi(
         raise EmptyCorpus("viterbi needs at least one candidate")
     rows = np.stack([store.vector(eid) for eid in ids])
     relevance = rows @ np.asarray(query_vector, dtype=np.float64)
-    if transition_matrix is not None:
-        log_transition = transition_matrix
-    elif model is not None:
-        log_transition = model.log_transition_matrix(rows)
-    else:
-        log_transition = np.zeros((n, n), dtype=np.float64)
 
     if no_repeat:
         if n > 22:
@@ -615,10 +567,34 @@ class Retriever:
     model: TransitionModel
 
     def transition_matrix(self, candidate_ids: Sequence[str], kind: str = "learned") -> np.ndarray:
+        """Log-transition matrix over a candidate list, as beam search takes it.
+
+        ``learned`` is the model's row-wise log-softmax over the candidates;
+        ``heuristic`` is the rule-derived stand-in from the precedence DAG:
+        forward 0, unrelated -1, backward -5.
+        """
+        if kind == "learned":
+            rows = np.stack([self.store.vector(eid) for eid in candidate_ids])
+            return self.model.log_transition_matrix(rows)
         if kind == "heuristic":
-            return heuristic_transition_matrix(candidate_ids, self.precedence)
-        rows = np.stack([self.store.vector(eid) for eid in candidate_ids])
-        return log_softmax_rows(self.model.logits(rows))
+            reach = self.precedence.reach_matrix(candidate_ids)
+            return np.where(
+                reach,
+                HEURISTIC_FORWARD,
+                np.where(reach.T, HEURISTIC_BACKWARD, HEURISTIC_UNRELATED),
+            )
+        raise ValueError(f"unknown transition kind {kind!r}; expected 'learned' or 'heuristic'")
+
+    def _scoped(
+        self,
+        query_vector: np.ndarray,
+        scope: ScopeConfig,
+        query_group: str | None,
+        transition: str,
+    ) -> tuple[list[str], np.ndarray]:
+        """Candidate pool for a query and its log-transition matrix."""
+        candidates = scope_candidates(query_vector, self.hypergraph, self.store, scope, query_group)
+        return candidates, self.transition_matrix(candidates, transition)
 
     def retrieve(
         self,
@@ -629,21 +605,20 @@ class Retriever:
         query_group: str | None = None,
         transition: str = "learned",
     ) -> list[Trajectory]:
+        """Scope the candidates, build their transition matrix, and beam-search them."""
         query_vector = (
             self.store.embed_query(query) if isinstance(query, str) else np.asarray(query)
         )
-        candidates = scope_candidates(
-            query_vector, self.hypergraph, self.store, scope, query_group
-        )
+        candidates, log_transition = self._scoped(query_vector, scope, query_group, transition)
         return beam_search(
             query_vector,
             candidates,
             self.hypergraph,
             self.store,
             self.precedence,
+            log_transition,
             weights,
             search,
-            transition_matrix=self.transition_matrix(candidates, transition),
         )
 
     def result_dict(self, query_text: str, trajectories: Sequence[Trajectory]) -> dict:

@@ -124,28 +124,6 @@ class TransitionModel:
         )
 
 
-def transition_logit(model: TransitionModel, source: np.ndarray, target: np.ndarray) -> float:
-    source = np.asarray(source, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if source.shape != (model.dim,) or target.shape != (model.dim,):
-        raise DimensionMismatch(
-            f"expected vectors of dimension {model.dim}, got {source.shape} and {target.shape}"
-        )
-    return float((model.u @ source) @ (model.v @ target))
-
-
-def transition_logprob(
-    model: TransitionModel, source: np.ndarray, candidates: np.ndarray
-) -> np.ndarray:
-    """log P(candidate | source) normalized over the given candidate rows."""
-    candidates = np.asarray(candidates, dtype=np.float64)
-    if candidates.ndim != 2 or candidates.shape[0] == 0:
-        raise ValueError("candidate set must be a non-empty matrix")
-    logits = model.logits(np.asarray(source, dtype=np.float64)[None, :], candidates)[0]
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

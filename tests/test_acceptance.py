@@ -144,7 +144,7 @@ def test_viterbi_matches_brute_force_on_random_instances():
         store = _basis_store(ids)
         query = _query_for(rel)
         expected_score, expected_path = _brute_force(rel, log_transition, length, lam)
-        got = viterbi(query, ids, store, None, lam, length, transition_matrix=log_transition)
+        got = viterbi(query, ids, store, log_transition, lam, length)
         if abs(got.total_score - expected_score) > 1e-9:
             score_fails += 1
         if list(got.steps) != [ids[i] for i in expected_path]:
@@ -169,13 +169,12 @@ def test_beam_is_bounded_by_viterbi_and_exact_when_wide():
         store = _basis_store(ids)
         query = _query_for(rel)
         weights = RetrievalWeights(lam, 0.0, 0.0, 0.0)
-        exact = viterbi(query, ids, store, None, lam, length, transition_matrix=log_transition)
+        exact = viterbi(query, ids, store, log_transition, lam, length)
 
         narrow = beam_search(
-            query, ids, graph, store, precedence, weights,
+            query, ids, graph, store, precedence, log_transition, weights,
             SearchConfig(beam_width=8, trajectory_length=length,
                          num_trajectories=1, diversity_penalty=0.0),
-            transition_matrix=log_transition,
         )
         if narrow[0].total_score > exact.total_score + 1e-9:
             bound_fails += 1
@@ -183,14 +182,12 @@ def test_beam_is_bounded_by_viterbi_and_exact_when_wide():
         # A beam wide enough to retain every (candidate, length) state is
         # exhaustive over repeat-free sequences, the space it searches.
         wide = beam_search(
-            query, ids, graph, store, precedence, weights,
+            query, ids, graph, store, precedence, log_transition, weights,
             SearchConfig(beam_width=n * length, trajectory_length=length,
                          num_trajectories=1, diversity_penalty=0.0),
-            transition_matrix=log_transition,
         )
         distinct_best = viterbi(
-            query, ids, store, None, lam, length,
-            no_repeat=True, transition_matrix=log_transition,
+            query, ids, store, log_transition, lam, length, no_repeat=True,
         )
         if abs(wide[0].total_score - distinct_best.total_score) > 1e-9:
             equality_fails += 1
@@ -402,7 +399,7 @@ def test_zero_weights_reduce_to_relevance_ranking():
             random.Random(permutation_seed).shuffle(order)
             shuffled_ids = [ids[i] for i in order]
             result = beam_search(
-                query, shuffled_ids, graph, store, precedence, zero,
+                query, shuffled_ids, graph, store, precedence, np.zeros((n, n)), zero,
                 SearchConfig(beam_width=8, trajectory_length=length,
                              num_trajectories=1, diversity_penalty=0.0),
             )

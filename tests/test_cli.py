@@ -225,6 +225,23 @@ def test_dimension_mismatch_between_checkpoint_and_store(pipeline, capsys):
     assert "16-d" in capsys.readouterr().err
 
 
+def test_eval_refuses_checkpoint_of_another_dimension(pipeline, capsys):
+    assert main(["eval", "--snapshot", str(pipeline["snapshot"]),
+                 "--checkpoint", str(pipeline["checkpoint"]),
+                 "--dim", "64", "--qa", str(pipeline["qa"]),
+                 "--variant", "full"]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint is 32-d but embeddings are 64-d" in err
+    assert "matmul" not in err
+
+
+def test_retrieve_rejects_unknown_group(pipeline, capsys):
+    assert main(["retrieve", "--snapshot", str(pipeline["snapshot"]),
+                 "--checkpoint", str(pipeline["checkpoint"]),
+                 "--dim", "32", "--query", "q", "--group", "NOPE:nope"]) == 2
+    assert "unknown group 'NOPE:nope'" in capsys.readouterr().err
+
+
 def test_invalid_synth_shape_exits_two(tmp_path, capsys):
     assert main(["synth", "--horizons", "9", "--out", str(tmp_path)]) == 2
     capsys.readouterr()

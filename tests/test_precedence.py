@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from okh.corpus import generate_synthetic
 from okh.hypergraph import Hyperedge, horizon_anchor_id, merge_facts, synthesize_cross_horizon
 from okh.precedence import (
     ALL_RULES,
@@ -12,7 +13,6 @@ from okh.precedence import (
     Order,
     PrecedenceIndex,
     build_precedence,
-    canonical_trajectory,
     effective_lead,
 )
 
@@ -232,11 +232,22 @@ def test_from_direct_edges_rebuilds_equivalent_index():
             assert rebuilt.precedes(a, b) is built.precedes(a, b)
 
 
-def test_canonical_trajectory_accepts_raw_edges():
-    edges = [
-        make_edge("forecasts_hazard_at_horizon", "wind:A", 96, 0),
-        make_edge("forecasts_hazard_at_horizon", "wind:A", 48, 1),
-    ]
-    prec = build_precedence(edges)
-    assert canonical_trajectory(prec) == list(prec.trajectory)
-    assert canonical_trajectory(prec, edges) == list(prec.trajectory)
+def test_group_trajectory_runs_toward_landfall():
+    early = make_edge("forecasts_hazard_at_horizon", "wind:A", 96, 1)
+    late = make_edge("forecasts_hazard_at_horizon", "wind:A", 48, 0)
+    prec = build_precedence([late, early])
+    assert prec.trajectory == [early.id, late.id]
+    assert prec.position == {early.id: 0, late.id: 1}
+
+
+def test_reach_matrix_matches_pairwise_reachable():
+    graph = merge_facts([generate_synthetic(seed=3, n_groups=2, horizons_per_group=3).facts])
+    index = PrecedenceIndex.build(graph)
+    ids = sorted(graph.hyperedges)
+    random.Random(0).shuffle(ids)
+    ids = ids[:50] + ["missing"]
+    reach = index.reach_matrix(ids)
+    assert reach.dtype == bool
+    assert reach.tolist() == [[index.reachable(a, b) for b in ids] for a in ids]
+    assert reach.any()
+    assert index.reach_matrix([]).shape == (0, 0)

@@ -7,7 +7,6 @@ from okh.relations import (
     EntityType,
     RelationVocabulary,
     change_relation_for_family,
-    family_rank,
     normalize_relation,
     phase_of_family,
 )
@@ -57,10 +56,10 @@ def test_every_canonical_relation_has_family_in_range():
 
 
 def test_rank_in_family_follows_declaration_order():
-    assert family_rank("has_cyclone_state") == 1
-    assert family_rank("has_category_state") == 2
-    assert family_rank("has_attribute") == 4
-    assert family_rank("forecasts_hazard_at_horizon") == 1
+    assert DEFAULT_VOCABULARY.rank_in_family("has_cyclone_state") == 1
+    assert DEFAULT_VOCABULARY.rank_in_family("has_category_state") == 2
+    assert DEFAULT_VOCABULARY.rank_in_family("has_attribute") == 4
+    assert DEFAULT_VOCABULARY.rank_in_family("forecasts_hazard_at_horizon") == 1
 
 
 def test_phase_of_family_covers_the_six_phases():

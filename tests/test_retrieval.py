@@ -7,7 +7,7 @@ from okh.corpus import generate_synthetic
 from okh.embedding import EmbeddingStore, LocalHashingEmbedder
 from okh.errors import EmptyCorpus
 from okh.hypergraph import merge_facts
-from okh.precedence import PrecedenceIndex
+from okh.precedence import Order, PrecedenceIndex
 from okh.retrieval import (
     HEURISTIC_BACKWARD,
     HEURISTIC_FORWARD,
@@ -19,7 +19,6 @@ from okh.retrieval import (
     Trajectory,
     beam_search,
     entity_continuity,
-    heuristic_transition_matrix,
     jaccard,
     phase_coverage,
     precedence_consistency,
@@ -199,7 +198,9 @@ def test_heuristic_transition_matrix_values():
     fc = _eid(graph, "forecasts_hazard_at_horizon")
     ops = _eid(graph, "has_operation_status")
     handling = _eid(graph, "affects_vessel_handling")
-    matrix = heuristic_transition_matrix([adv, fc, ops, handling], precedence)
+    store = _basis_store(sorted(graph.hyperedges))
+    retriever = Retriever(graph, store, precedence, TransitionModel.zeros(store.dim, 1))
+    matrix = retriever.transition_matrix([adv, fc, ops, handling], kind="heuristic")
     assert matrix[0, 1] == HEURISTIC_FORWARD
     assert matrix[1, 0] == HEURISTIC_BACKWARD
     # Transitive reachability counts as forward.
@@ -314,7 +315,8 @@ def test_beam_search_with_zero_weights_is_top_relevance_ranking():
     )
     expected = [eid for _, eid in sorted(zip([-r for r in rel], ids))][:4]
 
-    trajectories = beam_search(query, ids, graph, store, precedence, weights, config)
+    zeros = np.zeros((len(ids), len(ids)))
+    trajectories = beam_search(query, ids, graph, store, precedence, zeros, weights, config)
     assert trajectories[0].steps == expected
     assert trajectories[0].total_score == pytest.approx(sum(sorted(rel)[-4:]))
 
@@ -327,7 +329,7 @@ def test_beam_search_with_zero_weights_is_top_relevance_ranking():
         LocalHashingEmbedder(8),
     )
     again = beam_search(
-        query, shuffled, graph, store_shuffled, precedence, weights, config
+        query, shuffled, graph, store_shuffled, precedence, zeros, weights, config
     )
     assert again[0].steps == expected
 
@@ -341,7 +343,8 @@ def test_beam_search_truncates_when_length_exceeds_candidates():
         beam_width=4, trajectory_length=8, num_trajectories=1, diversity_penalty=0.0
     )
     trajectories = beam_search(
-        query, ids, graph, store, precedence, RetrievalWeights(0, 0, 0, 0), config
+        query, ids, graph, store, precedence, np.zeros((3, 3)), RetrievalWeights(0, 0, 0, 0),
+        config,
     )
     assert len(trajectories[0].steps) == 3
 
@@ -349,7 +352,7 @@ def test_beam_search_truncates_when_length_exceeds_candidates():
 def test_beam_search_empty_candidates_returns_no_trajectories():
     graph, precedence = _chain_graph()
     store = _basis_store(sorted(graph.hyperedges))
-    assert beam_search(np.zeros(8), [], graph, store, precedence) == []
+    assert beam_search(np.zeros(8), [], graph, store, precedence, np.zeros((0, 0))) == []
 
 
 def _random_instance(rng, graph_ids):
@@ -370,9 +373,7 @@ def test_beam_two_term_score_never_exceeds_viterbi():
         n, length, lam, ids, rel, log_transition = _random_instance(rng, graph_ids)
         store = _basis_store(ids)
         query = _query_for(rel)
-        exact = viterbi(
-            query, ids, store, None, lam, length, transition_matrix=log_transition
-        )
+        exact = viterbi(query, ids, store, log_transition, lam, length)
         config = SearchConfig(
             beam_width=8,
             trajectory_length=length,
@@ -385,9 +386,9 @@ def test_beam_two_term_score_never_exceeds_viterbi():
             graph,
             store,
             precedence,
+            log_transition,
             RetrievalWeights(lam, 0.0, 0.0, 0.0),
             config,
-            transition_matrix=log_transition,
         )
         assert approx[0].total_score <= exact.total_score + 1e-9
 
@@ -404,11 +405,10 @@ def test_wide_beam_matches_no_repeat_viterbi():
             query,
             ids,
             store,
-            None,
+            log_transition,
             lam,
             length,
             no_repeat=True,
-            transition_matrix=log_transition,
         )
         config = SearchConfig(
             beam_width=n * length,
@@ -422,9 +422,9 @@ def test_wide_beam_matches_no_repeat_viterbi():
             graph,
             store,
             precedence,
+            log_transition,
             RetrievalWeights(lam, 0.0, 0.0, 0.0),
             config,
-            transition_matrix=log_transition,
         )
         assert approx[0].total_score == pytest.approx(oracle.total_score, abs=1e-9)
 
@@ -454,8 +454,7 @@ def test_diversity_penalty_trades_score_for_distinct_steps():
             diversity_penalty=penalty,
         )
         trajectories = beam_search(
-            query, ids, graph, store, precedence, weights, config,
-            transition_matrix=log_transition,
+            query, ids, graph, store, precedence, log_transition, weights, config,
         )
         return [[ids.index(step) for step in t.steps] for t in trajectories]
 
@@ -474,9 +473,8 @@ def test_diversity_penalty_does_not_change_reported_totals():
         diversity_penalty=5.0,
     )
     trajectories = beam_search(
-        query, ids, graph, store, precedence,
+        query, ids, graph, store, precedence, log_transition,
         RetrievalWeights(1.0, 0.0, 0.0, 0.0), config,
-        transition_matrix=log_transition,
     )
     # Totals are the exact objective values, not the penalized ranks.
     assert trajectories[0].total_score == pytest.approx(2.85)
@@ -492,11 +490,11 @@ def test_beam_breakdown_matches_exact_rescoring():
     weights = RetrievalWeights(1.2, 0.3, 0.2, 0.5)
     config = SearchConfig(beam_width=4, trajectory_length=5, num_trajectories=3)
     model = TransitionModel.create(store.dim, rank=4, seed=0)
-    trajectories = beam_search(
-        query, ids, graph, store, precedence, weights, config, model=model
-    )
     rows = np.stack([store.vector(eid) for eid in ids])
     log_transition = model.log_transition_matrix(rows)
+    trajectories = beam_search(
+        query, ids, graph, store, precedence, log_transition, weights, config
+    )
     index_of = {eid: i for i, eid in enumerate(ids)}
     relevance = rows @ query
     for trajectory in trajectories:
@@ -519,7 +517,7 @@ def test_viterbi_with_zero_lambda_repeats_the_best_candidate():
     ids = sorted(graph.hyperedges)[:4]
     store = _basis_store(ids)
     query = _query_for([0.2, 0.9, 0.5, 0.1])
-    result = viterbi(query, ids, store, None, 0.0, 3)
+    result = viterbi(query, ids, store, np.zeros((4, 4)), 0.0, 3)
     assert result.steps == [ids[1]] * 3
     assert result.total_score == pytest.approx(2.7)
 
@@ -529,7 +527,7 @@ def test_viterbi_breaks_score_ties_toward_smaller_id_sequence():
     ids = sorted(graph.hyperedges)[:3]
     store = _basis_store(ids)
     query = _query_for([0.4, 0.4, 0.4])
-    result = viterbi(query, ids, store, None, 0.0, 2)
+    result = viterbi(query, ids, store, np.zeros((3, 3)), 0.0, 2)
     assert result.steps == [ids[0], ids[0]]
 
 
@@ -538,7 +536,7 @@ def test_viterbi_length_one_picks_the_argmax():
     ids = sorted(graph.hyperedges)[:5]
     store = _basis_store(ids)
     query = _query_for([0.1, 0.2, 0.8, 0.3, 0.4])
-    result = viterbi(query, ids, store, None, 1.7, 1)
+    result = viterbi(query, ids, store, np.zeros((5, 5)), 1.7, 1)
     assert result.steps == [ids[2]]
     assert result.breakdown["coherence"] == 0.0
 
@@ -551,9 +549,7 @@ def test_viterbi_matches_brute_force_on_random_instances():
         n, length, lam, ids, rel, log_transition = _random_instance(rng, graph_ids)
         store = _basis_store(ids)
         query = _query_for(rel)
-        result = viterbi(
-            query, ids, store, None, lam, length, transition_matrix=log_transition
-        )
+        result = viterbi(query, ids, store, log_transition, lam, length)
         best = None
         for seq in itertools.product(range(n), repeat=length):
             score = float(rel[seq[0]])
@@ -571,7 +567,7 @@ def test_viterbi_no_repeat_never_revisits_and_truncates():
     ids = sorted(graph.hyperedges)[:3]
     store = _basis_store(ids)
     query = _query_for([0.9, 0.5, 0.2])
-    result = viterbi(query, ids, store, None, 0.0, 5, no_repeat=True)
+    result = viterbi(query, ids, store, np.zeros((3, 3)), 0.0, 5, no_repeat=True)
     assert sorted(result.steps) == sorted(ids)
     assert len(set(result.steps)) == 3
 
@@ -580,11 +576,11 @@ def test_viterbi_rejects_empty_and_oversized_no_repeat_inputs():
     graph, _ = _chain_graph()
     store = _basis_store(sorted(graph.hyperedges))
     with pytest.raises(EmptyCorpus):
-        viterbi(np.zeros(8), [], store, None, 1.0, 3)
+        viterbi(np.zeros(8), [], store, np.zeros((0, 0)), 1.0, 3)
     many = [f"edge-{i:02d}" for i in range(23)]
     wide = EmbeddingStore(many, np.eye(23), LocalHashingEmbedder(23))
     with pytest.raises(ValueError):
-        viterbi(np.zeros(23), many, wide, None, 1.0, 3, no_repeat=True)
+        viterbi(np.zeros(23), many, wide, np.zeros((23, 23)), 1.0, 3, no_repeat=True)
 
 
 def test_retrieval_weights_and_configs_reject_bad_values():
@@ -663,3 +659,30 @@ def test_retriever_heuristic_transitions_use_rule_values():
     # Learned rows are normalized distributions; the heuristic is not.
     assert np.exp(learned).sum(axis=1) == pytest.approx(np.ones(len(ids)), abs=1e-9)
     assert not np.allclose(heuristic, learned)
+
+
+def test_retriever_heuristic_matrix_matches_pairwise_precedes():
+    corpus, retriever = _small_retriever()
+    # Both groups, out of id order, so cross-group pairs and row order count.
+    ids = sorted(retriever.hypergraph.hyperedges, key=lambda eid: eid[::-1])[:40]
+    value_of = {
+        Order.BEFORE: HEURISTIC_FORWARD,
+        Order.AFTER: HEURISTIC_BACKWARD,
+        Order.UNRELATED: HEURISTIC_UNRELATED,
+    }
+    expected = np.array(
+        [[value_of[retriever.precedence.precedes(a, b)] for b in ids] for a in ids]
+    )
+    matrix = retriever.transition_matrix(ids, kind="heuristic")
+    assert matrix.dtype == np.float64
+    assert np.array_equal(matrix, expected)
+    assert (matrix == HEURISTIC_FORWARD).any() and (matrix == HEURISTIC_BACKWARD).any()
+
+
+def test_retriever_rejects_unknown_transition_kind():
+    corpus, retriever = _small_retriever()
+    ids = sorted(retriever.hypergraph.hyperedges)[:4]
+    with pytest.raises(ValueError, match="'bogus'"):
+        retriever.transition_matrix(ids, kind="bogus")
+    with pytest.raises(ValueError, match="'heuristc'"):
+        retriever.retrieve(corpus.qa[0].question, transition="heuristc")

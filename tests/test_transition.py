@@ -14,8 +14,6 @@ from okh.transition import (
     contrastive_loss,
     log_softmax_rows,
     train,
-    transition_logit,
-    transition_logprob,
 )
 
 
@@ -54,7 +52,7 @@ def test_factored_logits_match_dense_bilinear_oracle():
     dense_w = model.u.T @ model.v
     expected = rows @ dense_w @ rows.T
     assert model.logits(rows) == pytest.approx(expected, abs=1e-9)
-    assert transition_logit(model, rows[0], rows[1]) == pytest.approx(
+    assert model.logits(rows[:1], rows[1:2])[0, 0] == pytest.approx(
         float(rows[0] @ dense_w @ rows[1]), abs=1e-12
     )
 
@@ -67,16 +65,17 @@ def test_log_softmax_rows_are_normalized_and_stable():
     assert np.all(np.isfinite(logp))
 
 
-def test_transition_logprob_matches_manual_softmax():
+def test_log_transition_matrix_matches_manual_softmax():
     rng = np.random.default_rng(3)
     model = TransitionModel.create(dim=8, rank=2, seed=3)
-    source = _rng_rows(rng, 1, 8)[0]
     candidates = _rng_rows(rng, 5, 8)
-    logits = np.array([transition_logit(model, source, row) for row in candidates])
-    manual = (logits - logits.max()) - math.log(np.exp(logits - logits.max()).sum())
-    log_probs = transition_logprob(model, source, candidates)
-    assert log_probs == pytest.approx(manual, abs=1e-9)
-    assert np.exp(log_probs).sum() == pytest.approx(1.0, abs=1e-12)
+    dense_w = model.u.T @ model.v
+    log_probs = model.log_transition_matrix(candidates)
+    for source, row in zip(candidates, log_probs):
+        logits = np.array([float(source @ dense_w @ target) for target in candidates])
+        manual = (logits - logits.max()) - math.log(np.exp(logits - logits.max()).sum())
+        assert row == pytest.approx(manual, abs=1e-9)
+    assert np.exp(log_probs).sum(axis=1) == pytest.approx(np.ones(5), abs=1e-12)
 
 
 def test_zero_model_positive_loss_is_log_k_plus_one():
