@@ -6,7 +6,6 @@ from okh.corpus import (
     QAItem,
     generate_synthetic,
     group_id_for,
-    split_horizons,
 )
 from okh.embedding import (
     EmbeddingCache,
@@ -14,7 +13,6 @@ from okh.embedding import (
     LocalHashingEmbedder,
     RemoteEmbeddingClient,
     compose_text,
-    cosine,
 )
 from okh.errors import (
     ConflictingHorizon,
@@ -28,8 +26,6 @@ from okh.errors import (
     ProviderError,
     SchemaError,
     UnknownEdge,
-    UnparseableNumeric,
-    ZeroNorm,
 )
 from okh.evaluation import (
     AblationReport,
@@ -39,11 +35,7 @@ from okh.evaluation import (
     run_ablation,
 )
 from okh.evidence import (
-    AnswerRecord,
-    ChatCompletionClient,
     EvidenceStep,
-    aggregate_answers,
-    assemble_prompt,
     build_evidence_steps,
     format_trajectory,
 )
@@ -71,7 +63,6 @@ from okh.relations import (
     DEFAULT_VOCABULARY,
     EntityType,
     RelationVocabulary,
-    normalize_relation,
     phase_of_family,
 )
 from okh.retrieval import (

@@ -14,6 +14,7 @@ from typing import Any, Sequence
 
 from okh.corpus import QAItem, GroupScenario, generate_synthetic
 from okh.embedding import (
+    DEFAULT_LOCAL_DIM,
     EmbeddingCache,
     EmbeddingStore,
     LocalHashingEmbedder,
@@ -38,7 +39,7 @@ from okh.retrieval import (
 )
 from okh.transition import TrainingConfig, TransitionModel, build_pairs, train
 
-_PROVIDER_DIMS = {"local": 256, "remote": 1536}
+_PROVIDER_DIMS = {"local": DEFAULT_LOCAL_DIM, "remote": 1536}
 _PROVIDER_RANKS = {"local": 32, "remote": 64}
 
 # Config file keys may use the bare flag spelling for reserved words.
@@ -145,12 +146,16 @@ _DEFAULT_WEIGHTS = RetrievalWeights()
 _DEFAULT_SEARCH = SearchConfig()
 _DEFAULT_SCOPE = ScopeConfig()
 
-_RETRIEVAL_DEFAULTS: dict[str, Any] = {
+_PROVIDER_DEFAULTS: dict[str, Any] = {
     "provider": "local",
     "endpoint": "",
     "model_name": "",
     "dim": 0,
     "cache": "",
+}
+
+_RETRIEVAL_DEFAULTS: dict[str, Any] = {
+    **_PROVIDER_DEFAULTS,
     "lambda_": _DEFAULT_WEIGHTS.lambda_coherence,
     "mu": _DEFAULT_WEIGHTS.mu_precedence,
     "nu": _DEFAULT_WEIGHTS.nu_continuity,
@@ -164,12 +169,16 @@ _RETRIEVAL_DEFAULTS: dict[str, Any] = {
 }
 
 
-def _add_retrieval_flags(parser: argparse.ArgumentParser) -> None:
+def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--provider", choices=("local", "remote"))
     parser.add_argument("--endpoint")
     parser.add_argument("--model-name", dest="model_name")
     parser.add_argument("--dim", type=int)
     parser.add_argument("--cache")
+
+
+def _add_retrieval_flags(parser: argparse.ArgumentParser) -> None:
+    _add_provider_flags(parser)
     parser.add_argument("--lambda", dest="lambda_", type=float)
     parser.add_argument("--mu", type=float)
     parser.add_argument("--nu", type=float)
@@ -231,11 +240,7 @@ def _cmd_train(ns: argparse.Namespace) -> int:
     defaults: dict[str, Any] = {
         "snapshot": None,
         "checkpoint": None,
-        "provider": "local",
-        "endpoint": "",
-        "model_name": "",
-        "dim": 0,
-        "cache": "",
+        **_PROVIDER_DEFAULTS,
         "rank": 0,
         "seed": 0,
         "epochs": 5,
@@ -247,11 +252,6 @@ def _cmd_train(ns: argparse.Namespace) -> int:
     values = _merged(ns, defaults)
     if not values["snapshot"] or not values["checkpoint"]:
         raise SchemaError("train", "--snapshot and --checkpoint are required")
-    graph, precedence = _load_graph(values)
-    store = _make_store(graph, values)
-    rank = int(values["rank"]) or _PROVIDER_RANKS[values["provider"]]
-    model = TransitionModel.create(store.dim, rank, seed=int(values["seed"]))
-    pairs = build_pairs(graph, precedence, seed=int(values["seed"]))
     config = TrainingConfig(
         alpha=float(values["alpha"]),
         negatives_per_example=int(values["negatives"]),
@@ -260,6 +260,11 @@ def _cmd_train(ns: argparse.Namespace) -> int:
         batch_size=int(values["batch"]),
         seed=int(values["seed"]),
     )
+    graph, precedence = _load_graph(values)
+    store = _make_store(graph, values)
+    rank = int(values["rank"]) or _PROVIDER_RANKS[values["provider"]]
+    model = TransitionModel.create(store.dim, rank, seed=int(values["seed"]))
+    pairs = build_pairs(graph, precedence, seed=int(values["seed"]))
     history = train(model, pairs, store, config)
     model.save(values["checkpoint"])
     losses = " ".join(f"{loss:.6f}" for loss in history)
@@ -402,11 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config")
     p_train.add_argument("--snapshot")
     p_train.add_argument("--checkpoint")
-    p_train.add_argument("--provider", choices=("local", "remote"))
-    p_train.add_argument("--endpoint")
-    p_train.add_argument("--model-name", dest="model_name")
-    p_train.add_argument("--dim", type=int)
-    p_train.add_argument("--cache")
+    _add_provider_flags(p_train)
     p_train.add_argument("--rank", type=int)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--epochs", type=int)

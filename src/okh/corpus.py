@@ -1,4 +1,4 @@
-"""Document splitting and the synthetic storm-port corpus generator.
+"""The synthetic storm-port corpus generator.
 
 The generator produces byte-reproducible fact batches for storm:port
 scenario groups. Each group reports one fact per within-horizon relation
@@ -12,9 +12,7 @@ retrieval stack under test.
 from __future__ import annotations
 
 import json
-import logging
 import random
-import re
 from dataclasses import dataclass, field
 
 from okh.hypergraph import (
@@ -24,10 +22,6 @@ from okh.hypergraph import (
     merge_facts,
 )
 from okh.relations import DEFAULT_VOCABULARY, CROSS_HORIZON_FAMILY
-
-logger = logging.getLogger(__name__)
-
-HORIZON_HEADER_RE = re.compile(r"^T-(\d+)\s+hours before expected landfall:", re.MULTILINE)
 
 STORM_NAMES = (
     "Irma", "Katrina", "Harvey", "Maria", "Florence", "Michael", "Dorian",
@@ -46,25 +40,6 @@ ALL_HORIZONS = (120, 96, 72, 48, 24, 12)
 _ADVISORY_LADDER = ("monitoring", "watch", "warning", "emergency")
 _OPERATION_LADDER = ("open", "restricted", "closed_inbound", "closed_all")
 _RECOVERY_LADDER = ("standby", "crews_mobilizing", "equipment_staged", "full_readiness")
-
-
-def split_horizons(document: str) -> list[tuple[int | None, str]]:
-    """Split a scenario document into per-lead-time blocks.
-
-    Blocks start at lines of the form "T-48 hours before expected landfall:";
-    any preamble before the first header joins the first block. A document
-    with no headers comes back whole with a None horizon.
-    """
-    matches = list(HORIZON_HEADER_RE.finditer(document))
-    if not matches:
-        logger.warning("document has no horizon headers; treating it as one block")
-        return [(None, document)]
-    blocks = []
-    for i, match in enumerate(matches):
-        start = 0 if i == 0 else match.start()
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(document)
-        blocks.append((int(match.group(1)), document[start:end]))
-    return blocks
 
 
 @dataclass(frozen=True)

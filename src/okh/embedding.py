@@ -12,12 +12,11 @@ import os
 import struct
 import threading
 import time
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-import requests
 
-from okh.errors import DimensionMismatch, ProviderError, ZeroNorm
+from okh.errors import DimensionMismatch, ProviderError
 from okh.hashutil import content_key, fnv1a64
 from okh.hypergraph import Entity, Hyperedge, KnowledgeHypergraph
 from okh.relations import EntityType
@@ -59,18 +58,6 @@ def _unit(vector: np.ndarray, dim: int) -> np.ndarray:
     return vector / norm
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"cosine over shapes {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroNorm("cosine is undefined for zero vectors")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 class LocalHashingEmbedder:
     """Deterministic bag-of-tokens feature hashing into a fixed dimension.
 
@@ -107,6 +94,9 @@ def post_json_with_retries(
     timeout: float = 30.0,
 ) -> dict:
     """POST JSON with bearer auth, exponential backoff, and bounded retries."""
+    # Imported here so that the offline pipeline runs without ``requests``.
+    import requests
+
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"

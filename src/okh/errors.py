@@ -36,10 +36,6 @@ class DimensionMismatch(OkhError):
     """Vector dimensions disagree with what the caller or provider expects."""
 
 
-class ZeroNorm(OkhError):
-    """Cosine similarity is undefined for a zero-length vector."""
-
-
 class ProviderError(OkhError):
     """A remote provider kept failing after the configured retries."""
 
@@ -63,10 +59,6 @@ class EmptyCorpus(OkhError):
 
 class UnknownEdge(OkhError):
     """A trajectory step references a hyperedge id that is not in the graph."""
-
-
-class UnparseableNumeric(OkhError):
-    """A numeric aggregation received an answer that does not parse as a number."""
 
 
 class ElementMismatch(OkhError):

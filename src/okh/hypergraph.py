@@ -21,7 +21,6 @@ from okh.relations import (
     CROSS_HORIZON_FAMILY,
     DEFAULT_VOCABULARY,
     EntityType,
-    RelationVocabulary,
     change_relation_for_family,
 )
 
@@ -153,10 +152,9 @@ class Hyperedge:
         group_id: str = "",
         horizon: int | None = None,
         text_position: int = 0,
-        vocab: RelationVocabulary = DEFAULT_VOCABULARY,
     ) -> "Hyperedge":
         """Build an edge with a normalized relation and a content-hash id."""
-        canonical, family = vocab.normalize(relation)
+        canonical, family = DEFAULT_VOCABULARY.normalize(relation)
         ids = frozenset(entity_ids)
         return cls(
             id=dedup_id(canonical, ids, evidence),
@@ -190,15 +188,6 @@ class Hyperedge:
             if stem is not None:
                 stems.add(stem)
         return frozenset(stems)
-
-    def numeric_attribute(self, key: str) -> float | None:
-        raw = self.attributes.get(key)
-        if raw is None:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            return None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -416,21 +405,37 @@ def _entity_from_dict(raw: Any, path: str) -> Entity:
     return Entity(entity_id, name, entity_type, description, float(confidence))
 
 
+def _optional_horizon(raw: Mapping[str, Any], path: str) -> int | None:
+    horizon = raw.get("horizon")
+    if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool) or horizon <= 0):
+        raise SchemaError(f"{path}.horizon", "horizon must be a positive integer or null")
+    return horizon
+
+
 def _edge_from_dict(raw: Mapping[str, Any], path: str) -> Hyperedge:
     entity_ids = _require(raw, "entities", list, path)
     attributes = raw.get("attributes", {})
     if not isinstance(attributes, Mapping):
         raise SchemaError(f"{path}.attributes", "expected object")
+    relation = _require(raw, "relation", str, path)
+    if not DEFAULT_VOCABULARY.is_canonical(relation):
+        raise SchemaError(f"{path}.relation", f"{relation!r} is not a canonical relation")
+    family = _require(raw, "family", int, path)
+    expected_family = DEFAULT_VOCABULARY.family(relation)
+    if isinstance(family, bool) or family != expected_family:
+        raise SchemaError(
+            f"{path}.family", f"relation {relation!r} is in family {expected_family}, got {family!r}"
+        )
     return Hyperedge(
         id=_require(raw, "id", str, path),
-        relation=_require(raw, "relation", str, path),
-        family=_require(raw, "family", int, path),
+        relation=relation,
+        family=family,
         entity_ids=frozenset(entity_ids),
         evidence=_require(raw, "evidence", str, path),
         attributes={str(k): str(v) for k, v in attributes.items()},
         confidence=float(_require(raw, "confidence", (int, float), path)),
         group_id=_require(raw, "group", str, path),
-        horizon=raw.get("horizon"),
+        horizon=_optional_horizon(raw, path),
         text_position=int(_require(raw, "text_position", int, path)),
     )
 
@@ -466,9 +471,7 @@ def validate_fact(fact: Any, path: str) -> None:
         raise SchemaError(f"{path}.confidence", "expected number")
     if not 0.0 < float(confidence) <= 1.0:
         raise SchemaError(f"{path}.confidence", f"must be in (0, 1], got {confidence}")
-    horizon = fact.get("horizon")
-    if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool) or horizon <= 0):
-        raise SchemaError(f"{path}.horizon", "horizon must be a positive integer or null")
+    _optional_horizon(fact, path)
     position = fact.get("text_position", 0)
     if not isinstance(position, int) or isinstance(position, bool) or position < 0:
         raise SchemaError(f"{path}.text_position", "text_position must be a non-negative integer")
@@ -493,7 +496,6 @@ def _better_edge(current: Hyperedge, incoming: Hyperedge) -> Hyperedge:
 def merge_facts(
     fact_batches: Iterable[Iterable[Mapping[str, Any]]],
     synthesize: bool = True,
-    vocab: RelationVocabulary = DEFAULT_VOCABULARY,
 ) -> KnowledgeHypergraph:
     """Aggregate validated fact batches into one deduplicated hypergraph.
 
@@ -527,7 +529,6 @@ def merge_facts(
                 group_id=fact["group"],
                 horizon=None,
                 text_position=int(fact.get("text_position", 0)),
-                vocab=vocab,
             )
             horizon = fact.get("horizon")
             anchors = edge.anchor_horizons()

@@ -18,12 +18,7 @@ import numpy as np
 
 from okh.errors import CycleDetected
 from okh.hypergraph import Hyperedge, KnowledgeHypergraph
-from okh.relations import (
-    CAUSAL_RULES,
-    CROSS_HORIZON_FAMILY,
-    DEFAULT_VOCABULARY,
-    RelationVocabulary,
-)
+from okh.relations import CAUSAL_RULES, CROSS_HORIZON_FAMILY, DEFAULT_VOCABULARY
 
 
 class Order(Enum):
@@ -54,13 +49,12 @@ def effective_lead(edge: Hyperedge) -> float:
     return float("inf")
 
 
-def _sort_key(
-    edge: Hyperedge, vocab: RelationVocabulary
-) -> tuple[float, int, int, int, str]:
+def _sort_key(edge: Hyperedge) -> tuple[float, int, int, int, str]:
+    canonical = DEFAULT_VOCABULARY.is_canonical(edge.relation)
     return (
         -effective_lead(edge),
         edge.family,
-        vocab.rank_in_family(edge.relation) if vocab.is_canonical(edge.relation) else 0,
+        DEFAULT_VOCABULARY.rank_in_family(edge.relation) if canonical else 0,
         edge.text_position,
         edge.id,
     )
@@ -132,9 +126,7 @@ def _direct_edges(
 
 
 def _topological_order(
-    edges: Sequence[Hyperedge],
-    successors: Mapping[str, set[str]],
-    vocab: RelationVocabulary,
+    edges: Sequence[Hyperedge], successors: Mapping[str, set[str]]
 ) -> list[str]:
     """Kahn's algorithm with the canonical tie-break on the ready heap.
 
@@ -145,7 +137,7 @@ def _topological_order(
     for src in successors:
         for dst in successors[src]:
             indegree[dst] += 1
-    key_of = {edge.id: _sort_key(edge, vocab) for edge in edges}
+    key_of = {edge.id: _sort_key(edge) for edge in edges}
     ready = [key_of[edge_id] for edge_id, degree in indegree.items() if degree == 0]
     heapq.heapify(ready)
     order: list[str] = []
@@ -192,7 +184,6 @@ class GroupPrecedence:
     successors: dict[str, set[str]]
     closure: list[int]
     trajectory: list[str]
-    position: dict[str, int]
 
     def reachable(self, src: str, dst: str) -> bool:
         i = self.index_of.get(src)
@@ -208,13 +199,11 @@ class GroupPrecedence:
 
 
 def _build_group(
-    edges: Sequence[Hyperedge],
-    successors: dict[str, set[str]],
-    vocab: RelationVocabulary,
+    edges: Sequence[Hyperedge], successors: dict[str, set[str]]
 ) -> GroupPrecedence:
     edge_ids = sorted(edge.id for edge in edges)
     index_of = {edge_id: i for i, edge_id in enumerate(edge_ids)}
-    trajectory = _topological_order(edges, successors, vocab)
+    trajectory = _topological_order(edges, successors)
     closure = [0] * len(edge_ids)
     for edge_id in reversed(trajectory):
         mask = 0
@@ -222,14 +211,12 @@ def _build_group(
             j = index_of[dst]
             mask |= (1 << j) | closure[j]
         closure[index_of[edge_id]] = mask
-    position = {edge_id: i for i, edge_id in enumerate(trajectory)}
-    return GroupPrecedence(edge_ids, index_of, successors, closure, trajectory, position)
+    return GroupPrecedence(edge_ids, index_of, successors, closure, trajectory)
 
 
 def build_precedence(
     group_edges: Iterable[Hyperedge],
     rules: frozenset[str] = ALL_RULES,
-    vocab: RelationVocabulary = DEFAULT_VOCABULARY,
 ) -> GroupPrecedence:
     """Apply the rule families to one group and index the resulting DAG."""
     edges = sorted(group_edges, key=lambda edge: edge.id)
@@ -242,7 +229,7 @@ def build_precedence(
     successors: dict[str, set[str]] = {}
     for src, dst in pairs:
         successors.setdefault(src, set()).add(dst)
-    return _build_group(edges, successors, vocab)
+    return _build_group(edges, successors)
 
 
 class PrecedenceIndex:
@@ -260,11 +247,10 @@ class PrecedenceIndex:
         cls,
         hypergraph: KnowledgeHypergraph,
         rules: frozenset[str] = ALL_RULES,
-        vocab: RelationVocabulary = DEFAULT_VOCABULARY,
     ) -> "PrecedenceIndex":
         return cls(
             {
-                group: build_precedence(hypergraph.group_edges(group), rules, vocab)
+                group: build_precedence(hypergraph.group_edges(group), rules)
                 for group in sorted(hypergraph.groups)
             }
         )
@@ -274,9 +260,8 @@ class PrecedenceIndex:
         cls,
         hypergraph: KnowledgeHypergraph,
         direct: Mapping[str, Sequence[tuple[str, str]]],
-        vocab: RelationVocabulary = DEFAULT_VOCABULARY,
     ) -> "PrecedenceIndex":
-        """Rebuild closure and positions from persisted direct DAG edges."""
+        """Rebuild closure and trajectories from persisted direct DAG edges."""
         groups = {}
         for group in sorted(hypergraph.groups):
             edges = hypergraph.group_edges(group)
@@ -285,7 +270,7 @@ class PrecedenceIndex:
             for src, dst in direct.get(group, ()):  # stale pairs are dropped
                 if src in known and dst in known:
                     successors.setdefault(src, set()).add(dst)
-            groups[group] = _build_group(edges, successors, vocab)
+            groups[group] = _build_group(edges, successors)
         return cls(groups)
 
     def precedes(self, first: str, second: str) -> Order:
@@ -324,18 +309,6 @@ class PrecedenceIndex:
             )
             reach[np.ix_(rows, rows)] = bits[:, local].astype(bool)
         return reach
-
-    def reachable(self, first: str, second: str) -> bool:
-        group = self.group_of.get(first)
-        if group is None or group != self.group_of.get(second):
-            return False
-        return self.groups[group].reachable(first, second)
-
-    def position(self, edge_id: str) -> int | None:
-        group = self.group_of.get(edge_id)
-        if group is None:
-            return None
-        return self.groups[group].position.get(edge_id)
 
     def trajectory(self, group: str) -> list[str]:
         return list(self.groups[group].trajectory)

@@ -118,9 +118,7 @@ class RelationVocabulary:
     def __post_init__(self) -> None:
         family_of: dict[str, int] = {}
         rank_of: dict[str, int] = {}
-        label_of: dict[int, str] = {}
-        for number, label, relations in self.families:
-            label_of[number] = label
+        for number, _label, relations in self.families:
             for rank, relation in enumerate(relations, start=1):
                 if relation in family_of:
                     raise ValueError(f"relation {relation!r} assigned to two families")
@@ -133,26 +131,16 @@ class RelationVocabulary:
             lookup[_fold(raw)] = canonical
         object.__setattr__(self, "_family_of", family_of)
         object.__setattr__(self, "_rank_of", rank_of)
-        object.__setattr__(self, "_label_of", label_of)
         object.__setattr__(self, "_lookup", lookup)
         object.__setattr__(
             self, "_token_index", tuple(sorted((key, _tokens(key)) for key in lookup))
         )
-
-    def extended(self, aliases: dict[str, str]) -> "RelationVocabulary":
-        """A copy of this vocabulary with extra raw-string aliases."""
-        merged = dict(self.aliases)
-        merged.update(aliases)
-        return RelationVocabulary(self.families, merged)
 
     def is_canonical(self, relation: str) -> bool:
         return relation in self._family_of
 
     def family(self, relation: str) -> int:
         return self._family_of[relation]
-
-    def family_label(self, number: int) -> str:
-        return self._label_of[number]
 
     def rank_in_family(self, relation: str) -> int:
         return self._rank_of[relation]
@@ -188,10 +176,6 @@ class RelationVocabulary:
 
 
 DEFAULT_VOCABULARY = RelationVocabulary()
-
-
-def normalize_relation(raw: str, vocab: RelationVocabulary = DEFAULT_VOCABULARY) -> tuple[str, int]:
-    return vocab.normalize(raw)
 
 
 def phase_of_family(family: int) -> str:

@@ -46,6 +46,8 @@ class TransitionModel:
     @classmethod
     def create(cls, dim: int, rank: int, seed: int = 0) -> "TransitionModel":
         """Seeded i.i.d. uniform init on [-1/sqrt(dim), 1/sqrt(dim)]."""
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
         rng = np.random.default_rng(seed)
         scale = 1.0 / float(np.sqrt(dim))
         u = _quantize(rng.uniform(-scale, scale, size=(rank, dim)))
@@ -203,7 +205,20 @@ class TrainingConfig:
     epochs: int = 5
     batch_size: int = 128
     seed: int = 0
-    clamp: float = NEGATIVE_LOG_CLAMP
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.negatives_per_example < 1:
+            raise ValueError(
+                f"negatives_per_example must be >= 1, got {self.negatives_per_example}"
+            )
+        if not self.step_size > 0:
+            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 def _softmax_stats(
@@ -249,7 +264,6 @@ def contrastive_loss(
     neg_pairs: np.ndarray | None = None,
     neg_samples: np.ndarray | None = None,
     alpha: float = 0.5,
-    clamp: float = NEGATIVE_LOG_CLAMP,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Sampled-softmax contrastive loss and its analytic parameter gradients.
 
@@ -278,8 +292,8 @@ def contrastive_loss(
             model, embeddings, neg_pairs, neg_samples
         )
         m_neg = neg_pairs.shape[0]
-        loss += alpha * float(np.maximum(log_target, clamp).mean())
-        active = (log_target > clamp).astype(np.float64)
+        loss += alpha * float(np.maximum(log_target, NEGATIVE_LOG_CLAMP).mean())
+        active = (log_target > NEGATIVE_LOG_CLAMP).astype(np.float64)
         dz = -weights
         dz[:, 0] += 1.0
         dz *= (alpha / m_neg) * active[:, None]
@@ -356,7 +370,6 @@ def train(
                 neg_batch,
                 neg_samples,
                 config.alpha,
-                config.clamp,
             )
             if not np.isfinite(loss):
                 model.u, model.v = epoch_start

@@ -242,6 +242,36 @@ def test_retrieve_rejects_unknown_group(pipeline, capsys):
     assert "unknown group 'NOPE:nope'" in capsys.readouterr().err
 
 
+def test_retrieve_rejects_tampered_snapshot(pipeline, tmp_path, capsys):
+    snapshot = json.loads(pipeline["snapshot"].read_text(encoding="utf-8"))
+    index = next(i for i, edge in enumerate(snapshot["hyperedges"]) if edge["horizon"])
+    for key, value in [("horizon", "24"), ("family", 99)]:
+        tampered = json.loads(json.dumps(snapshot))
+        tampered["hyperedges"][index][key] = value
+        path = tmp_path / f"{key}.snap"
+        path.write_text(json.dumps(tampered), encoding="utf-8")
+        assert main(["retrieve", "--snapshot", str(path),
+                     "--checkpoint", str(pipeline["checkpoint"]),
+                     "--dim", "32", "--query", "q"]) == 2
+        assert f"hyperedges[{index}].{key}" in capsys.readouterr().err
+
+
+def test_train_rejects_out_of_range_hyperparameters(pipeline, tmp_path, capsys):
+    for flags, field in [
+        (["--batch", "0"], "batch_size"),
+        (["--negatives", "0"], "negatives_per_example"),
+        (["--step", "-1"], "step_size"),
+        (["--alpha", "-0.5"], "alpha"),
+        (["--epochs", "-1"], "epochs"),
+        (["--rank", "-1"], "rank"),
+    ]:
+        checkpoint = tmp_path / "bad.okht"
+        assert main(["train", "--snapshot", str(pipeline["snapshot"]),
+                     "--checkpoint", str(checkpoint), "--dim", "32", *flags]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not checkpoint.exists()
+
+
 def test_invalid_synth_shape_exits_two(tmp_path, capsys):
     assert main(["synth", "--horizons", "9", "--out", str(tmp_path)]) == 2
     capsys.readouterr()

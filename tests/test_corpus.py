@@ -8,42 +8,9 @@ from okh.corpus import (
     QAItem,
     generate_synthetic,
     group_id_for,
-    split_horizons,
 )
 from okh.hypergraph import merge_facts
 from okh.relations import DEFAULT_VOCABULARY
-
-
-def test_split_horizons_blocks_start_at_headers():
-    document = (
-        "Situation overview for the region.\n"
-        "T-96 hours before expected landfall: first advisory.\n"
-        "Winds strengthening offshore.\n"
-        "T-48 hours before expected landfall: second advisory.\n"
-        "Port operations under review.\n"
-    )
-    blocks = split_horizons(document)
-    assert [horizon for horizon, _ in blocks] == [96, 48]
-    # The preamble joins the first block.
-    assert blocks[0][1].startswith("Situation overview")
-    assert "first advisory" in blocks[0][1]
-    assert blocks[1][1].startswith("T-48 hours")
-    assert "Port operations" in blocks[1][1]
-    # Blocks partition the document.
-    assert "".join(text for _, text in blocks) == document
-
-
-def test_split_horizons_ignores_mid_line_mentions():
-    document = "The order said T-48 hours before expected landfall: evacuate.\n"
-    blocks = split_horizons(document)
-    assert blocks == [(None, document)]
-
-
-def test_split_horizons_without_headers_warns(caplog):
-    with caplog.at_level("WARNING", logger="okh.corpus"):
-        blocks = split_horizons("no structure here")
-    assert blocks == [(None, "no structure here")]
-    assert any("no horizon headers" in message for message in caplog.messages)
 
 
 def test_group_id_for_folds_names():

@@ -1,20 +1,23 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
+import okh
 from okh.embedding import (
     EmbeddingCache,
     EmbeddingStore,
     LocalHashingEmbedder,
     RemoteEmbeddingClient,
     compose_text,
-    cosine,
     post_json_with_retries,
 )
-from okh.errors import DimensionMismatch, ProviderError, ZeroNorm
+from okh.errors import DimensionMismatch, ProviderError
 from okh.hypergraph import Entity, Hyperedge
 from okh.relations import EntityType
 
@@ -64,7 +67,8 @@ def test_local_embedder_shared_tokens_raise_cosine():
     query = embedder.embed_one("storm surge at port arthur")
     near = embedder.embed_one("storm surge flooding port arthur docks")
     far = embedder.embed_one("quarterly earnings call transcript summary")
-    assert cosine(query, near) > cosine(query, far)
+    # Embeddings are unit vectors, so the dot product is the cosine.
+    assert float(query @ near) > float(query @ far)
 
 
 def test_local_embedder_rejects_tiny_dimension():
@@ -84,15 +88,6 @@ def test_embed_stacks_rows():
     matrix = embedder.embed(["a", "b", "c"])
     assert matrix.shape == (3, 32)
     assert np.array_equal(matrix[1], embedder.embed_one("b"))
-
-
-def test_cosine_basics_and_errors():
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-    assert cosine(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
-    with pytest.raises(DimensionMismatch):
-        cosine(np.zeros(3), np.zeros(4))
-    with pytest.raises(ZeroNorm):
-        cosine(np.zeros(3), np.ones(3))
 
 
 def test_cache_roundtrip_is_bit_exact(tmp_path):
@@ -193,6 +188,19 @@ def test_post_json_exhausts_attempts(http_server):
         post_json_with_retries(f"{url}/x", {}, api_key=None, max_attempts=3, backoff=0.001)
     assert err.value.status == 503
     assert len(handler.requests_seen) == 3
+
+
+def test_importing_okh_leaves_requests_unloaded():
+    # Only the remote provider needs requests; the offline pipeline must not load it.
+    src = os.path.dirname(os.path.dirname(okh.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, okh; print('requests' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def _embedding_payload(vectors, order=None):

@@ -1,18 +1,7 @@
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-
 import pytest
 
-from okh.errors import ProviderError, UnknownEdge, UnparseableNumeric
-from okh.evidence import (
-    AnswerRecord,
-    ChatCompletionClient,
-    aggregate_answers,
-    assemble_prompt,
-    build_evidence_steps,
-    format_trajectory,
-)
+from okh.errors import UnknownEdge
+from okh.evidence import build_evidence_steps, format_trajectory
 from okh.hypergraph import merge_facts
 from okh.retrieval import Trajectory
 
@@ -168,14 +157,6 @@ def test_format_trajectory_change_edge_has_no_single_horizon():
     assert text.splitlines()[0] == "[Step 1] [—] [phase=other] [family=13]"
 
 
-def test_format_trajectory_without_scores_omits_header():
-    graph = _story_graph()
-    adv = _eid(graph, "has_watch_status")
-    trajectory = Trajectory([adv], 1.0, {"relevance": 1.0})
-    text = format_trajectory(trajectory, graph, include_scores=False)
-    assert text.startswith("[Step 1]")
-
-
 def test_format_trajectory_depends_on_step_order():
     graph = _story_graph()
     adv = _eid(graph, "has_watch_status")
@@ -184,170 +165,3 @@ def test_format_trajectory_depends_on_step_order():
     forward = format_trajectory(Trajectory([adv, fc48, ops], 0.0, {}), graph)
     swapped = format_trajectory(Trajectory([fc48, adv, ops], 0.0, {}), graph)
     assert forward != swapped
-
-
-def test_assemble_prompt_merges_duplicate_paths():
-    graph = _story_graph()
-    adv = _eid(graph, "has_watch_status")
-    ops = _eid(graph, "has_operation_status")
-    same = Trajectory([adv, ops], 1.0, {})
-    same_again = Trajectory([adv, ops], 0.9, {})
-    other = Trajectory([ops], 0.5, {})
-    prompt = assemble_prompt("Is the port open?", [same, same_again, other], graph)
-    assert "Question: Is the port open?" in prompt
-    assert "Path 1 [x2]:" in prompt
-    assert "Path 2:" in prompt
-    assert "Path 3" not in prompt
-    assert prompt.startswith("Read every evidence path")
-    assert prompt.rstrip().endswith('"rationale": "<one sentence>"}.')
-    # Paths render without score headers.
-    assert "[Trajectory]" not in prompt
-
-
-def test_assemble_prompt_single_path_has_no_multiplicity():
-    graph = _story_graph()
-    adv = _eid(graph, "has_watch_status")
-    prompt = assemble_prompt("q", [Trajectory([adv], 1.0, {})], graph)
-    assert "Path 1:" in prompt
-    assert "[x" not in prompt
-
-
-def test_answer_record_validates_confidence():
-    with pytest.raises(ValueError):
-        AnswerRecord("x", 1.2)
-    with pytest.raises(ValueError):
-        AnswerRecord("x", -0.1)
-
-
-def test_aggregate_categorical_votes_by_confidence_mass():
-    records = [
-        AnswerRecord("closed_all", 0.6),
-        AnswerRecord("open", 0.3),
-        AnswerRecord("closed_all", 0.2),
-    ]
-    answer, confidence = aggregate_answers(records)
-    assert answer == "closed_all"
-    assert confidence == pytest.approx(0.8 / 1.1)
-
-
-def test_aggregate_categorical_is_order_invariant():
-    records = [
-        AnswerRecord("a", 0.1),
-        AnswerRecord("b", 0.7),
-        AnswerRecord("a", 0.4),
-    ]
-    expected = aggregate_answers(records)
-    assert aggregate_answers(list(reversed(records))) == expected
-
-
-def test_aggregate_categorical_ties_break_lexicographically():
-    records = [AnswerRecord("beta", 0.5), AnswerRecord("alpha", 0.5)]
-    answer, confidence = aggregate_answers(records)
-    assert answer == "alpha"
-    assert confidence == pytest.approx(0.5)
-
-
-def test_aggregate_categorical_zero_mass_has_zero_confidence():
-    answer, confidence = aggregate_answers([AnswerRecord("only", 0.0)])
-    assert answer == "only"
-    assert confidence == 0.0
-
-
-def test_aggregate_numeric_confidence_weighted_mean():
-    records = [AnswerRecord("10", 0.5), AnswerRecord("20", 0.5)]
-    assert aggregate_answers(records, numeric=True) == ("15", pytest.approx(0.5))
-    skewed = [AnswerRecord("10", 0.8), AnswerRecord("20", 0.2)]
-    assert aggregate_answers(skewed, numeric=True) == ("12", pytest.approx(0.5))
-
-
-def test_aggregate_numeric_zero_mass_uses_plain_mean():
-    records = [AnswerRecord("10", 0.0), AnswerRecord("30", 0.0)]
-    assert aggregate_answers(records, numeric=True) == ("20", 0.0)
-
-
-def test_aggregate_numeric_rejects_unparseable_values():
-    with pytest.raises(UnparseableNumeric):
-        aggregate_answers([AnswerRecord("lots", 0.9)], numeric=True)
-
-
-def test_aggregate_requires_at_least_one_record():
-    with pytest.raises(ValueError):
-        aggregate_answers([])
-
-
-class _ScriptedHandler(BaseHTTPRequestHandler):
-    script: list[tuple[int, dict]] = []
-    requests_seen: list[dict] = []
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length) or b"{}")
-        type(self).requests_seen.append(
-            {"path": self.path, "auth": self.headers.get("Authorization"), "body": body}
-        )
-        status, payload = self.script.pop(0) if self.script else (500, {})
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(json.dumps(payload).encode("utf-8"))
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    # shutdown() waits out one poll interval; the 0.5 s default dominates teardown.
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    _ScriptedHandler.script = []
-    _ScriptedHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_address[1]}", _ScriptedHandler
-    server.shutdown()
-    thread.join()
-
-
-def test_chat_client_posts_prompt_and_parses_answer(http_server):
-    url, handler = http_server
-    handler.script.append(
-        (200, {"answer": "closed_all", "confidence": 0.9, "rationale": "the last step"})
-    )
-    client = ChatCompletionClient(url, model="chat-small", api_key="k123")
-    record = client.complete("Is the port open?")
-    assert record == AnswerRecord("closed_all", 0.9, "the last step")
-    seen = handler.requests_seen[0]
-    assert seen["path"] == "/chat"
-    assert seen["auth"] == "Bearer k123"
-    assert seen["body"]["model"] == "chat-small"
-    assert seen["body"]["messages"] == [
-        {"role": "user", "content": "Is the port open?"}
-    ]
-
-
-def test_chat_client_reads_key_from_environment(http_server, monkeypatch):
-    url, handler = http_server
-    monkeypatch.setenv("OKH_CHAT_API_KEY", "env-key")
-    handler.script.append((200, {"answer": "open", "confidence": 0.5}))
-    record = ChatCompletionClient(url, model="m").complete("q")
-    assert record.rationale == ""
-    assert handler.requests_seen[0]["auth"] == "Bearer env-key"
-
-
-def test_chat_client_rejects_malformed_reply(http_server):
-    url, handler = http_server
-    handler.script.append((200, {"unexpected": "shape"}))
-    client = ChatCompletionClient(url, model="m", api_key="k")
-    with pytest.raises(ProviderError) as err:
-        client.complete("q")
-    assert err.value.status == 200
-
-
-def test_chat_client_rejects_out_of_range_confidence(http_server):
-    url, handler = http_server
-    handler.script.append((200, {"answer": "x", "confidence": 3.0}))
-    client = ChatCompletionClient(url, model="m", api_key="k")
-    with pytest.raises(ProviderError):
-        client.complete("q")

@@ -305,10 +305,16 @@ def test_snapshot_roundtrip_preserves_everything(tmp_path):
 
 def test_snapshot_rejects_tampered_edge_content(tmp_path):
     graph = merge_facts([[_state_fact("wind_fcst", 48, 0)]], synthesize=False)
-    snapshot = graph.to_snapshot()
-    snapshot["hyperedges"][0]["evidence"] = "edited"
-    with pytest.raises(SchemaError):
-        KnowledgeHypergraph.from_snapshot(snapshot)
+    for key, value, field in [
+        ("evidence", "edited", "id"),
+        ("horizon", "24", "horizon"),
+        ("family", 99, "family"),
+    ]:
+        snapshot = graph.to_snapshot()
+        snapshot["hyperedges"][0][key] = value
+        with pytest.raises(SchemaError) as err:
+            KnowledgeHypergraph.from_snapshot(snapshot)
+        assert err.value.path == f"hyperedges[0].{field}"
 
 
 def test_snapshot_file_is_sorted_and_newline_terminated(tmp_path):

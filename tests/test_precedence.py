@@ -141,9 +141,12 @@ def test_positions_match_trajectory_indices():
     ]
     index = PrecedenceIndex({"G:p": build_precedence(edges)})
     trajectory = index.trajectory("G:p")
-    for i, edge_id in enumerate(trajectory):
-        assert index.position(edge_id) == i
-    assert index.position("missing") is None
+    assert trajectory == [edge.id for edge in edges]
+    position = {edge_id: i for i, edge_id in enumerate(trajectory)}
+    for a in trajectory:
+        for b in trajectory:
+            if index.precedes(a, b) is Order.BEFORE:
+                assert position[a] < position[b]
 
 
 def _random_group(rng, group):
@@ -199,8 +202,11 @@ def test_reachability_is_transitive_on_fuzzed_groups():
     for a in ids:
         for b in ids:
             for c in ids:
-                if index.reachable(a, b) and index.reachable(b, c):
-                    assert index.reachable(a, c)
+                if (
+                    index.precedes(a, b) is Order.BEFORE
+                    and index.precedes(b, c) is Order.BEFORE
+                ):
+                    assert index.precedes(a, c) is Order.BEFORE
 
 
 def test_from_direct_edges_rebuilds_equivalent_index():
@@ -237,7 +243,6 @@ def test_group_trajectory_runs_toward_landfall():
     late = make_edge("forecasts_hazard_at_horizon", "wind:A", 48, 0)
     prec = build_precedence([late, early])
     assert prec.trajectory == [early.id, late.id]
-    assert prec.position == {early.id: 0, late.id: 1}
 
 
 def test_reach_matrix_matches_pairwise_reachable():
@@ -248,6 +253,8 @@ def test_reach_matrix_matches_pairwise_reachable():
     ids = ids[:50] + ["missing"]
     reach = index.reach_matrix(ids)
     assert reach.dtype == bool
-    assert reach.tolist() == [[index.reachable(a, b) for b in ids] for a in ids]
+    assert reach.tolist() == [
+        [index.precedes(a, b) is Order.BEFORE for b in ids] for a in ids
+    ]
     assert reach.any()
     assert index.reach_matrix([]).shape == (0, 0)

@@ -7,46 +7,45 @@ from okh.relations import (
     EntityType,
     RelationVocabulary,
     change_relation_for_family,
-    normalize_relation,
     phase_of_family,
 )
 
 
 def test_canonical_relations_map_to_themselves():
-    assert normalize_relation("forecasts_hazard_at_horizon") == ("forecasts_hazard_at_horizon", 6)
-    assert normalize_relation("has_operation_status") == ("has_operation_status", 10)
-    assert normalize_relation("intensifies_to") == ("intensifies_to", CROSS_HORIZON_FAMILY)
+    assert DEFAULT_VOCABULARY.normalize("forecasts_hazard_at_horizon") == ("forecasts_hazard_at_horizon", 6)
+    assert DEFAULT_VOCABULARY.normalize("has_operation_status") == ("has_operation_status", 10)
+    assert DEFAULT_VOCABULARY.normalize("intensifies_to") == ("intensifies_to", CROSS_HORIZON_FAMILY)
 
 
 def test_normalize_folds_case_and_whitespace():
-    assert normalize_relation("Has Operation Status") == ("has_operation_status", 10)
-    assert normalize_relation("  FORECASTS_TRACK  ") == ("forecasts_track", 2)
+    assert DEFAULT_VOCABULARY.normalize("Has Operation Status") == ("has_operation_status", 10)
+    assert DEFAULT_VOCABULARY.normalize("  FORECASTS_TRACK  ") == ("forecasts_track", 2)
 
 
 def test_default_alias_resolves():
-    assert normalize_relation("closes_port") == ("has_operation_status", 10)
+    assert DEFAULT_VOCABULARY.normalize("closes_port") == ("has_operation_status", 10)
 
 
 def test_fuzzy_match_needs_half_token_overlap():
     # {forecasts, hazard} vs {forecasts, hazard, at, horizon} is exactly 0.5.
-    assert normalize_relation("forecasts hazard") == ("forecasts_hazard_at_horizon", 6)
+    assert DEFAULT_VOCABULARY.normalize("forecasts hazard") == ("forecasts_hazard_at_horizon", 6)
     # One shared token out of five is below the threshold.
-    assert normalize_relation("hazard of some other kind entirely")[0] != "forecasts_hazard_at_horizon"
+    assert DEFAULT_VOCABULARY.normalize("hazard of some other kind entirely")[0] != "forecasts_hazard_at_horizon"
 
 
 def test_fuzzy_tie_breaks_lexicographically():
     # "forecasts" ties forecasts_landfall and forecasts_track at 1/2.
-    assert normalize_relation("forecasts") == ("forecasts_landfall", 2)
+    assert DEFAULT_VOCABULARY.normalize("forecasts") == ("forecasts_landfall", 2)
 
 
 def test_unknown_relation_falls_back_to_attribute_family():
-    relation, family = normalize_relation("xyzzy")
+    relation, family = DEFAULT_VOCABULARY.normalize("xyzzy")
     assert relation == "has_attribute"
     assert family == 1
 
 
 def test_empty_relation_falls_back():
-    assert normalize_relation("")[0] == "has_attribute"
+    assert DEFAULT_VOCABULARY.normalize("")[0] == "has_attribute"
 
 
 def test_every_canonical_relation_has_family_in_range():
@@ -92,15 +91,9 @@ def test_change_relation_per_family():
     assert change_relation_for_family(9) == "forecast_updates_to"
 
 
-def test_extended_vocabulary_adds_alias_without_mutating_default():
-    extended = DEFAULT_VOCABULARY.extended({"port shut": "has_operation_status"})
-    assert extended.normalize("port shut") == ("has_operation_status", 10)
-    assert DEFAULT_VOCABULARY.normalize("port shut")[0] == "has_attribute"
-
-
 def test_extended_vocabulary_rejects_unknown_target():
     with pytest.raises(ValueError):
-        DEFAULT_VOCABULARY.extended({"x": "not_a_relation"})
+        RelationVocabulary(aliases={"x": "not_a_relation"})
 
 
 def test_entity_type_parse_is_case_insensitive_with_fallback():

@@ -201,11 +201,13 @@ def test_build_pairs_entity_overlap_follows_canonical_order():
     pairs = build_pairs(graph, precedence, seed=0)
     overlap = [(s, d) for s, d, signal in pairs.positives if signal == "entity_overlap"]
     assert overlap
+    position = {
+        edge_id: i
+        for group in graph.groups
+        for i, edge_id in enumerate(precedence.trajectory(group))
+    }
     for src, dst in overlap:
-        position_src = precedence.position(src)
-        position_dst = precedence.position(dst)
-        assert position_src is not None and position_dst is not None
-        assert position_src < position_dst
+        assert position[src] < position[dst]
         shared = (
             graph.hyperedges[src].entity_ids & graph.hyperedges[dst].entity_ids
         )
