@@ -13,7 +13,8 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from collections.abc import Iterable, Mapping
+from typing import Any
 
 from okh.errors import ConflictingHorizon, SchemaError
 from okh.hashutil import fnv1a64
@@ -344,10 +345,15 @@ class KnowledgeHypergraph:
             handle.write(payload + "\n")
 
     @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, Any]) -> tuple["KnowledgeHypergraph", dict[str, list[tuple[str, str]]]]:
+    def from_snapshot(cls, snapshot: Any) -> tuple["KnowledgeHypergraph", dict[str, list[tuple[str, str]]]]:
+        if not isinstance(snapshot, Mapping):
+            raise SchemaError("snapshot", "expected an object")
         version = snapshot.get("version")
         if version != SNAPSHOT_VERSION:
             raise SchemaError("version", f"unsupported snapshot version {version!r}")
+        for key in ("entities", "hyperedges"):
+            if not isinstance(snapshot.get(key, []), list):
+                raise SchemaError(key, "expected a list")
         entities: dict[str, Entity] = {}
         for index, raw in enumerate(snapshot.get("entities", [])):
             entity = _entity_from_dict(raw, f"entities[{index}]")
@@ -358,11 +364,11 @@ class KnowledgeHypergraph:
             expected = dedup_id(edge.relation, edge.entity_ids, edge.evidence)
             if edge.id != expected:
                 raise SchemaError(f"hyperedges[{index}].id", "content hash does not match edge content")
+            if not entities.keys() >= edge.entity_ids:
+                missing = min(edge.entity_ids - entities.keys())
+                raise SchemaError(f"hyperedges[{index}].entities", f"unknown entity {missing!r}")
             hyperedges[edge.id] = edge
-        precedence = {
-            group: [(pair[0], pair[1]) for pair in pairs]
-            for group, pairs in snapshot.get("precedence", {}).items()
-        }
+        precedence = _precedence_from_dict(snapshot.get("precedence", {}), hyperedges)
         return cls(entities, hyperedges), precedence
 
     @classmethod
@@ -412,8 +418,12 @@ def _optional_horizon(raw: Mapping[str, Any], path: str) -> int | None:
     return horizon
 
 
-def _edge_from_dict(raw: Mapping[str, Any], path: str) -> Hyperedge:
+def _edge_from_dict(raw: Any, path: str) -> Hyperedge:
+    if not isinstance(raw, Mapping):
+        raise SchemaError(path, "hyperedge must be an object")
     entity_ids = _require(raw, "entities", list, path)
+    if not all(isinstance(entity_id, str) for entity_id in entity_ids):
+        raise SchemaError(f"{path}.entities", "entity ids must be strings")
     attributes = raw.get("attributes", {})
     if not isinstance(attributes, Mapping):
         raise SchemaError(f"{path}.attributes", "expected object")
@@ -438,6 +448,34 @@ def _edge_from_dict(raw: Mapping[str, Any], path: str) -> Hyperedge:
         horizon=_optional_horizon(raw, path),
         text_position=int(_require(raw, "text_position", int, path)),
     )
+
+
+def _precedence_from_dict(
+    raw: Any, hyperedges: Mapping[str, Hyperedge]
+) -> dict[str, list[tuple[str, str]]]:
+    """Direct precedence pairs per group; every id must name a snapshot edge."""
+    if not isinstance(raw, Mapping):
+        raise SchemaError("precedence", "expected an object mapping each group to [src, dst] pairs")
+    precedence = {}
+    for group, pairs in raw.items():
+        if not isinstance(pairs, list):
+            raise SchemaError(f"precedence.{group}", "expected a list of [src, dst] pairs")
+        checked = []
+        for index, pair in enumerate(pairs):
+            path = f"precedence.{group}[{index}]"
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and isinstance(pair[0], str)
+                and isinstance(pair[1], str)
+            ):
+                raise SchemaError(path, "expected a [src, dst] pair of edge ids")
+            src, dst = pair
+            if src not in hyperedges or dst not in hyperedges:
+                raise SchemaError(path, f"unknown edge {src if src not in hyperedges else dst!r}")
+            checked.append((src, dst))
+        precedence[group] = checked
+    return precedence
 
 
 def validate_fact(fact: Any, path: str) -> None:

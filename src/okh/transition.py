@@ -5,6 +5,12 @@ V of shape (rank, dim), so the model is asymmetric and costs 2 * rank * dim
 parameters. Training minimizes a sampled-softmax contrastive loss over
 ordered pairs mined from document order, entity overlap, and prior
 retrieval traces, using plain mini-batch gradient descent.
+
+Each batch runs in rank space: the embedding rows it touches are projected
+through U and V once, logits come from rank-r rows, and the gradients are
+scattered back onto those rows. The d-dimensional rows are read only by the
+projections and the two gradient products, so a batch of m pairs with k
+samples costs O(T d r + m T r + m k r) for T touched rows, not O(m k d).
 """
 
 from __future__ import annotations
@@ -222,38 +228,49 @@ class TrainingConfig:
 
 
 def _softmax_stats(
-    model: TransitionModel,
-    embeddings: np.ndarray,
-    pairs: np.ndarray,
-    samples: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    sources = embeddings[pairs[:, 0]]
-    candidate_idx = np.concatenate([pairs[:, 1:2], samples], axis=1)
-    candidates = embeddings[candidate_idx]
-    projected_src = sources @ model.u.T
-    projected_cand = candidates @ model.v.T
+    src_proj: np.ndarray,
+    cand_proj: np.ndarray,
+    src: np.ndarray,
+    cand: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax weights and target log-probability of one term, in rank space.
+
+    ``src`` (m,) and ``cand`` (m, k+1) index the rows of the projections
+    ``U h`` and ``V h`` of the touched embedding rows; column 0 of ``cand``
+    is the target.
+    """
+    projected_src = src_proj[src]
+    projected_cand = np.take(cand_proj, cand, axis=0)
     logits = np.einsum("mr,mkr->mk", projected_src, projected_cand)
     shifted = logits - logits.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     weights /= weights.sum(axis=1, keepdims=True)
     log_target = shifted[:, 0] - np.log(np.exp(shifted).sum(axis=1))
-    return sources, candidates, projected_src, projected_cand, weights, log_target
+    return projected_src, projected_cand, weights, log_target
 
 
 def _accumulate_grads(
-    sources: np.ndarray,
-    candidates: np.ndarray,
+    rows: np.ndarray,
+    src: np.ndarray,
+    cand: np.ndarray,
     projected_src: np.ndarray,
     projected_cand: np.ndarray,
     dz: np.ndarray,
     grad_u: np.ndarray,
-    grad_v: np.ndarray,
-) -> None:
-    # d logit / dU = outer(V h_cand, h_src); d logit / dV = outer(U h_src, h_cand).
+) -> np.ndarray:
+    """Add one term's dL/dU to ``grad_u``; return its (rank, touched) factor of dL/dV.
+
+    d logit / dU = outer(V h_cand, h_src); d logit / dV = outer(U h_src, h_cand).
+    dL/dV is P_src^T W rows, where W (m, touched) sums each row's dz over the
+    candidates that share a touched row; bincount adds repeats, where a
+    fancy-index ``+=`` would keep only the last.
+    """
     d_src = np.einsum("mk,mkr->mr", dz, projected_cand)
-    grad_u += d_src.T @ sources
-    weighted_cand = np.einsum("mk,mkd->md", dz, candidates)
-    grad_v += projected_src.T @ weighted_cand
+    grad_u += d_src.T @ rows[src]
+    m, touched = dz.shape[0], rows.shape[0]
+    flat = (np.arange(m)[:, None] * touched + cand).ravel()
+    scattered = np.bincount(flat, weights=dz.ravel(), minlength=m * touched)
+    return projected_src.T @ scattered.reshape(m, touched)
 
 
 def contrastive_loss(
@@ -271,25 +288,53 @@ def contrastive_loss(
     against its sampled denominator. The negative term adds alpha times the
     mean log-probability of pairs that should be unlikely, clamped below so
     that already-suppressed pairs stop contributing gradient.
+
+    The batch runs in rank space. With T distinct rows touched, m pairs and
+    k samples per term, it costs O(T d r) for the projections and dL/dV,
+    O(m T r) for the scattered candidate weights and O(m k r) for the
+    logits, against O(m k d) for gathering d-dimensional candidate rows. T
+    is at most the store size, so the saving shrinks once a batch touches
+    most of a large store: at 13,200 edges a default batch (m = 128,
+    k = 64) touches about 70 % of the rows and takes 10-35 % longer than
+    the d-space gather did.
     """
     if pos_pairs.shape[0] == 0:
         raise EmptyBatch("contrastive loss needs at least one positive pair")
-    grad_u = np.zeros_like(model.u)
-    grad_v = np.zeros_like(model.v)
+    with_negatives = neg_pairs is not None and neg_pairs.shape[0] > 0 and alpha != 0.0
+    index = [pos_pairs[:, 0], np.concatenate([pos_pairs[:, 1:2], pos_samples], axis=1)]
+    if with_negatives:
+        index += [neg_pairs[:, 0], np.concatenate([neg_pairs[:, 1:2], neg_samples], axis=1)]
+    touched, local = np.unique(
+        np.concatenate([part.ravel() for part in index]), return_inverse=True
+    )
+    splits = np.cumsum([part.size for part in index])[:-1]
+    pos_src, pos_cand, *neg_local = [
+        block.reshape(part.shape) for block, part in zip(np.split(local, splits), index)
+    ]
+    rows = embeddings[touched]
+    src_proj = rows @ model.u.T
+    cand_proj = rows @ model.v.T
 
-    sources, candidates, projected_src, projected_cand, weights, log_target = _softmax_stats(
-        model, embeddings, pos_pairs, pos_samples
+    grad_u = np.zeros_like(model.u)
+    projected_src, projected_cand, weights, log_target = _softmax_stats(
+        src_proj, cand_proj, pos_src, pos_cand
     )
     m = pos_pairs.shape[0]
     loss = float(-log_target.mean())
     dz = weights.copy()
     dz[:, 0] -= 1.0
     dz /= m
-    _accumulate_grads(sources, candidates, projected_src, projected_cand, dz, grad_u, grad_v)
+    v_factor = _accumulate_grads(
+        rows, pos_src, pos_cand, projected_src, projected_cand, dz, grad_u
+    )
 
-    if neg_pairs is not None and neg_pairs.shape[0] > 0 and alpha != 0.0:
-        sources, candidates, projected_src, projected_cand, weights, log_target = _softmax_stats(
-            model, embeddings, neg_pairs, neg_samples
+    # Free the (m, k+1, r) block first: the negative term's gather then
+    # reuses it instead of faulting in fresh pages.
+    del projected_cand
+    if with_negatives:
+        neg_src, neg_cand = neg_local
+        projected_src, projected_cand, weights, log_target = _softmax_stats(
+            src_proj, cand_proj, neg_src, neg_cand
         )
         m_neg = neg_pairs.shape[0]
         loss += alpha * float(np.maximum(log_target, NEGATIVE_LOG_CLAMP).mean())
@@ -297,9 +342,11 @@ def contrastive_loss(
         dz = -weights
         dz[:, 0] += 1.0
         dz *= (alpha / m_neg) * active[:, None]
-        _accumulate_grads(sources, candidates, projected_src, projected_cand, dz, grad_u, grad_v)
+        v_factor += _accumulate_grads(
+            rows, neg_src, neg_cand, projected_src, projected_cand, dz, grad_u
+        )
 
-    return loss, grad_u, grad_v
+    return loss, grad_u, v_factor @ rows
 
 
 def _sample_excluding(

@@ -256,6 +256,35 @@ def test_retrieve_rejects_tampered_snapshot(pipeline, tmp_path, capsys):
         assert f"hyperedges[{index}].{key}" in capsys.readouterr().err
 
 
+def test_retrieve_rejects_malformed_snapshot_blocks(pipeline, tmp_path, capsys):
+    snapshot = json.loads(pipeline["snapshot"].read_text(encoding="utf-8"))
+    group = sorted(snapshot["precedence"])[0]
+    edge = snapshot["hyperedges"][0]
+
+    def tampered():
+        return json.loads(json.dumps(snapshot))
+
+    not_object, unknown_entity, one_id_pair, precedence_list = (tampered() for _ in range(4))
+    not_object["hyperedges"][0] = 5
+    unknown_entity["entities"] = [
+        entity for entity in snapshot["entities"] if entity["id"] != edge["entities"][0]
+    ]
+    one_id_pair["precedence"][group] = [[edge["id"]]]
+    precedence_list["precedence"] = []
+    for index, (field, document) in enumerate([
+        ("hyperedges[0]", not_object),
+        ("hyperedges[0].entities", unknown_entity),
+        (f"precedence.{group}[0]", one_id_pair),
+        ("precedence", precedence_list),
+    ]):
+        path = tmp_path / f"tampered{index}.snap"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["retrieve", "--snapshot", str(path),
+                     "--checkpoint", str(pipeline["checkpoint"]),
+                     "--dim", "32", "--query", "q"]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+
+
 def test_train_rejects_out_of_range_hyperparameters(pipeline, tmp_path, capsys):
     for flags, field in [
         (["--batch", "0"], "batch_size"),

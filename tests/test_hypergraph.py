@@ -317,6 +317,48 @@ def test_snapshot_rejects_tampered_edge_content(tmp_path):
         assert err.value.path == f"hyperedges[0].{field}"
 
 
+def test_snapshot_rejects_malformed_hyperedge_entries():
+    graph = merge_facts([[_state_fact("wind_fcst", 48, 0)]], synthesize=False)
+    not_object, id_types, unknown_entity = (graph.to_snapshot() for _ in range(3))
+    not_object["hyperedges"][0] = 5
+    id_types["hyperedges"][0]["entities"] = [1, 2]
+    dropped = unknown_entity["hyperedges"][0]["entities"][0]
+    unknown_entity["entities"] = [e for e in unknown_entity["entities"] if e["id"] != dropped]
+    for document, path in [
+        ([], "snapshot"),
+        ({**graph.to_snapshot(), "hyperedges": 5}, "hyperedges"),
+        ({**graph.to_snapshot(), "entities": {}}, "entities"),
+        (not_object, "hyperedges[0]"),
+        (id_types, "hyperedges[0].entities"),
+        (unknown_entity, "hyperedges[0].entities"),
+    ]:
+        with pytest.raises(SchemaError) as err:
+            KnowledgeHypergraph.from_snapshot(document)
+        assert err.value.path == path
+    assert repr(dropped) in err.value.message
+
+
+def test_snapshot_rejects_malformed_precedence_block():
+    graph = merge_facts([[_state_fact("wind_fcst", 72, 0), _state_fact("wind_fcst", 48, 1)]])
+    first, second = sorted(graph.hyperedges)[:2]
+    for block, path in [
+        ([[first, second]], "precedence"),
+        ({"IRMA:p": "pairs"}, "precedence.IRMA:p"),
+        ({"IRMA:p": [[first]]}, "precedence.IRMA:p[0]"),
+        ({"IRMA:p": [[first, second, first]]}, "precedence.IRMA:p[0]"),
+        ({"IRMA:p": [{"src": first, "dst": second}]}, "precedence.IRMA:p[0]"),
+        ({"IRMA:p": [[first, second], [first, 7]]}, "precedence.IRMA:p[1]"),
+        ({"IRMA:p": [[first, "no-such-edge"]]}, "precedence.IRMA:p[0]"),
+    ]:
+        snapshot = graph.to_snapshot()
+        snapshot["precedence"] = block
+        with pytest.raises(SchemaError) as err:
+            KnowledgeHypergraph.from_snapshot(snapshot)
+        assert err.value.path == path
+    _, precedence = KnowledgeHypergraph.from_snapshot(graph.to_snapshot())
+    assert precedence == {}
+
+
 def test_snapshot_file_is_sorted_and_newline_terminated(tmp_path):
     graph = merge_facts([[_state_fact("wind_fcst", 48, 0)]])
     path = tmp_path / "snap.json"

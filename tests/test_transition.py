@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from okh.corpus import generate_synthetic
 from okh.embedding import EmbeddingStore, LocalHashingEmbedder
 from okh.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss
 from okh.hypergraph import merge_facts
 from okh.precedence import PrecedenceIndex
 from okh.transition import (
+    NEGATIVE_LOG_CLAMP,
     TrainingConfig,
     TransitionModel,
     build_pairs,
@@ -132,6 +135,63 @@ def test_gradients_match_finite_differences_positive_only():
 
 def test_gradients_match_finite_differences_with_negative_term():
     _finite_difference_check(alpha=0.7, with_negatives=True, seed=6)
+
+
+def _gather_reference_loss(model, embeddings, pos_pairs, pos_samples, neg_pairs, neg_samples, alpha):
+    """The d-space formulation: gather (m, k+1, dim) candidate rows per term."""
+    grad_u = np.zeros_like(model.u)
+    grad_v = np.zeros_like(model.v)
+    loss = 0.0
+    for pairs, samples, positive in ((pos_pairs, pos_samples, True), (neg_pairs, neg_samples, False)):
+        sources = embeddings[pairs[:, 0]]
+        candidates = embeddings[np.concatenate([pairs[:, 1:2], samples], axis=1)]
+        projected_src = sources @ model.u.T
+        projected_cand = candidates @ model.v.T
+        logits = np.einsum("mr,mkr->mk", projected_src, projected_cand)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        weights = np.exp(shifted)
+        weights /= weights.sum(axis=1, keepdims=True)
+        log_target = shifted[:, 0] - np.log(np.exp(shifted).sum(axis=1))
+        m = pairs.shape[0]
+        if positive:
+            loss += float(-log_target.mean())
+            dz = weights.copy()
+            dz[:, 0] -= 1.0
+            dz /= m
+        else:
+            loss += alpha * float(np.maximum(log_target, NEGATIVE_LOG_CLAMP).mean())
+            active = (log_target > NEGATIVE_LOG_CLAMP).astype(np.float64)
+            dz = -weights
+            dz[:, 0] += 1.0
+            dz *= (alpha / m) * active[:, None]
+        grad_u += np.einsum("mk,mkr->mr", dz, projected_cand).T @ sources
+        grad_v += projected_src.T @ np.einsum("mk,mkd->md", dz, candidates)
+    return loss, grad_u, grad_v
+
+
+def test_rank_space_batch_matches_gather_reference():
+    rng = np.random.default_rng(21)
+    dim, rank, store_rows, m, k = 256, 32, 2000, 24, 16
+    model = TransitionModel.create(dim=dim, rank=rank, seed=21)
+    rows = _rng_rows(rng, store_rows, dim)
+    pos = rng.integers(0, store_rows, size=(m, 2))
+    neg = rng.integers(0, store_rows, size=(m, 2))
+    pos_samples = rng.integers(0, store_rows, size=(m, k))
+    neg_samples = rng.integers(0, store_rows, size=(m, k))
+    # Repeat candidates within a row, including the target itself, so the
+    # scatter must add every occurrence.
+    pos_samples[:, 1] = pos_samples[:, 0]
+    pos_samples[:, 2] = pos[:, 1]
+    neg_samples[:, 3:6] = neg_samples[:, 2:3]
+    neg[0, 0] = pos[0, 0]
+
+    loss, grad_u, grad_v = contrastive_loss(model, rows, pos, pos_samples, neg, neg_samples, 0.7)
+    ref_loss, ref_u, ref_v = _gather_reference_loss(
+        model, rows, pos, pos_samples, neg, neg_samples, 0.7
+    )
+    assert loss == ref_loss
+    for grad, ref in ((grad_u, ref_u), (grad_v, ref_v)):
+        assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _pair_corpus():
@@ -304,6 +364,24 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 
     loaded.save(str(tmp_path / "again.okht"))
     assert (tmp_path / "again.okht").read_bytes() == path.read_bytes()
+
+
+def test_one_epoch_checkpoint_bytes_are_pinned(tmp_path):
+    # The benchmark's training shape: 3 groups x 3 horizons (180 edges), dim
+    # 256, rank 32, default config. The hash was recorded from the d-space
+    # training step, so a faster formulation must keep every byte.
+    corpus = generate_synthetic(seed=1, n_groups=3, horizons_per_group=3)
+    graph = merge_facts([corpus.facts])
+    store = EmbeddingStore.build(graph, LocalHashingEmbedder(dim=256))
+    pairs = build_pairs(graph, PrecedenceIndex.build(graph))
+    model = TransitionModel.create(dim=256, rank=32)
+    train(model, pairs, store, TrainingConfig(epochs=1))
+    path = tmp_path / "model.okht"
+    model.save(str(path))
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "f6083b098796147c55ff08bf522fc00a4cb2a5a5451082196d043f8d191055e9"
+    )
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
