@@ -97,7 +97,7 @@ def _make_store(graph: KnowledgeHypergraph, values: dict[str, Any]) -> Embedding
     embedder = _make_embedder(values)
     cache = None
     if values.get("cache"):
-        cache = EmbeddingCache(values["cache"], embedder.dim)
+        cache = EmbeddingCache(values["cache"], embedder.dim, embedder.identity)
     store = EmbeddingStore.build(graph, embedder, cache)
     if cache is not None:
         cache.save()
@@ -328,26 +328,16 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     retriever = _load_retriever(values)
 
     with open(values["qa"], encoding="utf-8") as handle:
-        qa_raw = json.load(handle)
+        try:
+            qa_raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("qa", f"cannot parse QA file: {exc}") from exc
     if not isinstance(qa_raw, list):
         raise SchemaError("qa", "expected a JSON array of questions")
-    qa_items = []
-    for index, raw in enumerate(qa_raw):
-        try:
-            qa_items.append(
-                QAItem(
-                    question=raw["question"],
-                    group_id=raw["group"],
-                    kind=raw["kind"],
-                    order_sensitivity=raw["order_sensitivity"],
-                    attribute=raw["attribute"],
-                    expected=raw["expected"],
-                    horizon=raw.get("horizon"),
-                    numeric=bool(raw.get("numeric", False)),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"qa[{index}]", f"malformed question: {exc}") from exc
+    qa_items = [QAItem.from_dict(raw, f"qa[{index}]") for index, raw in enumerate(qa_raw)]
+    for index, item in enumerate(qa_items):
+        if item.group_id not in retriever.hypergraph.groups:
+            raise SchemaError(f"qa[{index}].group", f"unknown group {item.group_id!r}")
     scenarios = [
         GroupScenario(
             group_id=group,

@@ -14,10 +14,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
+from okh.errors import SchemaError
 from okh.hypergraph import (
     Hyperedge,
     KnowledgeHypergraph,
+    _optional_horizon,
+    _require,
     canonical_entity_id,
     merge_facts,
 )
@@ -36,6 +40,8 @@ PORT_NAMES = (
     "Port Galveston", "Port Lake Charles", "Port Fernandina",
 )
 ALL_HORIZONS = (120, 96, 72, 48, 24, 12)
+# Question kinds; evaluation.extract_answer answers each one.
+QA_KINDS = ("final_value", "escalation", "at_horizon")
 
 _ADVISORY_LADDER = ("monitoring", "watch", "warning", "emergency")
 _OPERATION_LADDER = ("open", "restricted", "closed_inbound", "closed_all")
@@ -48,12 +54,34 @@ class QAItem:
 
     question: str
     group_id: str
-    kind: str  # final_value | escalation | at_horizon
+    kind: str  # one of QA_KINDS
     order_sensitivity: str  # order_sensitive | within_horizon
     attribute: str
     expected: str
     horizon: int | None = None
     numeric: bool = False
+
+    @classmethod
+    def from_dict(cls, raw: Any, path: str) -> "QAItem":
+        """Read one item of a QA file, raising SchemaError at ``path.<field>``."""
+        if not isinstance(raw, Mapping):
+            raise SchemaError(path, "question must be an object")
+        kind = _require(raw, "kind", str, path)
+        if kind not in QA_KINDS:
+            raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}; expected one of {QA_KINDS}")
+        numeric = raw.get("numeric", False)
+        if not isinstance(numeric, bool):
+            raise SchemaError(f"{path}.numeric", f"expected bool, got {type(numeric).__name__}")
+        return cls(
+            question=_require(raw, "question", str, path),
+            group_id=_require(raw, "group", str, path),
+            kind=kind,
+            order_sensitivity=_require(raw, "order_sensitivity", str, path),
+            attribute=_require(raw, "attribute", str, path),
+            expected=_require(raw, "expected", str, path),
+            horizon=_optional_horizon(raw, path),
+            numeric=numeric,
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ so that freshly computed and cache-loaded vectors are bit-identical.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import threading
@@ -23,7 +24,7 @@ from okh.relations import EntityType
 
 API_KEY_ENV = "OKH_EMBED_API_KEY"
 CACHE_MAGIC = b"OKHE"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 DEFAULT_LOCAL_DIM = 256
 
 
@@ -65,6 +66,9 @@ class LocalHashingEmbedder:
     accumulated vector is L2-normalized. Empty or fully cancelling text maps
     to the first basis vector so downstream math never sees a zero vector.
     """
+
+    # Cache files record which embedder wrote them (see EmbeddingCache).
+    identity = json.dumps(["local"])
 
     def __init__(self, dim: int = DEFAULT_LOCAL_DIM):
         if dim < 8:
@@ -142,6 +146,10 @@ class RemoteEmbeddingClient:
         self.backoff = backoff
         self.timeout = timeout
 
+    @property
+    def identity(self) -> str:
+        return json.dumps(["remote", self.endpoint, self.model_name])
+
     def _embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         body = post_json_with_retries(
             f"{self.endpoint}/embeddings",
@@ -182,17 +190,25 @@ class RemoteEmbeddingClient:
 class EmbeddingCache:
     """Binary on-disk map from text digests to f32 vectors.
 
-    File layout: magic "OKHE", u32 version, u32 dimension, then records of
-    a 16-byte digest followed by dimension little-endian f32 values. Reads
-    are lock-free once loaded; writes are serialized.
+    File layout: magic "OKHE", u32 version, u32 dimension, u32 byte length
+    of the embedder identity, the identity in UTF-8, then records of a
+    16-byte digest followed by dimension little-endian f32 values. The
+    identity names the provider, plus the endpoint and model for a remote
+    one, so vectors of another embedder with the same dimension are never
+    reused. Reads are lock-free once loaded; writes are serialized.
     """
 
-    def __init__(self, path: str, dim: int):
+    def __init__(self, path: str, dim: int, identity: str = LocalHashingEmbedder.identity):
         self.path = path
         self.dim = dim
+        self.identity = identity
         self._records: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
         self._load()
+
+    def _header(self) -> bytes:
+        identity = self.identity.encode("utf-8")
+        return struct.pack("<4sIII", CACHE_MAGIC, CACHE_VERSION, self.dim, len(identity)) + identity
 
     def _load(self) -> None:
         try:
@@ -200,15 +216,14 @@ class EmbeddingCache:
                 blob = handle.read()
         except FileNotFoundError:
             return
-        header = struct.calcsize("<4sII")
-        if len(blob) < header:
+        header = self._header()
+        if not blob.startswith(header):
+            # A cache of another version, dimension or embedder is ignored
+            # and rebuilt on save.
             return
-        magic, version, dim = struct.unpack_from("<4sII", blob)
-        if magic != CACHE_MAGIC or version != CACHE_VERSION or dim != self.dim:
-            # Incompatible cache files are ignored and rebuilt on save.
-            return
+        dim = self.dim
         record = 16 + 4 * dim
-        offset = header
+        offset = len(header)
         while offset + record <= len(blob):
             key = blob[offset : offset + 16]
             vector = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset + 16)
@@ -230,7 +245,7 @@ class EmbeddingCache:
 
     def save(self) -> None:
         with self._lock:
-            blob = bytearray(struct.pack("<4sII", CACHE_MAGIC, CACHE_VERSION, self.dim))
+            blob = bytearray(self._header())
             for key in sorted(self._records):
                 blob += key
                 blob += self._records[key].astype("<f4").tobytes()

@@ -201,9 +201,21 @@ def scope_candidates(
     if not hypergraph.hyperedges:
         raise EmptyCorpus("candidate scoping needs a non-empty hypergraph")
     relevance = store.relevance(query_vector)
-    rel_of = {edge_id: float(relevance[row]) for edge_id, row in store.row_of.items()}
-    by_relevance = sorted(store.ids, key=lambda eid: (-rel_of[eid], eid))
-    seeds = by_relevance[: config.top_k]
+    rel = relevance.tolist()
+    row_of = store.row_of
+
+    def best(ids: Iterable[str], k: int) -> list[str]:
+        """The first k of ``ids`` in (-relevance, id) order."""
+        ids = list(ids)
+        if 0 < k < len(ids):
+            # Each of the k best scores at least the k-th largest value, so
+            # only those ids need the exact sort.
+            values = relevance[[row_of[eid] for eid in ids]]
+            kth = np.partition(values, len(ids) - k)[len(ids) - k]
+            ids = [ids[i] for i in np.flatnonzero(values >= kth).tolist()]
+        return sorted(ids, key=lambda eid: (-rel[row_of[eid]], eid))[:k]
+
+    seeds = best(store.ids, config.top_k)
 
     pool = set(seeds)
     for group in {_edge(hypergraph, seed).group_id for seed in seeds}:
@@ -213,17 +225,12 @@ def scope_candidates(
         for entity_id in _edge(hypergraph, seed).entity_ids:
             pool.update(entity_index.get(entity_id, ()))
 
-    def ranked(ids: Iterable[str]) -> list[str]:
-        return sorted(ids, key=lambda eid: (-rel_of[eid], eid))
-
     if query_group is not None and query_group in hypergraph.groups:
         reserve = math.ceil(config.group_reserve_fraction * config.pool_cap)
-        in_group = ranked(hypergraph.groups[query_group])[:reserve]
-        chosen = set(in_group)
-        remainder = ranked(pool - chosen)[: max(config.pool_cap - len(chosen), 0)]
-        chosen.update(remainder)
-        return ranked(chosen)
-    return ranked(pool)[: config.pool_cap]
+        chosen = set(best(hypergraph.groups[query_group], reserve))
+        chosen.update(best(pool - chosen, max(config.pool_cap - len(chosen), 0)))
+        return best(chosen, len(chosen))
+    return best(pool, config.pool_cap)
 
 
 class _CandidateContext:
@@ -248,36 +255,29 @@ class _CandidateContext:
 
         self.edges = [_edge(hypergraph, eid) for eid in self.ids]
         entity_universe: dict[str, int] = {}
-        self.entity_masks = []
-        for edge in self.edges:
-            mask = 0
+        member_rows: list[int] = []
+        member_cols: list[int] = []
+        for row, edge in enumerate(self.edges):
             for entity_id in edge.entity_ids:
-                bit = entity_universe.setdefault(entity_id, len(entity_universe))
-                mask |= 1 << bit
-            self.entity_masks.append(mask)
+                member_rows.append(row)
+                member_cols.append(entity_universe.setdefault(entity_id, len(entity_universe)))
+        incidence = np.zeros((n, len(entity_universe)), dtype=np.float64)
+        incidence[member_rows, member_cols] = 1.0
+        # Entity-set Jaccard of every candidate pair. Counts are small
+        # integers, so each quotient is correctly rounded like Python's int
+        # division; every hyperedge has at least two entities, so no union
+        # is empty.
+        inter = incidence @ incidence.T
+        sizes = incidence.sum(axis=1)
+        self.jaccard = inter / (sizes[:, None] + sizes[None, :] - inter)
         self.phase_index = np.array(
             [_PHASE_INDEX.get(phase_of_family(edge.family), -1) for edge in self.edges],
             dtype=np.int64,
         )
         # 1.0 where the row's edge must precede the column's edge.
         self.reach = precedence.reach_matrix(self.ids).astype(np.float64)
-        self._jaccard_rows: dict[int, np.ndarray] = {}
         # Tie-break piece per candidate: higher relevance first, then id.
         self.tie_piece = [(-float(self.relevance[i]), self.ids[i]) for i in range(n)]
-
-    def jaccard_row(self, i: int) -> np.ndarray:
-        row = self._jaccard_rows.get(i)
-        if row is None:
-            mask_i = self.entity_masks[i]
-            row = np.array(
-                [
-                    (mask_i & mask_j).bit_count() / (mask_i | mask_j).bit_count()
-                    for mask_j in self.entity_masks
-                ],
-                dtype=np.float64,
-            )
-            self._jaccard_rows[i] = row
-        return row
 
 
 @dataclass
@@ -307,28 +307,29 @@ def _greedy_diverse_select(
     """
     entries.sort(key=lambda item: (-item[0], item[1]))
     selected: list[tuple[float, tuple, _Beam]] = []
+    worst = 0  # index of the lowest-ranked kept entry once the set is full
 
     for score, tie, beam in entries:
-        if selected and len(selected) == limit:
-            worst_penalized = min(kept for kept, _, _ in selected)
-            if score < worst_penalized:
-                # Sorted input: this and every later entry loses to the kept
-                # set even before any penalty.
-                break
-        length = len(beam.steps)
+        if len(selected) == limit and score < selected[worst][0]:
+            # Sorted input: this and every later entry loses to the kept
+            # set even before any penalty.
+            break
+        length = max(len(beam.steps), 1)
         penalized = score
         if penalty > 0:
             for _, _, kept in selected:
-                shared = (beam.used & kept.used).bit_count() / max(length, 1)
+                shared = (beam.used & kept.used).bit_count() / length
                 if shared > threshold:
                     penalized = score - penalty
                     break
         if len(selected) < limit:
             selected.append((penalized, tie, beam))
+        elif (-penalized, tie) < (-selected[worst][0], selected[worst][1]):
+            selected[worst] = (penalized, tie, beam)
         else:
-            worst = max(range(len(selected)), key=lambda k: (-selected[k][0], selected[k][1]))
-            if (-penalized, tie) < (-selected[worst][0], selected[worst][1]):
-                selected[worst] = (penalized, tie, beam)
+            continue
+        if len(selected) == limit:
+            worst = max(range(limit), key=lambda k: (-selected[k][0], selected[k][1]))
     selected.sort(key=lambda item: (-item[0], item[1]))
     return [(score, beam) for score, _, beam in selected]
 
@@ -352,6 +353,16 @@ def beam_search(
     Retention keeps the best B beams after the diversity penalty. The final
     trajectories are re-scored with the exact objective, where precedence
     and continuity are normalized over the whole trajectory.
+
+    A round scores every (beam, candidate) extension at once as one
+    (beams x candidates) array and adds each beam's running score, with
+    used candidates at -inf. Only extensions whose float sum is at least
+    S - diversity_penalty - 2 eps become beams with an exactly rounded
+    (fsum) score and a tie-break key, where S is the B-th best float sum
+    and eps bounds the float-sum error. The shortlist is exact: once the
+    diversity selection holds B beams, its worst penalized score is at
+    least the B-th best exact score minus the penalty, and its sorted loop
+    stops before any extension below that.
 
     ``log_transition[i, j]`` scores a step from candidate i to candidate j;
     ``Retriever.transition_matrix`` builds it.
@@ -380,38 +391,57 @@ def beam_search(
 
     by_relevance = sorted(range(n), key=lambda i: ctx.tie_piece[i])
     beams = [singleton(i) for i in by_relevance[: 2 * config.beam_width]]
+    has_phase = ctx.phase_index >= 0
+    phase_shift = np.maximum(ctx.phase_index, 0)
+    phase_bit = [1 << phase if phase >= 0 else 0 for phase in ctx.phase_index.tolist()]
+    keep = config.beam_width
 
     for _ in range(config.trajectory_length - 1):
+        # Every extension's step score, one row per beam; the elementwise
+        # expression is the one a single beam's row would use.
+        last = [beam.last for beam in beams]
+        scores = (
+            ctx.relevance
+            + weights.lambda_coherence * ctx.log_transition[last]
+            + weights.mu_precedence * ctx.reach[last]
+            + weights.nu_continuity * ctx.jaccard[last]
+        )
+        if weights.rho_coverage:
+            covered = np.array([[beam.covered] for beam in beams], dtype=np.int64)
+            new_phase = has_phase & ((covered >> phase_shift) & 1 == 0)
+            scores = scores + weights.rho_coverage * new_phase / _N_PHASES
+        run = np.array([beam.run_score for beam in beams])
+        used = np.zeros(scores.shape, dtype=bool)
+        used[np.arange(len(beams))[:, None], [beam.steps for beam in beams]] = True
+        approx = np.where(used, -np.inf, run[:, None] + scores)
+
+        # Only the extensions the diversity selection can visit become
+        # beams (see the docstring). eps bounds the gap between an entry's
+        # float sum and its fsum: both lie within a few ulps of
+        # max|run| + max|step|. A non-finite cut keeps every extension.
+        cut = -math.inf
+        if approx.size > keep:
+            best = float(np.partition(approx, approx.size - keep, axis=None)[approx.size - keep])
+            scale = float(np.abs(run).max() + np.abs(scores).max())
+            cut = best - config.diversity_penalty - 2e-9 * (1.0 + abs(best) + scale)
+        rows, cols = np.nonzero(approx >= cut if math.isfinite(cut) else ~used)
+
         extensions: list[tuple[float, tuple, _Beam]] = []
-        for beam in beams:
-            if beam.used.bit_count() == n:
-                continue
-            scores = (
-                ctx.relevance
-                + weights.lambda_coherence * ctx.log_transition[beam.last]
-                + weights.mu_precedence * ctx.reach[beam.last]
-                + weights.nu_continuity * ctx.jaccard_row(beam.last)
+        for b, j, piece in zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()):
+            beam = beams[b]
+            pieces = beam.pieces + (piece,)
+            run_score = math.fsum(pieces)
+            tie = beam.tie + (ctx.tie_piece[j],)
+            extension = _Beam(
+                run_score,
+                tie,
+                beam.steps + (j,),
+                beam.used | 1 << j,
+                beam.covered | phase_bit[j],
+                j,
+                pieces,
             )
-            if weights.rho_coverage:
-                new_phase = (ctx.phase_index >= 0) & (
-                    (beam.covered >> np.maximum(ctx.phase_index, 0)) & 1 == 0
-                )
-                scores = scores + weights.rho_coverage * new_phase / _N_PHASES
-            for j in range(n):
-                if beam.used >> j & 1:
-                    continue
-                phase = int(ctx.phase_index[j])
-                covered = beam.covered | (1 << phase if phase >= 0 else 0)
-                pieces = beam.pieces + (float(scores[j]),)
-                run = math.fsum(pieces)
-                tie = beam.tie + (ctx.tie_piece[j],)
-                extensions.append(
-                    (
-                        run,
-                        tie,
-                        _Beam(run, tie, beam.steps + (j,), beam.used | 1 << j, covered, j, pieces),
-                    )
-                )
+            extensions.append((run_score, tie, extension))
         if not extensions:
             break
         beams = [
@@ -431,11 +461,13 @@ def beam_search(
         return float(ctx.log_transition[index_of[prev], index_of[cur]])
 
     finals = []
+    scored: dict[tuple[int, ...], Trajectory] = {}
     for beam in beams:
         steps = [ctx.ids[i] for i in beam.steps]
         total, breakdown = trajectory_score(
             steps, rel_of.__getitem__, transition_of, precedence, hypergraph, weights
         )
+        scored[beam.steps] = Trajectory(steps, total, breakdown)
         finals.append((total, beam.tie, _Beam(total, beam.tie, beam.steps, beam.used, beam.covered, beam.last)))
     chosen = _greedy_diverse_select(
         finals,
@@ -443,14 +475,7 @@ def beam_search(
         config.diversity_overlap_threshold,
         config.diversity_penalty,
     )
-    trajectories = []
-    for _, beam in chosen:
-        steps = [ctx.ids[i] for i in beam.steps]
-        total, breakdown = trajectory_score(
-            steps, rel_of.__getitem__, transition_of, precedence, hypergraph, weights
-        )
-        trajectories.append(Trajectory(steps, total, breakdown))
-    return trajectories
+    return [scored[beam.steps] for _, beam in chosen]
 
 
 def viterbi(

@@ -235,6 +235,32 @@ def test_eval_refuses_checkpoint_of_another_dimension(pipeline, capsys):
     assert "matmul" not in err
 
 
+def test_eval_rejects_malformed_qa_items(pipeline, tmp_path, capsys):
+    item = json.loads(pipeline["qa"].read_text(encoding="utf-8"))[0]
+    for index, (field, key, value) in enumerate([
+        ("qa[0].question", "question", 5),
+        ("qa[0].horizon", "horizon", "3"),
+        ("qa[0].horizon", "horizon", 0),
+        ("qa[0].kind", "kind", "bogus"),
+        ("qa[0].group", "group", "NOPE:nope"),
+        ("qa[0].numeric", "numeric", "yes"),
+        ("qa[0].expected", "expected", None),
+    ]):
+        path = tmp_path / f"qa{index}.json"
+        path.write_text(json.dumps([{**item, key: value}]), encoding="utf-8")
+        assert main(["eval", "--snapshot", str(pipeline["snapshot"]),
+                     "--checkpoint", str(pipeline["checkpoint"]),
+                     "--dim", "32", "--qa", str(path), "--variant", "full"]) == 2, field
+        assert f"{field}:" in capsys.readouterr().err
+    for text, field in [("[5]", "qa[0]:"), ("{", "qa:")]:
+        path = tmp_path / "qa_bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["eval", "--snapshot", str(pipeline["snapshot"]),
+                     "--checkpoint", str(pipeline["checkpoint"]),
+                     "--dim", "32", "--qa", str(path), "--variant", "full"]) == 2
+        assert field in capsys.readouterr().err
+
+
 def test_retrieve_rejects_unknown_group(pipeline, capsys):
     assert main(["retrieve", "--snapshot", str(pipeline["snapshot"]),
                  "--checkpoint", str(pipeline["checkpoint"]),

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -10,6 +11,7 @@ import pytest
 
 import okh
 from okh.embedding import (
+    CACHE_MAGIC,
     EmbeddingCache,
     EmbeddingStore,
     LocalHashingEmbedder,
@@ -18,6 +20,7 @@ from okh.embedding import (
     post_json_with_retries,
 )
 from okh.errors import DimensionMismatch, ProviderError
+from okh.hashutil import content_key
 from okh.hypergraph import Entity, Hyperedge
 from okh.relations import EntityType
 
@@ -118,6 +121,36 @@ def test_cache_tolerates_missing_and_mismatched_files(tmp_path):
     path.write_bytes(b"not a cache file")
     garbage = EmbeddingCache(str(path), dim=16)
     assert garbage.lookup("x") is None
+
+
+def test_cache_of_another_embedder_or_version_is_not_reused(tmp_path):
+    path = tmp_path / "cache.okhe"
+    remote = RemoteEmbeddingClient("http://127.0.0.1:9", "text-embed-x", dim=16)
+    remote_cache = EmbeddingCache(str(path), 16, remote.identity)
+    remote_cache.store("x", LocalHashingEmbedder(dim=16).embed_one("y"))
+    remote_cache.save()
+    assert EmbeddingCache(str(path), 16, remote.identity).lookup("x") is not None
+    other_model = RemoteEmbeddingClient("http://127.0.0.1:9", "text-embed-z", dim=16)
+    assert EmbeddingCache(str(path), 16, other_model.identity).lookup("x") is None
+
+    # Same dimension, other provider: the local embedder rebuilds and saves.
+    graph = _tiny_graph()
+    local = LocalHashingEmbedder(dim=16)
+    cache = EmbeddingCache(str(path), 16)
+    assert len(cache) == 0
+    store = EmbeddingStore.build(graph, local, cache)
+    assert np.array_equal(store.matrix, EmbeddingStore.build(graph, local).matrix)
+    cache.save()
+    assert len(EmbeddingCache(str(path), 16, local.identity)) == 2
+    assert len(EmbeddingCache(str(path), 16, remote.identity)) == 0
+
+    # A version-1 file (no identity in its header) is ignored too.
+    vector = local.embed_one("x")
+    key = content_key("x")
+    path.write_bytes(
+        struct.pack("<4sII", CACHE_MAGIC, 1, 16) + key + vector.astype("<f4").tobytes()
+    )
+    assert EmbeddingCache(str(path), 16).lookup("x") is None
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from okh.embedding import EmbeddingStore, LocalHashingEmbedder
 from okh.errors import EmptyCorpus
 from okh.hypergraph import merge_facts
 from okh.precedence import Order, PrecedenceIndex
+from okh.relations import COVERAGE_PHASES, phase_of_family
 from okh.retrieval import (
     HEURISTIC_BACKWARD,
     HEURISTIC_FORWARD,
@@ -686,3 +688,298 @@ def test_retriever_rejects_unknown_transition_kind():
         retriever.transition_matrix(ids, kind="bogus")
     with pytest.raises(ValueError, match="'heuristc'"):
         retriever.retrieve(corpus.qa[0].question, transition="heuristc")
+
+
+# -- Reference beam search ---------------------------------------------------
+# The per-extension loop and full-sort selection that beam_search replaced
+# with one (beams x candidates) score array and a provable shortlist. Kept
+# here, unchanged, as the reference the vectorized rounds must reproduce bit
+# for bit.
+
+_REF_PHASE_INDEX = {phase: i for i, phase in enumerate(COVERAGE_PHASES)}
+_REF_N_PHASES = len(COVERAGE_PHASES)
+
+
+def _reference_select(entries, limit, threshold, penalty):
+    entries.sort(key=lambda item: (-item[0], item[1]))
+    selected = []
+    for score, tie, beam in entries:
+        if selected and len(selected) == limit:
+            worst_penalized = min(kept for kept, _, _ in selected)
+            if score < worst_penalized:
+                break
+        length = len(beam["steps"])
+        penalized = score
+        if penalty > 0:
+            for _, _, kept in selected:
+                shared = (beam["used"] & kept["used"]).bit_count() / max(length, 1)
+                if shared > threshold:
+                    penalized = score - penalty
+                    break
+        if len(selected) < limit:
+            selected.append((penalized, tie, beam))
+        else:
+            worst = max(range(len(selected)), key=lambda k: (-selected[k][0], selected[k][1]))
+            if (-penalized, tie) < (-selected[worst][0], selected[worst][1]):
+                selected[worst] = (penalized, tie, beam)
+    selected.sort(key=lambda item: (-item[0], item[1]))
+    return [(score, beam) for score, _, beam in selected]
+
+
+def _reference_beam_search(
+    query, candidate_ids, graph, store, precedence, log_transition, weights, config
+):
+    ids = list(candidate_ids)
+    n = len(ids)
+    if n == 0:
+        return []
+    relevance = np.stack([store.vector(eid) for eid in ids]) @ np.asarray(query, dtype=np.float64)
+    edges = [graph.hyperedges[eid] for eid in ids]
+    universe = {}
+    masks = []
+    for edge in edges:
+        mask = 0
+        for entity_id in edge.entity_ids:
+            mask |= 1 << universe.setdefault(entity_id, len(universe))
+        masks.append(mask)
+    phase_index = np.array(
+        [_REF_PHASE_INDEX.get(phase_of_family(edge.family), -1) for edge in edges],
+        dtype=np.int64,
+    )
+    reach = precedence.reach_matrix(ids).astype(np.float64)
+    tie_piece = [(-float(relevance[i]), ids[i]) for i in range(n)]
+
+    def jaccard_row(i):
+        return np.array(
+            [(masks[i] & m).bit_count() / (masks[i] | m).bit_count() for m in masks],
+            dtype=np.float64,
+        )
+
+    def singleton(i):
+        phase = int(phase_index[i])
+        gain = weights.rho_coverage / _REF_N_PHASES if phase >= 0 else 0.0
+        piece = float(relevance[i]) + gain
+        return {
+            "tie": (tie_piece[i],),
+            "steps": (i,),
+            "used": 1 << i,
+            "covered": 1 << phase if phase >= 0 else 0,
+            "last": i,
+            "pieces": (piece,),
+        }
+
+    by_relevance = sorted(range(n), key=lambda i: tie_piece[i])
+    beams = [singleton(i) for i in by_relevance[: 2 * config.beam_width]]
+    for _ in range(config.trajectory_length - 1):
+        extensions = []
+        for beam in beams:
+            if beam["used"].bit_count() == n:
+                continue
+            scores = (
+                relevance
+                + weights.lambda_coherence * log_transition[beam["last"]]
+                + weights.mu_precedence * reach[beam["last"]]
+                + weights.nu_continuity * jaccard_row(beam["last"])
+            )
+            if weights.rho_coverage:
+                new_phase = (phase_index >= 0) & (
+                    (beam["covered"] >> np.maximum(phase_index, 0)) & 1 == 0
+                )
+                scores = scores + weights.rho_coverage * new_phase / _REF_N_PHASES
+            for j in range(n):
+                if beam["used"] >> j & 1:
+                    continue
+                phase = int(phase_index[j])
+                pieces = beam["pieces"] + (float(scores[j]),)
+                tie = beam["tie"] + (tie_piece[j],)
+                extensions.append(
+                    (
+                        math.fsum(pieces),
+                        tie,
+                        {
+                            "tie": tie,
+                            "steps": beam["steps"] + (j,),
+                            "used": beam["used"] | 1 << j,
+                            "covered": beam["covered"] | (1 << phase if phase >= 0 else 0),
+                            "last": j,
+                            "pieces": pieces,
+                        },
+                    )
+                )
+        if not extensions:
+            break
+        beams = [
+            beam
+            for _, beam in _reference_select(
+                extensions,
+                config.beam_width,
+                config.diversity_overlap_threshold,
+                config.diversity_penalty,
+            )
+        ]
+
+    index_of = {eid: i for i, eid in enumerate(ids)}
+
+    def rescored(beam):
+        steps = [ids[i] for i in beam["steps"]]
+        return trajectory_score(
+            steps,
+            lambda eid: float(relevance[index_of[eid]]),
+            lambda a, b: float(log_transition[index_of[a], index_of[b]]),
+            precedence,
+            graph,
+            weights,
+        )
+
+    finals = [(rescored(beam)[0], beam["tie"], beam) for beam in beams]
+    chosen = _reference_select(
+        finals, config.num_trajectories, config.diversity_overlap_threshold, config.diversity_penalty
+    )
+    return [
+        Trajectory([ids[i] for i in beam["steps"]], *rescored(beam)) for _, beam in chosen
+    ]
+
+
+def _bits(trajectories):
+    return [
+        (t.steps, t.total_score.hex(), sorted((k, v.hex()) for k, v in t.breakdown.items()))
+        for t in trajectories
+    ]
+
+
+def _assert_matches_reference(query, ids, graph, store, precedence, matrix, weights, config):
+    args = (query, ids, graph, store, precedence, matrix, weights, config)
+    expected = _reference_beam_search(*args)
+    assert expected, "the reference found no trajectory"
+    assert _bits(beam_search(*args)) == _bits(expected), (weights, config)
+
+
+def test_vectorized_beam_matches_reference_loop_on_tied_pools():
+    corpus = generate_synthetic(seed=4, n_groups=2, horizons_per_group=3)
+    graph = merge_facts([corpus.facts])
+    precedence = PrecedenceIndex.build(graph)
+    all_ids = sorted(graph.hyperedges)
+    rng = np.random.default_rng(5)
+    dim = 16
+    weight_choices = [
+        RetrievalWeights(),
+        RetrievalWeights(0.0, 0.0, 0.0, 0.0),
+        RetrievalWeights(2.0, 0.0, 0.7, 0.0),
+        RetrievalWeights(0.5, 1.0, 0.0, 1.5),
+    ]
+    cases = 0
+    for penalty, threshold in itertools.product((0.0, 0.5, 3.0), (0.0, 0.5, 1.0)):
+        for _ in range(4):
+            n = int(rng.integers(2, 40))
+            ids = [all_ids[i] for i in rng.choice(len(all_ids), n, replace=False)]
+            # Rows drawn from three vectors: relevance ties broken only by id.
+            basis = rng.normal(size=(3, dim))
+            matrix = basis[rng.integers(0, 3, n)]
+            store = EmbeddingStore(ids, matrix, LocalHashingEmbedder(dim))
+            query = rng.normal(size=dim)
+            # Transition values on a half-step grid: many exactly tied sums.
+            log_transition = rng.integers(-4, 1, (n, n)) * 0.5
+            config = SearchConfig(
+                beam_width=int(rng.integers(1, 12)),
+                trajectory_length=int(rng.integers(1, 7)),
+                num_trajectories=int(rng.integers(1, 5)),
+                diversity_overlap_threshold=threshold,
+                diversity_penalty=penalty,
+            )
+            weights = weight_choices[int(rng.integers(len(weight_choices)))]
+            _assert_matches_reference(
+                query, ids, graph, store, precedence, log_transition, weights, config
+            )
+            cases += 1
+        # A beam wider than the pool, and trajectories longer than it.
+        ids = all_ids[:5]
+        store = EmbeddingStore(ids, rng.normal(size=(5, dim)), LocalHashingEmbedder(dim))
+        query = rng.normal(size=dim)
+        log_transition = log_softmax_rows(rng.normal(size=(5, 5)))
+        for width, length in ((12, 3), (2, 8), (9, 9)):
+            config = SearchConfig(
+                beam_width=width,
+                trajectory_length=length,
+                num_trajectories=3,
+                diversity_overlap_threshold=threshold,
+                diversity_penalty=penalty,
+            )
+            _assert_matches_reference(
+                query, ids, graph, store, precedence, log_transition, RetrievalWeights(), config
+            )
+    assert cases == 36
+
+
+def test_vectorized_beam_matches_reference_loop_at_bench_scale():
+    # 44 groups and the default pool of 150: the shortlist prunes most of
+    # each round's extensions here, unlike in the small golden fixtures.
+    corpus = generate_synthetic(seed=1, n_groups=44, horizons_per_group=3)
+    graph = merge_facts([corpus.facts])
+    store = EmbeddingStore.build(graph, LocalHashingEmbedder(256))
+    retriever = Retriever(
+        graph, store, PrecedenceIndex.build(graph), TransitionModel.create(256, rank=32, seed=3)
+    )
+    for qa in corpus.qa[::40]:
+        query = store.embed_query(qa.question)
+        pool = scope_candidates(query, graph, store, ScopeConfig(), qa.group_id)
+        assert len(pool) == 150
+        for kind in ("learned", "heuristic"):
+            _assert_matches_reference(
+                query,
+                pool,
+                graph,
+                store,
+                retriever.precedence,
+                retriever.transition_matrix(pool, kind),
+                RetrievalWeights(),
+                SearchConfig(),
+            )
+
+
+def _reference_scope(query, graph, store, config, query_group):
+    # Full sorts of every id, as scope_candidates did before its partial
+    # selection; the reference for the test below.
+    relevance = store.relevance(query)
+    rel_of = {eid: float(relevance[row]) for eid, row in store.row_of.items()}
+
+    def ranked(ids):
+        return sorted(ids, key=lambda eid: (-rel_of[eid], eid))
+
+    seeds = ranked(store.ids)[: config.top_k]
+    pool = set(seeds)
+    for group in {graph.hyperedges[seed].group_id for seed in seeds}:
+        pool.update(graph.groups.get(group, ()))
+    for seed in seeds:
+        for entity_id in graph.hyperedges[seed].entity_ids:
+            pool.update(graph.edges_by_entity.get(entity_id, ()))
+    if query_group is not None and query_group in graph.groups:
+        reserve = math.ceil(config.group_reserve_fraction * config.pool_cap)
+        chosen = set(ranked(graph.groups[query_group])[:reserve])
+        chosen.update(ranked(pool - chosen)[: max(config.pool_cap - len(chosen), 0)])
+        return ranked(chosen)
+    return ranked(pool)[: config.pool_cap]
+
+
+def test_scope_candidates_matches_full_sort_reference_on_tied_relevance():
+    corpus = generate_synthetic(seed=6, n_groups=4, horizons_per_group=2)
+    graph = merge_facts([corpus.facts])
+    ids = sorted(graph.hyperedges)
+    rng = np.random.default_rng(9)
+    dim = 8
+    # Rows drawn from four vectors, so the k-th relevance value is shared by
+    # many ids and only the id breaks the tie.
+    store = EmbeddingStore(
+        ids, rng.normal(size=(4, dim))[rng.integers(0, 4, len(ids))], LocalHashingEmbedder(dim)
+    )
+    groups = sorted(graph.groups) + [None]
+    for _ in range(40):
+        config = ScopeConfig(
+            top_k=int(rng.integers(1, len(ids) + 10)),
+            pool_cap=int(rng.integers(1, len(ids) + 10)),
+            group_reserve_fraction=float(rng.choice([0.0, 0.4, 1.0])),
+        )
+        query = rng.normal(size=dim)
+        group = groups[int(rng.integers(len(groups)))]
+        assert scope_candidates(query, graph, store, config, group) == _reference_scope(
+            query, graph, store, config, group
+        ), (config, group)
