@@ -48,7 +48,9 @@ _CONFIG_ALIASES = {"lambda": "lambda_"}
 
 def _write_json(path: str, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+        handle.write(
+            json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False) + "\n"
+        )
 
 
 def _merged(ns: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
@@ -289,20 +291,21 @@ def _cmd_retrieve(ns: argparse.Namespace) -> int:
     for key in ("snapshot", "checkpoint", "query"):
         if not values[key]:
             raise SchemaError("retrieve", f"--{key} is required")
+    weights, search, scope = _weights(values), _search_config(values), _scope_config(values)
     retriever = _load_retriever(values)
     if values["group"] and values["group"] not in retriever.hypergraph.groups:
         raise SchemaError("group", f"unknown group {values['group']!r}")
     variant = AblationVariant(values["variant"])
     trajectories = retriever.retrieve(
         values["query"],
-        weights=variant_weights(variant, _weights(values)),
-        search=_search_config(values),
-        scope=_scope_config(values),
+        weights=variant_weights(variant, weights),
+        search=search,
+        scope=scope,
         query_group=values["group"] or None,
         transition=variant_transition(variant),
     )
     result = retriever.result_dict(values["query"], trajectories)
-    print(json.dumps(result, sort_keys=True, ensure_ascii=False, indent=2))
+    print(json.dumps(result, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False))
     for i, trajectory in enumerate(trajectories, start=1):
         print(f"\n=== Trajectory {i} ===")
         print(format_trajectory(trajectory, retriever.hypergraph))
@@ -325,8 +328,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     for key in ("snapshot", "checkpoint", "qa"):
         if not values[key]:
             raise SchemaError("eval", f"--{key} is required")
-    retriever = _load_retriever(values)
-
+    # The QA file is checked before the expensive load; only group
+    # membership needs the graph.
     with open(values["qa"], encoding="utf-8") as handle:
         try:
             qa_raw = json.load(handle)
@@ -335,6 +338,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     if not isinstance(qa_raw, list):
         raise SchemaError("qa", "expected a JSON array of questions")
     qa_items = [QAItem.from_dict(raw, f"qa[{index}]") for index, raw in enumerate(qa_raw)]
+    weights, search, scope = _weights(values), _search_config(values), _scope_config(values)
+    retriever = _load_retriever(values)
     for index, item in enumerate(qa_items):
         if item.group_id not in retriever.hypergraph.groups:
             raise SchemaError(f"qa[{index}].group", f"unknown group {item.group_id!r}")
@@ -359,9 +364,9 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
             qa_items,
             scenarios,
             variant,
-            weights=_weights(values),
-            search=_search_config(values),
-            scope=_scope_config(values),
+            weights=weights,
+            search=search,
+            scope=scope,
             seed=int(values["seed"]),
         )
         for variant in variants

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from okh.errors import DimensionMismatch, ProviderError
-from okh.hashutil import content_key, fnv1a64
+from okh.hashutil import content_key, fnv1a64_many
 from okh.hypergraph import Entity, Hyperedge, KnowledgeHypergraph
 from okh.relations import EntityType
 
@@ -76,17 +76,23 @@ class LocalHashingEmbedder:
         self.dim = dim
 
     def embed_one(self, text: str) -> np.ndarray:
-        accum = np.zeros(self.dim, dtype=np.float64)
-        for token in text.split():
-            digest = fnv1a64(token.encode("utf-8"))
-            sign = 1.0 if digest >> 63 == 0 else -1.0
-            accum[digest % self.dim] += sign
-        return _quantize(_unit(accum, self.dim))
+        return self.embed([text])[0]
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack([self.embed_one(text) for text in texts])
+        # Each distinct token is hashed once. The bucket sums are small
+        # integers, so accumulating them in any order gives the same floats.
+        slot_of: dict[str, int] = {}
+        slots = [[slot_of.setdefault(token, len(slot_of)) for token in text.split()] for text in texts]
+        digests = fnv1a64_many([token.encode("utf-8") for token in slot_of])
+        buckets = np.array([digest % self.dim for digest in digests], dtype=np.intp)
+        signs = np.array([1.0 if digest >> 63 == 0 else -1.0 for digest in digests])
+        rows = []
+        for row in slots:
+            accum = np.bincount(buckets[row], weights=signs[row], minlength=self.dim)
+            rows.append(_quantize(_unit(accum, self.dim)))
+        return np.stack(rows)
 
 
 def post_json_with_retries(

@@ -13,11 +13,11 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
 from okh.errors import ConflictingHorizon, SchemaError
-from okh.hashutil import fnv1a64
+from okh.hashutil import fnv1a64, fnv1a64_many
 from okh.relations import (
     CROSS_HORIZON_FAMILY,
     DEFAULT_VOCABULARY,
@@ -29,10 +29,19 @@ HORIZON_ANCHOR_RE = re.compile(r"^horizon:T-(\d+)$")
 SNAPSHOT_VERSION = 1
 
 
+def _id_payload(relation: str, entity_ids: Iterable[str], evidence: str) -> bytes:
+    return (relation + "|" + ",".join(sorted(entity_ids)) + "|" + evidence).encode("utf-8")
+
+
 def dedup_id(relation: str, entity_ids: Iterable[str], evidence: str) -> str:
     """Content hash identifying a hyperedge: 16 lowercase hex chars of FNV-1a."""
-    payload = relation + "|" + ",".join(sorted(entity_ids)) + "|" + evidence
-    return f"{fnv1a64(payload.encode('utf-8')):016x}"
+    return f"{fnv1a64(_id_payload(relation, entity_ids, evidence)):016x}"
+
+
+def _dedup_ids(contents: Iterable[tuple[str, Iterable[str], str]]) -> list[str]:
+    """`dedup_id` of every (relation, entity ids, evidence), hashed in one batch."""
+    hashes = fnv1a64_many([_id_payload(*content) for content in contents])
+    return [f"{value:016x}" for value in hashes]
 
 
 def _fold_segment(text: str, upper: bool = False) -> str:
@@ -66,6 +75,33 @@ def canonical_entity_id(
 
 def horizon_anchor_id(horizon: int) -> str:
     return f"horizon:T-{int(horizon)}"
+
+
+def _anchor_leads(entity_ids: Iterable[str]) -> list[int]:
+    """Lead times of the temporal anchors among entity ids, descending."""
+    leads = []
+    for entity_id in entity_ids:
+        match = HORIZON_ANCHOR_RE.match(entity_id)
+        if match:
+            leads.append(int(match.group(1)))
+    return sorted(leads, reverse=True)
+
+
+def _grounded_ids(
+    relation: str, entity_ids: frozenset[str], evidence: str, horizon: int
+) -> frozenset[str]:
+    """Entity ids of an edge grounded at a horizon: the canonical anchor is added.
+
+    Raises ConflictingHorizon if the edge carries an anchor for a different
+    lead time, since a within-horizon statement belongs to exactly one block.
+    """
+    anchors = _anchor_leads(entity_ids)
+    if anchors and set(anchors) != {horizon}:
+        raise ConflictingHorizon(
+            f"edge {dedup_id(relation, entity_ids, evidence)} already anchored at {anchors},"
+            f" cannot inject T-{horizon}"
+        )
+    return entity_ids if anchors else entity_ids | {horizon_anchor_id(horizon)}
 
 
 def entity_stem(entity_id: str) -> str | None:
@@ -172,12 +208,7 @@ class Hyperedge:
 
     def anchor_horizons(self) -> list[int]:
         """Lead times of all temporal anchors on this edge, descending."""
-        leads = []
-        for entity_id in self.entity_ids:
-            match = HORIZON_ANCHOR_RE.match(entity_id)
-            if match:
-                leads.append(int(match.group(1)))
-        return sorted(leads, reverse=True)
+        return _anchor_leads(self.entity_ids)
 
     def state_stems(self) -> frozenset[str]:
         """Stems of the horizon-suffixed non-anchor entities on this edge."""
@@ -215,22 +246,23 @@ def inject_horizon(edge: Hyperedge, horizon: int) -> Hyperedge:
     horizon = int(horizon)
     if horizon <= 0:
         raise ValueError("horizon must be a positive lead time in hours")
-    anchors = edge.anchor_horizons()
-    if anchors and set(anchors) != {horizon}:
-        raise ConflictingHorizon(
-            f"edge {edge.id} already anchored at {anchors}, cannot inject T-{horizon}"
-        )
-    if anchors:
+    ids = _grounded_ids(edge.relation, edge.entity_ids, edge.evidence, horizon)
+    if ids == edge.entity_ids:
         if edge.horizon == horizon:
             return edge
         return replace(edge, horizon=horizon)
-    ids = edge.entity_ids | {horizon_anchor_id(horizon)}
     return replace(
         edge,
         id=dedup_id(edge.relation, ids, edge.evidence),
         entity_ids=ids,
         horizon=horizon,
     )
+
+
+def _hashed(drafts: Sequence[Mapping[str, Any]]) -> list[Hyperedge]:
+    """Hyperedges from their fields but the id, content-hashed in one batch."""
+    ids = _dedup_ids((draft["relation"], draft["entity_ids"], draft["evidence"]) for draft in drafts)
+    return [Hyperedge(id=edge_id, **draft) for edge_id, draft in zip(ids, drafts)]
 
 
 def synthesize_cross_horizon(group_edges: Iterable[Hyperedge]) -> list[Hyperedge]:
@@ -241,6 +273,11 @@ def synthesize_cross_horizon(group_edges: Iterable[Hyperedge]) -> list[Hyperedge
     order, linking both horizon-specific state entities and both temporal
     anchors.
     """
+    return _hashed(_change_drafts(group_edges))
+
+
+def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[dict[str, Any]]:
+    """The fields but the id of each change edge `synthesize_cross_horizon` makes."""
     edges = list(group_edges)
     if not edges:
         return []
@@ -269,24 +306,28 @@ def synthesize_cross_horizon(group_edges: Iterable[Hyperedge]) -> list[Hyperedge
     for (family, stem), horizons in sorted(observed.items()):
         if len(horizons) < 2:
             continue
+        relation, change_family = DEFAULT_VOCABULARY.normalize(change_relation_for_family(family))
         ordered = sorted(horizons, reverse=True)
         for earlier, later in zip(ordered, ordered[1:]):
             synthesized.append(
-                Hyperedge.create(
-                    relation=change_relation_for_family(family),
-                    entity_ids={
-                        f"{stem}:T-{earlier}",
-                        f"{stem}:T-{later}",
-                        horizon_anchor_id(earlier),
-                        horizon_anchor_id(later),
-                    },
-                    evidence=f"{stem} evolves from T-{earlier} to T-{later}",
-                    attributes={"from_horizon": str(earlier), "to_horizon": str(later)},
-                    confidence=1.0,
-                    group_id=group_id,
-                    horizon=None,
-                    text_position=last_position.get(earlier, 0),
-                )
+                {
+                    "relation": relation,
+                    "family": change_family,
+                    "entity_ids": frozenset(
+                        {
+                            f"{stem}:T-{earlier}",
+                            f"{stem}:T-{later}",
+                            horizon_anchor_id(earlier),
+                            horizon_anchor_id(later),
+                        }
+                    ),
+                    "evidence": f"{stem} evolves from T-{earlier} to T-{later}",
+                    "attributes": {"from_horizon": str(earlier), "to_horizon": str(later)},
+                    "confidence": 1.0,
+                    "group_id": group_id,
+                    "horizon": None,
+                    "text_position": last_position.get(earlier, 0),
+                }
             )
     return synthesized
 
@@ -358,16 +399,27 @@ class KnowledgeHypergraph:
         for index, raw in enumerate(snapshot.get("entities", [])):
             entity = _entity_from_dict(raw, f"entities[{index}]")
             entities[entity.id] = entity
-        hyperedges: dict[str, Hyperedge] = {}
+        parsed: list[Hyperedge] = []
+        malformed: SchemaError | ValueError | None = None
         for index, raw in enumerate(snapshot.get("hyperedges", [])):
-            edge = _edge_from_dict(raw, f"hyperedges[{index}]")
-            expected = dedup_id(edge.relation, edge.entity_ids, edge.evidence)
+            try:
+                parsed.append(_edge_from_dict(raw, f"hyperedges[{index}]"))
+            except (SchemaError, ValueError) as exc:
+                # Raised after the edges before it are checked, so the first
+                # bad edge in index order is the one reported.
+                malformed = exc
+                break
+        expected_ids = _dedup_ids((edge.relation, edge.entity_ids, edge.evidence) for edge in parsed)
+        hyperedges: dict[str, Hyperedge] = {}
+        for index, (edge, expected) in enumerate(zip(parsed, expected_ids)):
             if edge.id != expected:
                 raise SchemaError(f"hyperedges[{index}].id", "content hash does not match edge content")
             if not entities.keys() >= edge.entity_ids:
                 missing = min(edge.entity_ids - entities.keys())
                 raise SchemaError(f"hyperedges[{index}].entities", f"unknown entity {missing!r}")
             hyperedges[edge.id] = edge
+        if malformed is not None:
+            raise malformed
         precedence = _precedence_from_dict(snapshot.get("precedence", {}), hyperedges)
         return cls(entities, hyperedges), precedence
 
@@ -478,8 +530,11 @@ def _precedence_from_dict(
     return precedence
 
 
-def validate_fact(fact: Any, path: str) -> None:
-    """Raise SchemaError with a field path for any malformed fact."""
+def validate_fact(fact: Any, path: str) -> list[Entity]:
+    """Raise SchemaError with a field path for any malformed fact.
+
+    Returns the fact's entities, parsed in order.
+    """
     if not isinstance(fact, Mapping):
         raise SchemaError(path, "fact must be an object")
     relation = _require(fact, "relation", str, path)
@@ -492,11 +547,8 @@ def validate_fact(fact: Any, path: str) -> None:
     entities = _require(fact, "entities", list, path)
     if len(entities) < 2:
         raise SchemaError(f"{path}.entities", "a hyperedge needs at least two entities")
-    seen: set[str] = set()
-    for index, raw in enumerate(entities):
-        entity = _entity_from_dict(raw, f"{path}.entities[{index}]")
-        seen.add(entity.id)
-    if len(seen) < 2:
+    parsed = [_entity_from_dict(raw, f"{path}.entities[{index}]") for index, raw in enumerate(entities)]
+    if len({entity.id for entity in parsed}) < 2:
         raise SchemaError(f"{path}.entities", "entity ids must name at least two distinct entities")
     attributes = fact.get("attributes", {})
     if not isinstance(attributes, Mapping):
@@ -513,6 +565,7 @@ def validate_fact(fact: Any, path: str) -> None:
     position = fact.get("text_position", 0)
     if not isinstance(position, int) or isinstance(position, bool) or position < 0:
         raise SchemaError(f"{path}.text_position", "text_position must be a non-negative integer")
+    return parsed
 
 
 def _better_entity(current: Entity, incoming: Entity) -> Entity:
@@ -526,8 +579,10 @@ def _better_entity(current: Entity, incoming: Entity) -> Entity:
 
 def _better_edge(current: Hyperedge, incoming: Hyperedge) -> Hyperedge:
     """Deterministic winner for duplicate edge ids: earliest mention, then content."""
-    current_key = (current.text_position, json.dumps(current.to_dict(), sort_keys=True))
-    incoming_key = (incoming.text_position, json.dumps(incoming.to_dict(), sort_keys=True))
+    if incoming.text_position != current.text_position:
+        return incoming if incoming.text_position < current.text_position else current
+    current_key = json.dumps(current.to_dict(), sort_keys=True)
+    incoming_key = json.dumps(incoming.to_dict(), sort_keys=True)
     return incoming if incoming_key < current_key else current
 
 
@@ -552,48 +607,58 @@ def merge_facts(
         existing = edges.get(edge.id)
         edges[edge.id] = edge if existing is None else _better_edge(existing, edge)
 
+    # Each edge's entities and horizon are resolved first; the content ids
+    # are then hashed in one batch for the facts and one for the changes.
+    drafts: list[dict[str, Any]] = []
     for batch_index, batch in enumerate(fact_batches):
         for fact_index, fact in enumerate(batch):
-            path = f"batch[{batch_index}].fact[{fact_index}]"
-            validate_fact(fact, path)
-            for index, raw in enumerate(fact["entities"]):
-                add_entity(_entity_from_dict(raw, f"{path}.entities[{index}]"))
-            edge = Hyperedge.create(
-                relation=fact["relation"],
-                entity_ids=[raw["id"] for raw in fact["entities"]],
-                evidence=fact["evidence"],
-                attributes=fact.get("attributes", {}),
-                confidence=float(fact.get("confidence", 1.0)),
-                group_id=fact["group"],
-                horizon=None,
-                text_position=int(fact.get("text_position", 0)),
-            )
+            fact_entities = validate_fact(fact, f"batch[{batch_index}].fact[{fact_index}]")
+            for entity in fact_entities:
+                add_entity(entity)
+            relation, family = DEFAULT_VOCABULARY.normalize(fact["relation"])
+            entity_ids = frozenset(entity.id for entity in fact_entities)
             horizon = fact.get("horizon")
-            anchors = edge.anchor_horizons()
             if horizon is not None:
-                edge = inject_horizon(edge, horizon)
-            elif len(anchors) == 1:
+                entity_ids = _grounded_ids(relation, entity_ids, fact["evidence"], horizon)
+            anchors = _anchor_leads(entity_ids)
+            if horizon is None and len(anchors) == 1:
                 # A lone anchor entity implies the horizon even when the
                 # field was left null.
-                edge = replace(edge, horizon=anchors[0])
-            for lead in edge.anchor_horizons():
+                horizon = anchors[0]
+            for lead in anchors:
                 add_entity(_horizon_anchor_entity(lead))
-            add_edge(edge)
+            drafts.append(
+                {
+                    "relation": relation,
+                    "family": family,
+                    "entity_ids": entity_ids,
+                    "evidence": fact["evidence"],
+                    "attributes": dict(fact.get("attributes", {})),
+                    "confidence": float(fact.get("confidence", 1.0)),
+                    "group_id": fact["group"],
+                    "horizon": horizon,
+                    "text_position": int(fact.get("text_position", 0)),
+                }
+            )
+    for edge in _hashed(drafts):
+        add_edge(edge)
 
     if synthesize:
         by_group: dict[str, list[str]] = {}
         for edge_id in sorted(edges):
             by_group.setdefault(edges[edge_id].group_id, []).append(edge_id)
+        changes = []
         for group in sorted(by_group):
-            group_edges = [edges[edge_id] for edge_id in by_group[group]]
-            for change in synthesize_cross_horizon(group_edges):
-                for lead in change.anchor_horizons():
-                    add_entity(_horizon_anchor_entity(lead))
-                for entity_id in change.entity_ids:
-                    if entity_id not in entities and not HORIZON_ANCHOR_RE.match(entity_id):
-                        # State entities referenced by a change edge always
-                        # come from its source edges, so this is a guard.
-                        add_entity(Entity(entity_id, entity_id, EntityType.OTHER))
-                add_edge(change)
+            changes.extend(_change_drafts(edges[edge_id] for edge_id in by_group[group]))
+        for change in changes:
+            for lead in _anchor_leads(change["entity_ids"]):
+                add_entity(_horizon_anchor_entity(lead))
+            for entity_id in change["entity_ids"]:
+                if entity_id not in entities and not HORIZON_ANCHOR_RE.match(entity_id):
+                    # State entities referenced by a change edge always
+                    # come from its source edges, so this is a guard.
+                    add_entity(Entity(entity_id, entity_id, EntityType.OTHER))
+        for edge in _hashed(changes):
+            add_edge(edge)
 
     return KnowledgeHypergraph(entities, edges)

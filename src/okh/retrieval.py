@@ -41,8 +41,9 @@ class RetrievalWeights:
 
     def __post_init__(self) -> None:
         for name in ("lambda_coherence", "mu_precedence", "nu_continuity", "rho_coverage"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,35 @@ def test_eval_rejects_malformed_qa_items(pipeline, tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_eval_checks_qa_file_before_loading_artifacts(pipeline, tmp_path, capsys):
+    for text, field in [("{", "qa:"), ("[5]", "qa[0]:")]:
+        path = tmp_path / "qa_bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["eval", "--snapshot", str(pipeline["snapshot"]),
+                     "--checkpoint", str(tmp_path / "missing.okht"),
+                     "--dim", "32", "--qa", str(path), "--variant", "full"]) == 2
+        assert field in capsys.readouterr().err
+
+
+def test_non_finite_weights_exit_two_and_write_nothing(pipeline, tmp_path, capsys):
+    common = ["--snapshot", str(pipeline["snapshot"]),
+              "--checkpoint", str(pipeline["checkpoint"]), "--dim", "32"]
+    for flag, value, field in [
+        ("--lambda", "nan", "lambda_coherence"),
+        ("--mu", "inf", "mu_precedence"),
+        ("--nu", "-inf", "nu_continuity"),
+        ("--rho", "nan", "rho_coverage"),
+    ]:
+        out = tmp_path / "out.json"
+        assert main(["retrieve", *common, "--query", "q", "--out", str(out), f"{flag}={value}"]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["eval", *common, "--qa", str(pipeline["qa"]), "--variant", "full",
+                     "--out", str(out), f"{flag}={value}"]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_retrieve_rejects_unknown_group(pipeline, capsys):
     assert main(["retrieve", "--snapshot", str(pipeline["snapshot"]),
                  "--checkpoint", str(pipeline["checkpoint"]),

@@ -20,7 +20,7 @@ from okh.embedding import (
     post_json_with_retries,
 )
 from okh.errors import DimensionMismatch, ProviderError
-from okh.hashutil import content_key
+from okh.hashutil import content_key, fnv1a64
 from okh.hypergraph import Entity, Hyperedge
 from okh.relations import EntityType
 
@@ -84,6 +84,27 @@ def test_local_embedder_empty_text_hits_fallback_basis():
     expected = np.zeros(16)
     expected[0] = 1.0
     assert np.array_equal(vector, expected)
+
+
+def _reference_embedding(text: str, dim: int) -> np.ndarray:
+    # One hash per token occurrence, accumulated in token order.
+    accum = np.zeros(dim)
+    for token in text.split():
+        digest = fnv1a64(token.encode("utf-8"))
+        accum[digest % dim] += 1.0 if digest >> 63 == 0 else -1.0
+    norm = float(np.linalg.norm(accum))
+    if norm == 0.0:
+        accum[0] = 1.0
+        norm = 1.0
+    return (accum / norm).astype(np.float32).astype(np.float64)
+
+
+def test_local_embedder_matches_per_token_reference_loop():
+    texts = ["", "storm storm surge", "pörtø  Ärthur\tdocks", "a b a b a b c", "x " * 300]
+    for dim in (8, 37, 256):
+        matrix = LocalHashingEmbedder(dim=dim).embed(texts)
+        for row, text in zip(matrix, texts):
+            assert np.array_equal(row, _reference_embedding(text, dim)), (dim, text)
 
 
 def test_embed_stacks_rows():

@@ -11,6 +11,7 @@ intended.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -20,6 +21,7 @@ import tempfile
 import pytest
 
 from okh.cli import main
+from okh.relations import CROSS_HORIZON_FAMILY
 
 GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
 VARIANTS = ("full", "no_order", "heuristic_order")
@@ -86,6 +88,76 @@ def test_golden_names_cover_every_output(outputs):
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_output_matches_golden_bytes(outputs, name):
     assert outputs[name] == (GOLDEN_DIR / name).read_bytes()
+
+
+# Artifacts too large to keep as golden files are pinned by sha256. The
+# hashes were recorded before content ids were hashed in batches; a faster
+# hash must keep every byte.
+SNAPSHOT_SHA256 = "ebca14dc97ae5a7766c47085155bff3defecf0e4703beeefc7461c60ba147ae5"
+TWO_BATCH_SNAPSHOT_SHA256 = "8c64d6a18bd8c4148b5d750654f91aafc17a5ddd4af2d8970fbc27f9b18ca102"
+CACHE_SHA256 = "df4bf67f3137c6a1f5ac8125f69d20340a22d800a7b3a2561567009fbfb74d14"
+
+
+def _sha256(path: pathlib.Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory) -> dict:
+    """The golden corpus's snapshot, a two-batch snapshot, and a retrieve cache."""
+    root = tmp_path_factory.mktemp("artifacts")
+    data = root / "data"
+    _run(["synth", "--seed", "5", "--groups", "2", "--horizons", "2", "--out", str(data)])
+    snapshot = root / "graph.snap"
+    _run(["build", "--corpus", str(data / "facts.jsonl"), "--snapshot", str(snapshot)])
+
+    # The middle third of the facts arrives in both batches. Every other fact
+    # of the first batch is mentioned later than its copy in the second, so
+    # duplicates resolve both by position and by content.
+    facts = [json.loads(line) for line in (data / "facts.jsonl").read_text().splitlines()]
+    third = len(facts) // 3
+    first = [
+        {**fact, "text_position": fact["text_position"] + 5} if index % 2 else fact
+        for index, fact in enumerate(facts[: 2 * third])
+    ]
+    batches = [first, facts[third:]]
+    paths = []
+    for index, batch in enumerate(batches):
+        path = root / f"batch{index}.jsonl"
+        path.write_text("".join(json.dumps(fact) + "\n" for fact in batch), encoding="utf-8")
+        paths.append(str(path))
+    two_batch = root / "two-batch.snap"
+    _run(["build", "--corpus", *paths, "--snapshot", str(two_batch)])
+
+    checkpoint = root / "model.okht"
+    cache = root / "embeddings.okhe"
+    _run(["train", "--snapshot", str(snapshot), "--checkpoint", str(checkpoint),
+          "--dim", "32", "--rank", "4", "--epochs", "0"])
+    question = json.loads((data / "qa.json").read_text(encoding="utf-8"))[0]["question"]
+    _run(["retrieve", "--snapshot", str(snapshot), "--checkpoint", str(checkpoint),
+          "--dim", "32", "--cache", str(cache), "--query", question, *SEARCH_FLAGS])
+    return {
+        "snapshot": snapshot,
+        "two_batch": two_batch,
+        "cache": cache,
+        "fact_count": sum(len(batch) for batch in batches),
+    }
+
+
+def test_golden_corpus_snapshot_bytes_are_pinned(artifacts):
+    assert _sha256(artifacts["snapshot"]) == SNAPSHOT_SHA256
+
+
+def test_two_batch_snapshot_bytes_are_pinned(artifacts):
+    edges = json.loads(artifacts["two_batch"].read_text(encoding="utf-8"))["hyperedges"]
+    assert any(edge["family"] == CROSS_HORIZON_FAMILY for edge in edges)
+    facts = [edge for edge in edges if edge["family"] != CROSS_HORIZON_FAMILY]
+    assert len(facts) < artifacts["fact_count"]
+    assert _sha256(artifacts["two_batch"]) == TWO_BATCH_SNAPSHOT_SHA256
+
+
+def test_retrieve_cache_bytes_are_pinned(artifacts):
+    assert _sha256(artifacts["cache"]) == CACHE_SHA256
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from okh.errors import ConflictingHorizon, SchemaError
-from okh.hashutil import content_key, fnv1a64
+from okh.hashutil import content_key, fnv1a64, fnv1a64_many
 from okh.hypergraph import (
     Entity,
     Hyperedge,
@@ -41,6 +43,15 @@ def test_fnv1a64_matches_reference_loop_on_arbitrary_bytes():
         assert fnv1a64(data) == reference_fnv1a64(data)
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.binary(max_size=300), max_size=30))
+@example([])
+@example([b""])
+@example([b"", "pörtø".encode("utf-8"), bytes(range(256)), b"x" * 300, b"a", b""])
+def test_fnv1a64_many_matches_reference_loop(payloads):
+    assert fnv1a64_many(payloads) == [reference_fnv1a64(data) for data in payloads]
+
+
 def test_content_key_is_16_byte_blake2b():
     assert content_key("x") == hashlib.blake2b(b"x", digest_size=16).digest()
     assert len(content_key("anything at all")) == 16
@@ -52,6 +63,39 @@ def test_dedup_id_is_order_insensitive_and_hex():
     assert first == second
     payload = "r|a,b|ev".encode("utf-8")
     assert first == format(reference_fnv1a64(payload), "016x")
+
+
+_FACT_SPECS = st.lists(
+    st.tuples(
+        st.sampled_from(["forecasts_hazard_at_horizon", "Has Operation Status"]),
+        st.lists(st.sampled_from(["a", "b", "ü", "port:p"]), min_size=2, max_size=3, unique=True),
+        st.text(max_size=40),
+        st.sampled_from([None, 24, 48, 72]),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_FACT_SPECS)
+def test_batched_edge_ids_equal_dedup_id(specs):
+    facts = []
+    for position, (relation, stems, evidence, horizon, anchor) in enumerate(specs):
+        # The first entity is a state at the fact's horizon, so stems seen at
+        # two horizons get change edges. An explicit anchor either repeats the
+        # horizon or stands in for a missing one.
+        ids = [f"{stems[0]}:T-{horizon}" if horizon else stems[0], *stems[1:]]
+        entities = [{"id": eid, "name": eid, "type": "other"} for eid in ids]
+        if anchor:
+            lead = horizon or 24
+            entities.append({"id": horizon_anchor_id(lead), "name": "", "type": "horizon_time"})
+        facts.append({"relation": relation, "entities": entities, "evidence": evidence,
+                      "group": "IRMA:p", "horizon": horizon, "text_position": position})
+    graph = merge_facts([facts])
+    for edge_id, edge in graph.hyperedges.items():
+        assert edge_id == edge.id == dedup_id(edge.relation, edge.entity_ids, edge.evidence)
 
 
 def test_canonical_entity_id_folds_segments():
@@ -246,6 +290,15 @@ def test_merge_facts_derives_horizon_from_lone_anchor():
     assert edge.horizon == 48
 
 
+def test_merge_facts_rejects_anchor_that_disagrees_with_horizon():
+    fact = _state_fact("wind_fcst", 48, 0)
+    fact["entities"].append({"id": horizon_anchor_id(24), "name": "T-24", "type": "horizon_time"})
+    unanchored = dedup_id(fact["relation"], [raw["id"] for raw in fact["entities"]], fact["evidence"])
+    with pytest.raises(ConflictingHorizon) as err:
+        merge_facts([[_state_fact("wind_fcst", 72, 0)], [fact]])
+    assert str(err.value) == f"edge {unanchored} already anchored at [24], cannot inject T-48"
+
+
 def test_merge_facts_reports_schema_path():
     bad = {"evidence": "e", "group": "g", "entities": []}
     with pytest.raises(SchemaError) as err:
@@ -315,6 +368,20 @@ def test_snapshot_rejects_tampered_edge_content(tmp_path):
         with pytest.raises(SchemaError) as err:
             KnowledgeHypergraph.from_snapshot(snapshot)
         assert err.value.path == f"hyperedges[0].{field}"
+
+
+def test_snapshot_names_the_first_bad_edge_in_index_order():
+    graph = merge_facts([[_state_fact(kind, 48, i) for i, kind in enumerate(("a", "b", "c"))]])
+    snapshot = graph.to_snapshot()
+    snapshot["hyperedges"][1]["id"] = "0" * 16
+    with pytest.raises(SchemaError) as err:
+        KnowledgeHypergraph.from_snapshot(snapshot)
+    assert err.value.path == "hyperedges[1].id"
+    for corrupt in (5, {**snapshot["hyperedges"][2], "family": 99}):
+        snapshot["hyperedges"][2] = corrupt
+        with pytest.raises(SchemaError) as err:
+            KnowledgeHypergraph.from_snapshot(snapshot)
+        assert err.value.path == "hyperedges[1].id"
 
 
 def test_snapshot_rejects_malformed_hyperedge_entries():
