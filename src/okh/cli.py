@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -44,6 +45,8 @@ _PROVIDER_RANKS = {"local": 32, "remote": 64}
 
 # Config file keys may use the bare flag spelling for reserved words.
 _CONFIG_ALIASES = {"lambda": "lambda_"}
+# Config values restricted to a set, as the matching flags' choices are.
+_CONFIG_CHOICES = {"provider": tuple(_PROVIDER_DIMS)}
 
 
 def _write_json(path: str, payload: Any) -> None:
@@ -68,12 +71,40 @@ def _merged(ns: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
             key = _CONFIG_ALIASES.get(raw_key, raw_key)
             if key not in defaults:
                 raise SchemaError(f"config.{raw_key}", "unknown option")
+            problem = _type_problem(value, defaults[key], _CONFIG_CHOICES.get(key))
+            if problem:
+                raise SchemaError(f"config.{raw_key}", problem)
             values[key] = value
     for key in defaults:
         flag = getattr(ns, key, None)
         if flag is not None:
             values[key] = flag
     return values
+
+
+def _type_problem(value: Any, default: Any, choices: Sequence[str] | None) -> str:
+    """Why ``value`` cannot stand in for ``default``, or "" if it can.
+
+    The default declares the type: integers must be JSON integers, floats
+    finite numbers, strings strings and lists lists of strings.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, float):
+        try:
+            ok = number and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        expected = "a finite number"
+    elif isinstance(default, int):
+        ok = number and isinstance(value, int)
+        expected = "an integer"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
+        expected = "a list of strings"
+    else:
+        ok = isinstance(value, str) and (choices is None or value in choices)
+        expected = f"one of {', '.join(choices)}" if choices else "a string"
+    return "" if ok else f"expected {expected}, got {json.dumps(value, allow_nan=True)}"
 
 
 def _make_embedder(values: dict[str, Any]):
@@ -215,7 +246,7 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
 
 
 def _cmd_build(ns: argparse.Namespace) -> int:
-    values = _merged(ns, {"corpus": None, "snapshot": None})
+    values = _merged(ns, {"corpus": [], "snapshot": ""})
     if not values["corpus"] or not values["snapshot"]:
         raise SchemaError("build", "--corpus and --snapshot are required")
     batches = []
@@ -240,8 +271,8 @@ def _cmd_build(ns: argparse.Namespace) -> int:
 
 def _cmd_train(ns: argparse.Namespace) -> int:
     defaults: dict[str, Any] = {
-        "snapshot": None,
-        "checkpoint": None,
+        "snapshot": "",
+        "checkpoint": "",
         **_PROVIDER_DEFAULTS,
         "rank": 0,
         "seed": 0,
@@ -279,9 +310,9 @@ def _cmd_train(ns: argparse.Namespace) -> int:
 
 def _cmd_retrieve(ns: argparse.Namespace) -> int:
     defaults: dict[str, Any] = {
-        "snapshot": None,
-        "checkpoint": None,
-        "query": None,
+        "snapshot": "",
+        "checkpoint": "",
+        "query": "",
         "group": "",
         "variant": "full",
         "out": "",
@@ -316,9 +347,9 @@ def _cmd_retrieve(ns: argparse.Namespace) -> int:
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
     defaults: dict[str, Any] = {
-        "snapshot": None,
-        "checkpoint": None,
-        "qa": None,
+        "snapshot": "",
+        "checkpoint": "",
+        "qa": "",
         "variant": "all",
         "seed": 0,
         "out": "",

@@ -16,13 +16,17 @@ from functools import cached_property
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
+import numpy as np
+
 from okh.errors import ConflictingHorizon, SchemaError
 from okh.hashutil import fnv1a64, fnv1a64_many
 from okh.relations import (
+    COVERAGE_PHASES,
     CROSS_HORIZON_FAMILY,
     DEFAULT_VOCABULARY,
     EntityType,
     change_relation_for_family,
+    phase_of_family,
 )
 
 HORIZON_ANCHOR_RE = re.compile(r"^horizon:T-(\d+)$")
@@ -332,6 +336,91 @@ def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[dict[str, Any]]:
     return synthesized
 
 
+@dataclass(frozen=True)
+class EdgeIndex:
+    """A graph's edges as rows in id order, with their groups and entities as arrays.
+
+    Row ``r`` is edge ``ids[r]``, so a row number is also the edge's rank in
+    id order. Groups and entities get integer codes. The rows of group ``g``
+    are ``group_rows[group_ptr[g]:group_ptr[g + 1]]``, the entity codes of
+    row ``r`` are ``entity_of[entity_ptr[r]:entity_ptr[r + 1]]``, and the rows
+    of entity ``e`` are ``member_rows[member_ptr[e]:member_ptr[e + 1]]``;
+    ``spans`` gathers several such slices at once.
+    """
+
+    ids: list[str]
+    row_of: dict[str, int]
+    group_code: dict[str, int]
+    group_of: np.ndarray
+    group_ptr: np.ndarray
+    group_rows: np.ndarray
+    entity_ptr: np.ndarray
+    entity_of: np.ndarray
+    member_ptr: np.ndarray
+    member_rows: np.ndarray
+    # Position of each row's phase in COVERAGE_PHASES, -1 outside them.
+    phase: np.ndarray
+
+    @classmethod
+    def build(
+        cls, hyperedges: Mapping[str, Hyperedge], groups: Mapping[str, list[str]]
+    ) -> "EdgeIndex":
+        ids = sorted(hyperedges)
+        row_of = {edge_id: row for row, edge_id in enumerate(ids)}
+        group_code = {group: code for code, group in enumerate(groups)}
+        sizes = [len(members) for members in groups.values()]
+        group_rows = np.array(
+            [row_of[edge_id] for members in groups.values() for edge_id in members],
+            dtype=np.intp,
+        )
+        group_of = np.zeros(len(ids), dtype=np.intp)
+        group_of[group_rows] = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+
+        code_of: dict[str, int] = {}
+        entity_of: list[int] = []
+        degree: list[int] = []
+        phase_at = {phase: i for i, phase in enumerate(COVERAGE_PHASES)}
+        phase: list[int] = []
+        for edge_id in ids:
+            edge = hyperedges[edge_id]
+            entity_of.extend(code_of.setdefault(entity, len(code_of)) for entity in edge.entity_ids)
+            degree.append(len(edge.entity_ids))
+            phase.append(phase_at.get(phase_of_family(edge.family), -1))
+        entities = np.array(entity_of, dtype=np.intp)
+        # A stable sort keeps each entity's rows in id order.
+        by_entity = np.argsort(entities, kind="stable")
+        incident_rows = np.repeat(np.arange(len(ids), dtype=np.intp), degree)
+        return cls(
+            ids=ids,
+            row_of=row_of,
+            group_code=group_code,
+            group_of=group_of,
+            group_ptr=_offsets(sizes),
+            group_rows=group_rows,
+            entity_ptr=_offsets(degree),
+            entity_of=entities,
+            member_ptr=_offsets(np.bincount(entities, minlength=len(code_of))),
+            member_rows=incident_rows[by_entity],
+            phase=np.array(phase, dtype=np.intp),
+        )
+
+
+def _offsets(sizes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """CSR pointers for consecutive slices of the given sizes."""
+    ptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=ptr[1:])
+    return ptr
+
+
+def spans(ptr: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Positions ``ptr[k]:ptr[k + 1]`` for every k in ``keys``, concatenated."""
+    starts = ptr[keys]
+    counts = ptr[keys + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.intp) + np.repeat(starts - ends + counts, counts)
+
+
 class KnowledgeHypergraph:
     """Entities, hyperedges, and a per-group index."""
 
@@ -351,6 +440,11 @@ class KnowledgeHypergraph:
 
     def group_edges(self, group_id: str) -> list[Hyperedge]:
         return [self.hyperedges[edge_id] for edge_id in self.groups.get(group_id, [])]
+
+    @cached_property
+    def edge_index(self) -> EdgeIndex:
+        """Row-aligned arrays over the edges, built on first use."""
+        return EdgeIndex.build(self.hyperedges, self.groups)
 
     @cached_property
     def edges_by_entity(self) -> dict[str, list[str]]:

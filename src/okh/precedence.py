@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -241,6 +242,9 @@ class PrecedenceIndex:
         for group, prec in groups.items():
             for edge_id in prec.edge_ids:
                 self.group_of[edge_id] = group
+        # The last reach matrix and its candidate list: a query asks for the
+        # same list twice on the heuristic path (transition matrix and search).
+        self._last_reach: tuple[tuple[str, ...], np.ndarray] | None = None
 
     @classmethod
     def build(
@@ -289,26 +293,45 @@ class PrecedenceIndex:
         """Boolean R over a candidate list: R[i, j] iff edge i must precede edge j.
 
         Edges of different groups, and edges outside the index, never reach.
+        The result is read-only; a repeated call with the same list returns it
+        again.
         """
+        key = tuple(edge_ids)
+        last = self._last_reach
+        if last is not None and last[0] == key:
+            return last[1]
+        where, table = self._closure_rows
         n = len(edge_ids)
-        reach = np.zeros((n, n), dtype=bool)
-        members: dict[str, list[tuple[int, int]]] = {}
-        for i, edge_id in enumerate(edge_ids):
-            group = self.group_of.get(edge_id)
-            if group is not None:
-                members.setdefault(group, []).append((i, self.groups[group].index_of[edge_id]))
-        for group, pairs in members.items():
-            prec = self.groups[group]
-            rows, local = np.array(pairs, dtype=np.int64).T
-            width = (len(prec.edge_ids) + 7) // 8
-            packed = b"".join(prec.closure[j].to_bytes(width, "little") for j in local)
-            bits = np.unpackbits(
-                np.frombuffer(packed, dtype=np.uint8).reshape(len(pairs), width),
-                axis=1,
-                bitorder="little",
+        if n and where:
+            found = np.array(
+                [where.get(edge_id, (0, -1, 0)) for edge_id in edge_ids], dtype=np.intp
             )
-            reach[np.ix_(rows, rows)] = bits[:, local].astype(bool)
+            rows, group, local = found.T
+            bits = np.unpackbits(table[rows], axis=1, bitorder="little")
+            reach = (bits[:, local] == 1) & (group[:, None] == group) & (group[:, None] >= 0)
+        else:
+            reach = np.zeros((n, n), dtype=bool)
+        reach.flags.writeable = False
+        self._last_reach = (key, reach)
         return reach
+
+    @cached_property
+    def _closure_rows(self) -> tuple[dict[str, tuple[int, int, int]], np.ndarray]:
+        """Each edge's closure bits as one row of a packed table, built on first use.
+
+        Maps an edge id to (table row, group number, index in its group);
+        row r holds the bits ``1 << j`` of the edges its edge must precede,
+        j indexing the same group.
+        """
+        width = max(((len(prec.edge_ids) + 7) // 8 for prec in self.groups.values()), default=0)
+        where: dict[str, tuple[int, int, int]] = {}
+        packed = bytearray()
+        for code, prec in enumerate(self.groups.values()):
+            for local, edge_id in enumerate(prec.edge_ids):
+                where[edge_id] = (len(where), code, local)
+            packed += b"".join(mask.to_bytes(width, "little") for mask in prec.closure)
+        table = np.frombuffer(bytes(packed), dtype=np.uint8).reshape(len(where), width)
+        return where, table
 
     def trajectory(self, group: str) -> list[str]:
         return list(self.groups[group].trajectory)

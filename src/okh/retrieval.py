@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from okh.embedding import EmbeddingStore
 from okh.errors import EmptyCorpus, UnknownEdge
-from okh.hypergraph import Hyperedge, KnowledgeHypergraph
+from okh.hypergraph import Hyperedge, KnowledgeHypergraph, spans
 from okh.precedence import Order, PrecedenceIndex
 from okh.relations import COVERAGE_PHASES, phase_of_family
 from okh.transition import TransitionModel
@@ -198,40 +198,54 @@ def scope_candidates(
     query's group is known, a fixed share of the pool is reserved for that
     group's most relevant edges before the remainder fills by relevance.
     Ties always break on edge id.
+
+    The pool is one boolean mask over the rows of the graph's ``edge_index``.
+    A row number is the edge's rank in id order, so (-relevance, row) orders
+    exactly like (-relevance, id).
     """
     if not hypergraph.hyperedges:
         raise EmptyCorpus("candidate scoping needs a non-empty hypergraph")
+    index = hypergraph.edge_index
     relevance = store.relevance(query_vector)
-    rel = relevance.tolist()
-    row_of = store.row_of
+    if store.ids != index.ids:
+        relevance = relevance[[store.row_of[edge_id] for edge_id in index.ids]]
 
-    def best(ids: Iterable[str], k: int) -> list[str]:
-        """The first k of ``ids`` in (-relevance, id) order."""
-        ids = list(ids)
-        if 0 < k < len(ids):
+    def best(rows: np.ndarray, k: int) -> np.ndarray:
+        """The first k of ``rows`` in (-relevance, id) order."""
+        values = relevance[rows]
+        if 0 < k < len(rows):
             # Each of the k best scores at least the k-th largest value, so
-            # only those ids need the exact sort.
-            values = relevance[[row_of[eid] for eid in ids]]
-            kth = np.partition(values, len(ids) - k)[len(ids) - k]
-            ids = [ids[i] for i in np.flatnonzero(values >= kth).tolist()]
-        return sorted(ids, key=lambda eid: (-rel[row_of[eid]], eid))[:k]
+            # only those rows need the exact sort.
+            kth = np.partition(values, len(rows) - k)[len(rows) - k]
+            keep = values >= kth
+            rows, values = rows[keep], values[keep]
+        return rows[np.lexsort((rows, -values))[:k]]
 
-    seeds = best(store.ids, config.top_k)
+    def distinct(codes: np.ndarray, count: int) -> np.ndarray:
+        # np.unique would import numpy.ma on first use, several MB resident.
+        seen = np.zeros(count, dtype=bool)
+        seen[codes] = True
+        return np.flatnonzero(seen)
 
-    pool = set(seeds)
-    for group in {_edge(hypergraph, seed).group_id for seed in seeds}:
-        pool.update(hypergraph.groups.get(group, ()))
-    entity_index = hypergraph.edges_by_entity
-    for seed in seeds:
-        for entity_id in _edge(hypergraph, seed).entity_ids:
-            pool.update(entity_index.get(entity_id, ()))
+    seeds = best(np.arange(len(index.ids)), config.top_k)
+    pool = np.zeros(len(index.ids), dtype=bool)
+    pool[seeds] = True
+    groups = distinct(index.group_of[seeds], len(index.group_ptr) - 1)
+    pool[index.group_rows[spans(index.group_ptr, groups)]] = True
+    entities = distinct(index.entity_of[spans(index.entity_ptr, seeds)], len(index.member_ptr) - 1)
+    pool[index.member_rows[spans(index.member_ptr, entities)]] = True
 
-    if query_group is not None and query_group in hypergraph.groups:
+    group = index.group_code.get(query_group)
+    if group is None:
+        rows = best(np.flatnonzero(pool), config.pool_cap)
+    else:
         reserve = math.ceil(config.group_reserve_fraction * config.pool_cap)
-        chosen = set(best(hypergraph.groups[query_group], reserve))
-        chosen.update(best(pool - chosen, max(config.pool_cap - len(chosen), 0)))
-        return best(chosen, len(chosen))
-    return best(pool, config.pool_cap)
+        members = index.group_rows[index.group_ptr[group] : index.group_ptr[group + 1]]
+        chosen = best(members, reserve)
+        pool[chosen] = False
+        rest = best(np.flatnonzero(pool), max(config.pool_cap - len(chosen), 0))
+        rows = best(np.concatenate((chosen, rest)), len(chosen) + len(rest))
+    return [index.ids[row] for row in rows.tolist()]
 
 
 class _CandidateContext:
@@ -251,19 +265,20 @@ class _CandidateContext:
         if log_transition.shape != (n, n):
             raise ValueError("transition matrix must align with the candidate list")
         self.log_transition = log_transition
-        rows = np.stack([store.vector(eid) for eid in self.ids]) if n else np.zeros((0, store.dim))
-        self.relevance = rows @ np.asarray(query_vector, dtype=np.float64)
+        vectors = store.matrix[[store.row_of[eid] for eid in self.ids]]
+        self.relevance = vectors @ np.asarray(query_vector, dtype=np.float64)
 
-        self.edges = [_edge(hypergraph, eid) for eid in self.ids]
-        entity_universe: dict[str, int] = {}
-        member_rows: list[int] = []
-        member_cols: list[int] = []
-        for row, edge in enumerate(self.edges):
-            for entity_id in edge.entity_ids:
-                member_rows.append(row)
-                member_cols.append(entity_universe.setdefault(entity_id, len(entity_universe)))
-        incidence = np.zeros((n, len(entity_universe)), dtype=np.float64)
-        incidence[member_rows, member_cols] = 1.0
+        index = hypergraph.edge_index
+        try:
+            rows = np.array([index.row_of[eid] for eid in self.ids], dtype=np.intp)
+        except KeyError as exc:
+            raise UnknownEdge(f"hyperedge {exc.args[0]!r} is not in the graph") from None
+        degree = index.entity_ptr[rows + 1] - index.entity_ptr[rows]
+        _, column = np.unique(
+            index.entity_of[spans(index.entity_ptr, rows)], return_inverse=True
+        )
+        incidence = np.zeros((n, int(column.max(initial=-1)) + 1), dtype=np.float64)
+        incidence[np.repeat(np.arange(n), degree), column] = 1.0
         # Entity-set Jaccard of every candidate pair. Counts are small
         # integers, so each quotient is correctly rounded like Python's int
         # division; every hyperedge has at least two entities, so no union
@@ -271,68 +286,91 @@ class _CandidateContext:
         inter = incidence @ incidence.T
         sizes = incidence.sum(axis=1)
         self.jaccard = inter / (sizes[:, None] + sizes[None, :] - inter)
-        self.phase_index = np.array(
-            [_PHASE_INDEX.get(phase_of_family(edge.family), -1) for edge in self.edges],
-            dtype=np.int64,
-        )
+        self.phase_index = index.phase[rows]
         # 1.0 where the row's edge must precede the column's edge.
         self.reach = precedence.reach_matrix(self.ids).astype(np.float64)
-        # Tie-break piece per candidate: higher relevance first, then id.
-        self.tie_piece = [(-float(self.relevance[i]), self.ids[i]) for i in range(n)]
+        # Candidates by higher relevance first, then id; a graph row is the
+        # edge's rank in id order.
+        self.by_relevance = np.lexsort((rows, -self.relevance))
 
 
-@dataclass
-class _Beam:
-    run_score: float
-    tie: tuple
-    steps: tuple[int, ...]
-    used: int
-    covered: int
-    last: int
-    # Per-step score increments; run_score is their exactly-rounded sum so
-    # beams over the same step multiset tie instead of diverging by ulps.
-    pieces: tuple[float, ...] = ()
-
-
-def _greedy_diverse_select(
-    entries: list[tuple[float, tuple, _Beam]],
+def _select_diverse(
+    score: np.ndarray,
+    tie: np.ndarray,
+    steps: np.ndarray,
+    n: int,
     limit: int,
     threshold: float,
     penalty: float,
-) -> list[tuple[float, _Beam]]:
-    """Keep the best `limit` entries, penalizing near-duplicates of kept ones.
+) -> tuple[np.ndarray, float]:
+    """Keep the best ``limit`` entries, penalizing near-duplicates of kept ones.
 
-    Entries arrive as (score, tie, beam). Each candidate whose step overlap
-    with an already-kept, higher-ranked beam exceeds the threshold has the
-    penalty subtracted before the final comparison.
+    Entries arrive sorted by (-score, tie) with distinct integer ties; row i
+    of ``steps`` holds entry i's steps, indices below ``n``, all rows the
+    same length. The entries are visited in order. An entry whose step
+    overlap with a kept entry exceeds ``threshold`` has ``penalty``
+    subtracted. It is kept while fewer than ``limit`` are; after that it
+    replaces the worst kept entry by (-penalized, tie) if it beats it. The
+    visit stops at the first entry whose score is below the worst kept
+    penalized score. Returns the positions of the kept entries in
+    (-penalized, tie) order, and that worst score when the visit ended
+    (-inf while fewer than ``limit`` are kept): entries appended after the
+    last one, all scoring below it, would change nothing.
+
+    The first ``limit`` entries are always kept. After that the kept set
+    changes only when an entry is accepted, so each step judges every entry
+    up to the stop against the same kept set in one array expression and
+    jumps to the first acceptance.
     """
-    entries.sort(key=lambda item: (-item[0], item[1]))
-    selected: list[tuple[float, tuple, _Beam]] = []
-    worst = 0  # index of the lowest-ranked kept entry once the set is full
+    m, length = steps.shape
+    head = min(limit, m)
+    kept = np.arange(head)
+    # Sharing `shared` of `length` steps is too much when shared / length >
+    # threshold; as an integer bound, when shared >= too_many.
+    too_many = next((s for s in range(length + 1) if s / length > threshold), length + 1)
+    if penalty == 0:
+        too_many = length + 1
+    # Column k marks the steps of the k-th kept entry.
+    kept_steps = np.zeros((n, head), dtype=np.int32)
+    kept_steps[steps[:head], kept[:, None]] = 1
 
-    for score, tie, beam in entries:
-        if len(selected) == limit and score < selected[worst][0]:
-            # Sorted input: this and every later entry loses to the kept
-            # set even before any penalty.
+    def overlapping(entries: slice) -> np.ndarray:
+        # shared[i, k]: steps entry i shares with kept entry k.
+        shared = kept_steps[steps[entries, 0]]
+        for t in range(1, length):
+            shared += kept_steps[steps[entries, t]]
+        return shared >= too_many
+
+    # A head entry is judged against the head entries before it.
+    value = score[:head].copy()
+    if too_many <= length:
+        hit = np.tril(overlapping(slice(0, head)), -1).any(axis=1)
+        value[hit] -= penalty
+    descending = -score
+    position = head
+    while position < m:
+        worst = np.lexsort((tie[kept], -value))[-1]
+        stop = int(np.searchsorted(descending, -value[worst], side="right"))
+        if stop <= position:
             break
-        length = max(len(beam.steps), 1)
-        penalized = score
-        if penalty > 0:
-            for _, _, kept in selected:
-                shared = (beam.used & kept.used).bit_count() / length
-                if shared > threshold:
-                    penalized = score - penalty
-                    break
-        if len(selected) < limit:
-            selected.append((penalized, tie, beam))
-        elif (-penalized, tie) < (-selected[worst][0], selected[worst][1]):
-            selected[worst] = (penalized, tie, beam)
-        else:
-            continue
-        if len(selected) == limit:
-            worst = max(range(limit), key=lambda k: (-selected[k][0], selected[k][1]))
-    selected.sort(key=lambda item: (-item[0], item[1]))
-    return [(score, beam) for score, _, beam in selected]
+        entries = slice(position, stop)
+        candidate = score[entries]
+        if too_many <= length:
+            candidate = np.where(overlapping(entries).any(axis=1), candidate - penalty, candidate)
+        beats = (candidate > value[worst]) | (
+            (candidate == value[worst]) & (tie[entries] < tie[kept[worst]])
+        )
+        first = int(np.argmax(beats))
+        if not beats[first]:
+            break
+        entry = position + first
+        kept[worst] = entry
+        value[worst] = candidate[first]
+        kept_steps[:, worst] = 0
+        kept_steps[steps[entry], worst] = 1
+        position = entry + 1
+    floor = float(value.min()) if head == limit else -math.inf
+    return kept[np.lexsort((tie[kept], -value))], floor
 
 
 def beam_search(
@@ -358,12 +396,20 @@ def beam_search(
     A round scores every (beam, candidate) extension at once as one
     (beams x candidates) array and adds each beam's running score, with
     used candidates at -inf. Only extensions whose float sum is at least
-    S - diversity_penalty - 2 eps become beams with an exactly rounded
-    (fsum) score and a tie-break key, where S is the B-th best float sum
-    and eps bounds the float-sum error. The shortlist is exact: once the
-    diversity selection holds B beams, its worst penalized score is at
-    least the B-th best exact score minus the penalty, and its sorted loop
-    stops before any extension below that.
+    S - diversity_penalty - 2 eps are shortlisted, where S is the B-th best
+    float sum and eps bounds the float-sum error. The shortlist is exact:
+    once the diversity selection holds B beams, its worst penalized score
+    is at least the B-th best exact score minus the penalty, and it stops
+    before any extension below that. Within the shortlist, exactly rounded
+    (fsum) scores are computed first down to S - eps, which covers the B
+    best, and further only if the selection runs past them: then down to
+    its worst penalized score, which no later entry can raise past.
+
+    Ties break on the beams' step sequences, compared by (-relevance, id)
+    per step. All beams of a round have the same length and no two
+    candidates tie on (-relevance, id), so extension (b, j) orders like the
+    integer ``tie_rank[b] * n + rank[j]``, where ``tie_rank`` ranks the
+    live beams and ``rank`` the candidates.
 
     ``log_transition[i, j]`` scores a step from candidate i to candidate j;
     ``Retriever.transition_matrix`` builds it.
@@ -375,32 +421,29 @@ def beam_search(
     if n == 0:
         return []
 
-    def singleton(i: int) -> _Beam:
-        phase = int(ctx.phase_index[i])
-        covered = 1 << phase if phase >= 0 else 0
-        gain = weights.rho_coverage / _N_PHASES if phase >= 0 else 0.0
-        piece = float(ctx.relevance[i]) + gain
-        return _Beam(
-            run_score=piece,
-            tie=(ctx.tie_piece[i],),
-            steps=(i,),
-            used=1 << i,
-            covered=covered,
-            last=i,
-            pieces=(piece,),
-        )
-
-    by_relevance = sorted(range(n), key=lambda i: ctx.tie_piece[i])
-    beams = [singleton(i) for i in by_relevance[: 2 * config.beam_width]]
+    rank = np.empty(n, dtype=np.int64)
+    rank[ctx.by_relevance] = np.arange(n)
     has_phase = ctx.phase_index >= 0
     phase_shift = np.maximum(ctx.phase_index, 0)
-    phase_bit = [1 << phase if phase >= 0 else 0 for phase in ctx.phase_index.tolist()]
+    phase_bit = np.where(has_phase, 1 << phase_shift, 0)
+    gain = np.where(has_phase, weights.rho_coverage / _N_PHASES, 0.0)
+
+    # The live beams, one row each: steps, covered phase bits, the rank of
+    # the tie-break key, and per-step score pieces whose exactly rounded sum
+    # is the run score, so beams over the same step multiset tie instead of
+    # diverging by ulps.
+    start = ctx.by_relevance[: 2 * config.beam_width]
+    steps = start[:, None]
+    covered = phase_bit[start]
+    tie_rank = np.arange(len(start))
+    run = ctx.relevance[start] + gain[start]
+    pieces = [(piece,) for piece in run.tolist()]
     keep = config.beam_width
 
     for _ in range(config.trajectory_length - 1):
         # Every extension's step score, one row per beam; the elementwise
         # expression is the one a single beam's row would use.
-        last = [beam.last for beam in beams]
+        last = steps[:, -1]
         scores = (
             ctx.relevance
             + weights.lambda_coherence * ctx.log_transition[last]
@@ -408,52 +451,66 @@ def beam_search(
             + weights.nu_continuity * ctx.jaccard[last]
         )
         if weights.rho_coverage:
-            covered = np.array([[beam.covered] for beam in beams], dtype=np.int64)
-            new_phase = has_phase & ((covered >> phase_shift) & 1 == 0)
+            new_phase = has_phase & ((covered[:, None] >> phase_shift) & 1 == 0)
             scores = scores + weights.rho_coverage * new_phase / _N_PHASES
-        run = np.array([beam.run_score for beam in beams])
         used = np.zeros(scores.shape, dtype=bool)
-        used[np.arange(len(beams))[:, None], [beam.steps for beam in beams]] = True
+        used[np.arange(len(steps))[:, None], steps] = True
         approx = np.where(used, -np.inf, run[:, None] + scores)
 
-        # Only the extensions the diversity selection can visit become
-        # beams (see the docstring). eps bounds the gap between an entry's
-        # float sum and its fsum: both lie within a few ulps of
+        # Only the extensions the diversity selection can visit are
+        # shortlisted (see the docstring). slack bounds the gap between an
+        # entry's float sum and its fsum: both lie within a few ulps of
         # max|run| + max|step|. A non-finite cut keeps every extension.
         cut = -math.inf
         if approx.size > keep:
             best = float(np.partition(approx, approx.size - keep, axis=None)[approx.size - keep])
             scale = float(np.abs(run).max() + np.abs(scores).max())
-            cut = best - config.diversity_penalty - 2e-9 * (1.0 + abs(best) + scale)
-        rows, cols = np.nonzero(approx >= cut if math.isfinite(cut) else ~used)
-
-        extensions: list[tuple[float, tuple, _Beam]] = []
-        for b, j, piece in zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()):
-            beam = beams[b]
-            pieces = beam.pieces + (piece,)
-            run_score = math.fsum(pieces)
-            tie = beam.tie + (ctx.tie_piece[j],)
-            extension = _Beam(
-                run_score,
-                tie,
-                beam.steps + (j,),
-                beam.used | 1 << j,
-                beam.covered | phase_bit[j],
-                j,
-                pieces,
-            )
-            extensions.append((run_score, tie, extension))
-        if not extensions:
+            slack = 1e-9 * (1.0 + abs(best) + scale)
+            cut = best - config.diversity_penalty - 2 * slack
+        if math.isfinite(cut):
+            rows, cols = np.nonzero(approx >= cut)
+            bound = best - slack
+        else:
+            rows, cols = np.nonzero(~used)
+            bound, slack = -math.inf, 0.0
+        if not len(rows):
             break
-        beams = [
-            beam
-            for _, beam in _greedy_diverse_select(
-                extensions,
-                config.beam_width,
+
+        # fsum scores are needed only down to where the selection stops.
+        # Every extension scoring at least `bound` gets one. The first bound
+        # admits the B best; if the selection runs past the last entry
+        # scored, its floor becomes the next bound. The floor only rises as
+        # entries are added, so a second pass is the last.
+        parents = rows.tolist()
+        added = scores[rows, cols].tolist()
+        estimate = approx[rows, cols]
+        ties = tie_rank[rows] * n + rank[cols]
+        exact = np.full(len(rows), -math.inf)
+        scored = np.zeros(len(rows), dtype=bool)
+        while True:
+            fresh = np.flatnonzero(~scored & (estimate >= bound - slack))
+            exact[fresh] = [math.fsum(pieces[parents[k]] + (added[k],)) for k in fresh.tolist()]
+            scored[fresh] = True
+            ready = np.flatnonzero(scored & (exact >= bound))
+            order = ready[np.lexsort((ties[ready], -exact[ready]))]
+            selected, floor = _select_diverse(
+                exact[order],
+                ties[order],
+                np.concatenate((steps[rows[order]], cols[order, None]), axis=1),
+                n,
+                keep,
                 config.diversity_overlap_threshold,
                 config.diversity_penalty,
             )
-        ]
+            if floor >= bound:
+                break
+            bound = floor
+        kept = order[selected]
+        steps = np.concatenate((steps[rows[kept]], cols[kept, None]), axis=1)
+        covered = covered[rows[kept]] | phase_bit[cols[kept]]
+        tie_rank = np.argsort(np.argsort(ties[kept]))
+        run = exact[kept]
+        pieces = [pieces[parents[k]] + (added[k],) for k in kept.tolist()]
 
     rel_of = {eid: float(ctx.relevance[i]) for i, eid in enumerate(ctx.ids)}
     index_of = {eid: i for i, eid in enumerate(ctx.ids)}
@@ -462,21 +519,25 @@ def beam_search(
         return float(ctx.log_transition[index_of[prev], index_of[cur]])
 
     finals = []
-    scored: dict[tuple[int, ...], Trajectory] = {}
-    for beam in beams:
-        steps = [ctx.ids[i] for i in beam.steps]
+    for beam in steps.tolist():
+        trajectory_steps = [ctx.ids[i] for i in beam]
         total, breakdown = trajectory_score(
-            steps, rel_of.__getitem__, transition_of, precedence, hypergraph, weights
+            trajectory_steps, rel_of.__getitem__, transition_of, precedence, hypergraph, weights
         )
-        scored[beam.steps] = Trajectory(steps, total, breakdown)
-        finals.append((total, beam.tie, _Beam(total, beam.tie, beam.steps, beam.used, beam.covered, beam.last)))
-    chosen = _greedy_diverse_select(
-        finals,
+        finals.append(Trajectory(trajectory_steps, total, breakdown))
+    totals = np.array([trajectory.total_score for trajectory in finals])
+    order = np.lexsort((tie_rank, -totals))
+    selected, _ = _select_diverse(
+        totals[order],
+        tie_rank[order],
+        steps[order],
+        n,
         config.num_trajectories,
         config.diversity_overlap_threshold,
         config.diversity_penalty,
     )
-    return [scored[beam.steps] for _, beam in chosen]
+    chosen = order[selected]
+    return [finals[k] for k in chosen.tolist()]
 
 
 def viterbi(
@@ -600,7 +661,7 @@ class Retriever:
         forward 0, unrelated -1, backward -5.
         """
         if kind == "learned":
-            rows = np.stack([self.store.vector(eid) for eid in candidate_ids])
+            rows = self.store.matrix[[self.store.row_of[eid] for eid in candidate_ids]]
             return self.model.log_transition_matrix(rows)
         if kind == "heuristic":
             reach = self.precedence.reach_matrix(candidate_ids)

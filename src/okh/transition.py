@@ -125,6 +125,9 @@ class TransitionModel:
         v = np.frombuffer(blob, dtype="<f4", count=rank * dim, offset=offset)
         offset += 4 * rank * dim
         (seed,) = struct.unpack_from("<Q", blob, offset)
+        for name, matrix in (("u", u), ("v", v)):
+            if not np.isfinite(matrix).all():
+                raise ValueError(f"checkpoint {path} has a non-finite value in {name}")
         return cls(
             u.astype(np.float64).reshape(rank, dim),
             v.astype(np.float64).reshape(rank, dim),

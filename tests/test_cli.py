@@ -290,6 +290,50 @@ def test_non_finite_weights_exit_two_and_write_nothing(pipeline, tmp_path, capsy
         assert not out.exists()
 
 
+def test_retrieve_rejects_non_finite_checkpoint(pipeline, tmp_path, capsys):
+    blob = pipeline["checkpoint"].read_bytes()
+    broken = tmp_path / "broken.okht"
+    # Four bytes of v, just before the trailing 8-byte seed, set to 0xff: a NaN.
+    broken.write_bytes(blob[:-12] + b"\xff" * 4 + blob[-8:])
+    out = tmp_path / "out.json"
+    assert main(["retrieve", "--snapshot", str(pipeline["snapshot"]),
+                 "--checkpoint", str(broken), "--dim", "32", "--query", "q",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and "non-finite value in v" in err
+    assert not out.exists()
+
+
+def test_config_values_of_the_wrong_type_exit_two(pipeline, tmp_path, capsys):
+    common = ["--snapshot", str(pipeline["snapshot"]),
+              "--checkpoint", str(pipeline["checkpoint"]), "--query", "q"]
+    for document, field in [
+        ({"dim": "abc"}, "config.dim"),
+        ({"beam": 2.5}, "config.beam"),
+        ({"beam": True}, "config.beam"),
+        ({"lambda": "1"}, "config.lambda"),
+        ({"mu": None}, "config.mu"),
+        ({"provider": "elsewhere"}, "config.provider"),
+        ({"query": 7}, "config.query"),
+    ]:
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["retrieve", "--config", str(config), *common]) == 2, document
+        assert f"{field}: expected" in capsys.readouterr().err
+    # json.load reads NaN and Infinity, which no float option accepts.
+    config = tmp_path / "nan.json"
+    config.write_text('{"rho": NaN}', encoding="utf-8")
+    assert main(["retrieve", "--config", str(config), *common]) == 2
+    assert "config.rho: expected a finite number" in capsys.readouterr().err
+    config.write_text(json.dumps({"corpus": "facts.jsonl"}), encoding="utf-8")
+    assert main(["build", "--config", str(config), "--snapshot", str(tmp_path / "g")]) == 2
+    assert "config.corpus: expected a list of strings" in capsys.readouterr().err
+    # Integers stand in for floats, and a well-typed config still runs.
+    config.write_text(json.dumps({"lambda": 1, "dim": 32}), encoding="utf-8")
+    assert main(["retrieve", "--config", str(config), *common]) == 0
+    capsys.readouterr()
+
+
 def test_retrieve_rejects_unknown_group(pipeline, capsys):
     assert main(["retrieve", "--snapshot", str(pipeline["snapshot"]),
                  "--checkpoint", str(pipeline["checkpoint"]),

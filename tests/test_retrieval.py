@@ -1,8 +1,13 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from okh.corpus import generate_synthetic
 from okh.embedding import EmbeddingStore, LocalHashingEmbedder
@@ -28,6 +33,7 @@ from okh.retrieval import (
     trajectory_score,
     viterbi,
 )
+from okh.retrieval import _select_diverse
 from okh.transition import TransitionModel, log_softmax_rows
 
 
@@ -983,3 +989,125 @@ def test_scope_candidates_matches_full_sort_reference_on_tied_relevance():
         assert scope_candidates(query, graph, store, config, group) == _reference_scope(
             query, graph, store, config, group
         ), (config, group)
+
+
+def test_scope_candidates_matches_reference_on_every_bench_question():
+    # The 44-group corpus the benchmark queries: every question, with its
+    # group reserve and without one.
+    corpus = generate_synthetic(seed=1, n_groups=44, horizons_per_group=3)
+    graph = merge_facts([corpus.facts])
+    store = EmbeddingStore.build(graph, LocalHashingEmbedder(256))
+    config = ScopeConfig()
+    for qa in corpus.qa:
+        query = store.embed_query(qa.question)
+        for group in (qa.group_id, None):
+            assert scope_candidates(query, graph, store, config, group) == _reference_scope(
+                query, graph, store, config, group
+            ), (qa.question, group)
+
+
+def test_scope_candidates_reads_a_store_in_another_row_order():
+    corpus = generate_synthetic(seed=2, n_groups=3, horizons_per_group=2)
+    graph = merge_facts([corpus.facts])
+    store = EmbeddingStore.build(graph, LocalHashingEmbedder(32))
+    order = np.random.default_rng(0).permutation(len(store.ids))
+    shuffled = EmbeddingStore(
+        [store.ids[i] for i in order], store.matrix[order], store.embedder
+    )
+    query = store.embed_query("wind forecast and port status")
+    config = ScopeConfig(top_k=5, pool_cap=40)
+    group = corpus.scenarios[1].group_id
+    for hint in (group, None):
+        assert scope_candidates(query, graph, shuffled, config, hint) == scope_candidates(
+            query, graph, store, config, hint
+        )
+
+
+@st.composite
+def _selection_cases(draw):
+    n = draw(st.integers(2, 9))
+    length = draw(st.integers(1, min(4, n)))
+    count = draw(st.integers(0, 30))
+    steps = [
+        draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length, unique=True))
+        for _ in range(count)
+    ]
+    # Scores on a coarse grid, so many entries tie and only the tie key
+    # orders them; the tie keys are distinct, as beam search's are.
+    scores = [draw(st.integers(-4, 4)) * 0.5 for _ in range(count)]
+    ties = draw(st.permutations(range(count)))
+    limit = draw(st.integers(1, 8))
+    return n, steps, scores, ties, limit
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    _selection_cases(),
+    st.sampled_from([0.0, 0.5, 3.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+# The second entry repeats the first and drops to 0.5 after its penalty;
+# the third scores 0.5 unpenalized and replaces it on the smaller tie key.
+@example((4, [[0, 1], [0, 1], [2, 3]], [2.0, 1.0, 0.5], [0, 2, 1], 2), 0.5, 0.5)
+def test_event_driven_selection_matches_reference_select(case, penalty, threshold):
+    n, steps, scores, ties, limit = case
+    entries = [
+        (score, tie, {"steps": tuple(step), "used": sum(1 << i for i in step)})
+        for score, tie, step in zip(scores, ties, steps)
+    ]
+    expected = _reference_select(list(entries), limit, threshold, penalty)
+
+    order = sorted(range(len(entries)), key=lambda k: (-scores[k], ties[k]))
+    length = len(steps[0]) if steps else 1
+    kept, _ = _select_diverse(
+        np.array([scores[k] for k in order], dtype=np.float64),
+        np.array([ties[k] for k in order], dtype=np.int64),
+        np.array([steps[k] for k in order], dtype=np.intp).reshape(len(order), length),
+        n,
+        limit,
+        threshold,
+        penalty,
+    )
+    assert [entries[order[k]][2] for k in kept.tolist()] == [beam for _, beam in expected]
+
+
+def test_import_and_retrieve_load_no_optional_packages():
+    # scipy is installed alongside but is no dependency; requests is only
+    # for the remote embedding client; numpy.ma, which numpy loads on first
+    # use, holds several MB.
+    script = (
+        "import sys, okh\n"
+        "corpus = okh.generate_synthetic(seed=0, n_groups=2, horizons_per_group=2)\n"
+        "graph = okh.merge_facts([corpus.facts])\n"
+        "store = okh.EmbeddingStore.build(graph, okh.LocalHashingEmbedder(32))\n"
+        "retriever = okh.Retriever(graph, store, okh.PrecedenceIndex.build(graph),\n"
+        "                          okh.TransitionModel.create(32, rank=4, seed=0))\n"
+        "assert retriever.retrieve(corpus.qa[0].question)\n"
+        "print(sorted(name for name in ('scipy', 'requests', 'numpy.ma') if name in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_heuristic_retrieval_builds_the_reach_matrix_once():
+    corpus, retriever = _small_retriever()
+    precedence = retriever.precedence
+    seen = []
+    build = precedence.reach_matrix
+
+    def spy(edge_ids):
+        reach = build(edge_ids)
+        seen.append(reach)
+        return reach
+
+    precedence.reach_matrix = spy
+    retriever.retrieve(corpus.qa[0].question, transition="heuristic")
+    # The transition matrix and the search context both ask; the second
+    # call gets the first call's matrix.
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert not seen[0].flags.writeable

@@ -391,6 +391,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
         TransitionModel.load(str(path))
 
 
+def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    model = TransitionModel.create(dim=24, rank=3, seed=11)
+    clean = tmp_path / "model.okht"
+    model.save(str(clean))
+    blob = clean.read_bytes()
+    header = 16
+    # 0xffffffff is a float32 NaN; 0x7f800000 and 0xff800000 are +inf and -inf.
+    for name, offset, word in [
+        ("u", header, b"\xff\xff\xff\xff"),
+        ("u", header + 4 * 24 * 3 - 4, b"\x00\x00\x80\x7f"),
+        ("v", header + 4 * 24 * 3, b"\x00\x00\x80\xff"),
+        ("v", len(blob) - 12, b"\xff\xff\xff\xff"),
+    ]:
+        path = tmp_path / "broken.okht"
+        path.write_bytes(blob[:offset] + word + blob[offset + 4 :])
+        with pytest.raises(ValueError) as err:
+            TransitionModel.load(str(path))
+        assert str(path) in str(err.value)
+        assert f"non-finite value in {name}" in str(err.value)
+
+
 def test_training_reduces_loss_on_learnable_order():
     graph = _pair_corpus()
     precedence = PrecedenceIndex.build(graph)
