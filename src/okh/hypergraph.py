@@ -10,10 +10,12 @@ snapshot and reloaded byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from json.encoder import encode_basestring as _json_string
 from typing import Any
 
 import numpy as np
@@ -92,14 +94,14 @@ def _anchor_leads(entity_ids: Iterable[str]) -> list[int]:
 
 
 def _grounded_ids(
-    relation: str, entity_ids: frozenset[str], evidence: str, horizon: int
+    relation: str, entity_ids: frozenset[str], evidence: str, horizon: int, anchors: list[int]
 ) -> frozenset[str]:
     """Entity ids of an edge grounded at a horizon: the canonical anchor is added.
 
-    Raises ConflictingHorizon if the edge carries an anchor for a different
-    lead time, since a within-horizon statement belongs to exactly one block.
+    ``anchors`` are the lead times of the anchors among the ids. Raises
+    ConflictingHorizon if the edge carries an anchor for a different lead
+    time, since a within-horizon statement belongs to exactly one block.
     """
-    anchors = _anchor_leads(entity_ids)
     if anchors and set(anchors) != {horizon}:
         raise ConflictingHorizon(
             f"edge {dedup_id(relation, entity_ids, evidence)} already anchored at {anchors},"
@@ -250,7 +252,9 @@ def inject_horizon(edge: Hyperedge, horizon: int) -> Hyperedge:
     horizon = int(horizon)
     if horizon <= 0:
         raise ValueError("horizon must be a positive lead time in hours")
-    ids = _grounded_ids(edge.relation, edge.entity_ids, edge.evidence, horizon)
+    ids = _grounded_ids(
+        edge.relation, edge.entity_ids, edge.evidence, horizon, edge.anchor_horizons()
+    )
     if ids == edge.entity_ids:
         if edge.horizon == horizon:
             return edge
@@ -446,14 +450,6 @@ class KnowledgeHypergraph:
         """Row-aligned arrays over the edges, built on first use."""
         return EdgeIndex.build(self.hyperedges, self.groups)
 
-    @cached_property
-    def edges_by_entity(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = {}
-        for edge_id in sorted(self.hyperedges):
-            for entity_id in self.hyperedges[edge_id].entity_ids:
-                index.setdefault(entity_id, []).append(edge_id)
-        return index
-
     def to_snapshot(self, precedence_edges: dict[str, list[tuple[str, str]]] | None = None) -> dict:
         snapshot: dict[str, Any] = {
             "version": SNAPSHOT_VERSION,
@@ -473,11 +469,9 @@ class KnowledgeHypergraph:
         path: str,
         precedence_edges: dict[str, list[tuple[str, str]]] | None = None,
     ) -> None:
-        payload = json.dumps(
-            self.to_snapshot(precedence_edges), sort_keys=True, ensure_ascii=False, indent=2
-        )
+        payload = _snapshot_json(self.to_snapshot(precedence_edges))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+            handle.write(payload)
 
     @classmethod
     def from_snapshot(cls, snapshot: Any) -> tuple["KnowledgeHypergraph", dict[str, list[tuple[str, str]]]]:
@@ -521,6 +515,113 @@ class KnowledgeHypergraph:
     def load_snapshot(cls, path: str) -> tuple["KnowledgeHypergraph", dict[str, list[tuple[str, str]]]]:
         with open(path, encoding="utf-8") as handle:
             return cls.from_snapshot(json.load(handle))
+
+
+# The snapshot file holds exactly the bytes of
+# ``json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"``.
+# That call runs json's pure-Python encoder (the C one skips indent), so the
+# writer below lays out each entity, hyperedge and precedence pair with one
+# template and encodes strings with the C function that call uses. A value
+# outside its field's declared type raises instead of being written.
+_ENTITY_JSON = (
+    "{\n"
+    '      "confidence": %s,\n'
+    '      "description": %s,\n'
+    '      "id": %s,\n'
+    '      "name": %s,\n'
+    '      "type": %s\n'
+    "    }"
+)
+_EDGE_JSON = (
+    "{\n"
+    '      "attributes": %s,\n'
+    '      "confidence": %s,\n'
+    '      "entities": %s,\n'
+    '      "evidence": %s,\n'
+    '      "family": %s,\n'
+    '      "group": %s,\n'
+    '      "horizon": %s,\n'
+    '      "id": %s,\n'
+    '      "relation": %s,\n'
+    '      "text_position": %s\n'
+    "    }"
+)
+_PAIR_JSON = '[\n        %s,\n        %s\n      ]'
+
+
+def _json_float(value: Any) -> str:
+    if (value.__class__ is float or value.__class__ is int) and math.isfinite(value):
+        return repr(value)
+    raise TypeError(f"snapshot number must be a finite float or int, got {value!r}")
+
+
+def _json_int(value: Any) -> str:
+    if value.__class__ is int:
+        return repr(value)
+    raise TypeError(f"snapshot integer must be an int, got {value!r}")
+
+
+def _json_list(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
+    """Formatted items one per line inside ``brackets``, for a value at ``indent``."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(items)
+    return brackets[0] + inner + body + "\n" + indent + brackets[1] if body else brackets
+
+
+def _json_object(items: Iterable[tuple[str, str]], indent: str) -> str:
+    """A JSON object of (string key, formatted value) items, in key order."""
+    return _json_list(
+        [_json_string(key) + ": " + value for key, value in sorted(items)], indent, "{}"
+    )
+
+
+def _entity_json(entity: Mapping[str, Any]) -> str:
+    return _ENTITY_JSON % (
+        _json_float(entity["confidence"]),
+        _json_string(entity["description"]),
+        _json_string(entity["id"]),
+        _json_string(entity["name"]),
+        _json_string(entity["type"]),
+    )
+
+
+def _edge_json(edge: Mapping[str, Any]) -> str:
+    attributes = [(key, _json_string(value)) for key, value in edge["attributes"].items()]
+    horizon = edge["horizon"]
+    return _EDGE_JSON % (
+        _json_object(attributes, "      "),
+        _json_float(edge["confidence"]),
+        _json_list(map(_json_string, edge["entities"]), "      "),
+        _json_string(edge["evidence"]),
+        _json_int(edge["family"]),
+        _json_string(edge["group"]),
+        "null" if horizon is None else _json_int(horizon),
+        _json_string(edge["id"]),
+        _json_string(edge["relation"]),
+        _json_int(edge["text_position"]),
+    )
+
+
+def _pair_json(pair: Sequence[str]) -> str:
+    return _PAIR_JSON % tuple(map(_json_string, pair))
+
+
+def _snapshot_json(doc: Mapping[str, Any]) -> str:
+    """The text of a `to_snapshot` document, as the json.dumps call above writes it."""
+    groups = [(group, _json_list(map(_json_string, ids), "    ")) for group, ids in doc["groups"].items()]
+    fields = [
+        ("entities", _json_list(map(_entity_json, doc["entities"]), "  ")),
+        ("groups", _json_object(groups, "  ")),
+        ("hyperedges", _json_list(map(_edge_json, doc["hyperedges"]), "  ")),
+        ("version", _json_int(doc["version"])),
+    ]
+    if "precedence" in doc:
+        precedence = [
+            (group, _json_list(map(_pair_json, pairs), "    "))
+            for group, pairs in doc["precedence"].items()
+        ]
+        fields.append(("precedence", _json_object(precedence, "  ")))
+    return _json_object(fields, "") + "\n"
 
 
 def _require(fact: Mapping[str, Any], key: str, kind: type | tuple, path: str) -> Any:
@@ -624,10 +725,12 @@ def _precedence_from_dict(
     return precedence
 
 
-def validate_fact(fact: Any, path: str) -> list[Entity]:
+def validate_fact(
+    fact: Any, path: str, *, parse_entity: Callable[[Any, str], Entity] = _entity_from_dict
+) -> list[Entity]:
     """Raise SchemaError with a field path for any malformed fact.
 
-    Returns the fact's entities, parsed in order.
+    Returns the fact's entities, parsed in order by ``parse_entity``.
     """
     if not isinstance(fact, Mapping):
         raise SchemaError(path, "fact must be an object")
@@ -641,7 +744,7 @@ def validate_fact(fact: Any, path: str) -> list[Entity]:
     entities = _require(fact, "entities", list, path)
     if len(entities) < 2:
         raise SchemaError(f"{path}.entities", "a hyperedge needs at least two entities")
-    parsed = [_entity_from_dict(raw, f"{path}.entities[{index}]") for index, raw in enumerate(entities)]
+    parsed = [parse_entity(raw, f"{path}.entities[{index}]") for index, raw in enumerate(entities)]
     if len({entity.id for entity in parsed}) < 2:
         raise SchemaError(f"{path}.entities", "entity ids must name at least two distinct entities")
     attributes = fact.get("attributes", {})
@@ -660,6 +763,31 @@ def validate_fact(fact: Any, path: str) -> list[Entity]:
     if not isinstance(position, int) or isinstance(position, bool) or position < 0:
         raise SchemaError(f"{path}.text_position", "text_position must be a non-negative integer")
     return parsed
+
+
+def _memo_entity_parser() -> Callable[[Any, str], Entity]:
+    """`_entity_from_dict`, parsing each distinct entity dict once.
+
+    The memo key is one flat tuple of the dict's keys, its values and the
+    type of each value, so ``true``, ``1`` and ``1.0`` never share a parse,
+    nor do a missing field and a null one. A failed parse raises with its
+    own path and is not remembered.
+    """
+    memo: dict[tuple, Entity] = {}
+
+    def parse(raw: Any, path: str) -> Entity:
+        if raw.__class__ is not dict:
+            return _entity_from_dict(raw, path)
+        key = (*raw, *raw.values(), *map(type, raw.values()))
+        try:
+            return memo[key]
+        except KeyError:
+            entity = memo[key] = _entity_from_dict(raw, path)
+            return entity
+        except TypeError:  # an unhashable value, perhaps in a field the parse ignores
+            return _entity_from_dict(raw, path)
+
+    return parse
 
 
 def _better_entity(current: Entity, incoming: Entity) -> Entity:
@@ -692,35 +820,50 @@ def merge_facts(
     """
     entities: dict[str, Entity] = {}
     edges: dict[str, Hyperedge] = {}
+    parse_entity = _memo_entity_parser()
+    anchored: set[int] = set()
 
+    # An equal duplicate keeps the existing object, as the tie-breaks would.
     def add_entity(entity: Entity) -> None:
-        existing = entities.get(entity.id)
-        entities[entity.id] = entity if existing is None else _better_entity(existing, entity)
+        existing = entities.setdefault(entity.id, entity)
+        if existing is not entity and existing != entity:
+            entities[entity.id] = _better_entity(existing, entity)
 
     def add_edge(edge: Hyperedge) -> None:
-        existing = edges.get(edge.id)
-        edges[edge.id] = edge if existing is None else _better_edge(existing, edge)
+        existing = edges.setdefault(edge.id, edge)
+        if existing is not edge and existing != edge:
+            edges[edge.id] = _better_edge(existing, edge)
+
+    def add_anchor(lead: int) -> None:
+        # The tie-break picks the same winner whatever the order or number
+        # of candidates, so one canonical anchor per lead is enough.
+        if lead not in anchored:
+            anchored.add(lead)
+            add_entity(_horizon_anchor_entity(lead))
 
     # Each edge's entities and horizon are resolved first; the content ids
     # are then hashed in one batch for the facts and one for the changes.
     drafts: list[dict[str, Any]] = []
     for batch_index, batch in enumerate(fact_batches):
         for fact_index, fact in enumerate(batch):
-            fact_entities = validate_fact(fact, f"batch[{batch_index}].fact[{fact_index}]")
+            fact_entities = validate_fact(
+                fact, f"batch[{batch_index}].fact[{fact_index}]", parse_entity=parse_entity
+            )
             for entity in fact_entities:
                 add_entity(entity)
             relation, family = DEFAULT_VOCABULARY.normalize(fact["relation"])
             entity_ids = frozenset(entity.id for entity in fact_entities)
+            anchors = _anchor_leads(entity_ids)
             horizon = fact.get("horizon")
             if horizon is not None:
-                entity_ids = _grounded_ids(relation, entity_ids, fact["evidence"], horizon)
-            anchors = _anchor_leads(entity_ids)
-            if horizon is None and len(anchors) == 1:
+                entity_ids = _grounded_ids(relation, entity_ids, fact["evidence"], horizon, anchors)
+                anchors = anchors or [horizon]
+            elif len(anchors) == 1:
                 # A lone anchor entity implies the horizon even when the
                 # field was left null.
                 horizon = anchors[0]
             for lead in anchors:
-                add_entity(_horizon_anchor_entity(lead))
+                add_anchor(lead)
             drafts.append(
                 {
                     "relation": relation,
@@ -746,7 +889,7 @@ def merge_facts(
             changes.extend(_change_drafts(edges[edge_id] for edge_id in by_group[group]))
         for change in changes:
             for lead in _anchor_leads(change["entity_ids"]):
-                add_entity(_horizon_anchor_entity(lead))
+                add_anchor(lead)
             for entity_id in change["entity_ids"]:
                 if entity_id not in entities and not HORIZON_ANCHOR_RE.match(entity_id):
                     # State entities referenced by a change edge always

@@ -13,6 +13,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -66,45 +67,40 @@ def _direct_edges(
 ) -> set[tuple[str, str]]:
     pairs: set[tuple[str, str]] = set()
 
-    by_horizon: dict[int, list[Hyperedge]] = {}
-    by_family: dict[int, dict[int, list[Hyperedge]]] = {}
+    # Ids of the horizon-grounded edges by horizon, then by family; and by
+    # horizon, then by each state stem an edge carries.
+    at: dict[int, dict[int, list[str]]] = {}
+    stems_at: dict[int, dict[str, list[str]]] = {}
     for edge in edges:
         if edge.family == CROSS_HORIZON_FAMILY or edge.horizon is None:
             continue
-        by_horizon.setdefault(edge.horizon, []).append(edge)
-        by_family.setdefault(edge.family, {}).setdefault(edge.horizon, []).append(edge)
+        at.setdefault(edge.horizon, {}).setdefault(edge.family, []).append(edge.id)
+        if RULE_CHANGE in rules:
+            for stem in edge.state_stems():
+                stems_at.setdefault(edge.horizon, {}).setdefault(stem, []).append(edge.id)
 
     if RULE_PHASE in rules:
         # Same horizon, ascending family; only consecutive present families
         # are materialized, transitivity supplies the rest.
-        for horizon_edges in by_horizon.values():
-            families = sorted({edge.family for edge in horizon_edges})
+        for by_family in at.values():
+            families = sorted(by_family)
             for earlier, later in zip(families, families[1:]):
-                for src in horizon_edges:
-                    if src.family != earlier:
-                        continue
-                    for dst in horizon_edges:
-                        if dst.family == later:
-                            pairs.add((src.id, dst.id))
+                pairs.update(product(by_family[earlier], by_family[later]))
 
     if RULE_EVOLUTION in rules:
         # Same family across horizons, decreasing lead time toward landfall.
-        for horizons in by_family.values():
-            ordered = sorted(horizons, reverse=True)
-            for earlier, later in zip(ordered, ordered[1:]):
-                for src in horizons[earlier]:
-                    for dst in horizons[later]:
-                        pairs.add((src.id, dst.id))
+        horizons = sorted(at, reverse=True)
+        for family in {family for by_family in at.values() for family in by_family}:
+            present = [horizon for horizon in horizons if family in at[horizon]]
+            for earlier, later in zip(present, present[1:]):
+                pairs.update(product(at[earlier][family], at[later][family]))
 
     if RULE_CAUSAL in rules:
-        for horizon_edges in by_horizon.values():
+        for by_family in at.values():
             for src_families, dst_families, _ in CAUSAL_RULES:
-                for src in horizon_edges:
-                    if src.family not in src_families:
-                        continue
-                    for dst in horizon_edges:
-                        if dst.family in dst_families:
-                            pairs.add((src.id, dst.id))
+                srcs = [i for family, ids in by_family.items() if family in src_families for i in ids]
+                dsts = [i for family, ids in by_family.items() if family in dst_families for i in ids]
+                pairs.update(product(srcs, dsts))
 
     if RULE_CHANGE in rules:
         # The before-state precedes the transition that consumes it.
@@ -114,13 +110,9 @@ def _direct_edges(
             anchors = change.anchor_horizons()
             if not anchors:
                 continue
-            origin = anchors[0]
-            stems = change.state_stems()
-            if not stems:
-                continue
-            for src in by_horizon.get(origin, []):
-                if src.state_stems() & stems:
-                    pairs.add((src.id, change.id))
+            by_stem = stems_at.get(anchors[0], {})
+            for stem in change.state_stems():
+                pairs.update((src, change.id) for src in by_stem.get(stem, ()))
 
     pairs.difference_update((edge.id, edge.id) for edge in edges)
     return pairs

@@ -15,6 +15,7 @@ samples costs O(T d r + m T r + m k r) for T touched rows, not O(m k d).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -222,10 +223,10 @@ class TrainingConfig:
             raise ValueError(
                 f"negatives_per_example must be >= 1, got {self.negatives_per_example}"
             )
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 

@@ -400,6 +400,21 @@ def test_train_rejects_out_of_range_hyperparameters(pipeline, tmp_path, capsys):
         assert not checkpoint.exists()
 
 
+def test_train_rejects_non_finite_step_and_alpha_before_loading(tmp_path, capsys):
+    # The snapshot does not exist, so the error must name the field before
+    # anything is read.
+    missing = tmp_path / "missing.snap"
+    checkpoint = tmp_path / "bad.okht"
+    for flag, field in [("--step", "step_size"), ("--alpha", "alpha")]:
+        for value in ("inf", "nan"):
+            assert main(["train", "--snapshot", str(missing), "--checkpoint", str(checkpoint),
+                         "--dim", "32", flag, value]) == 2
+            err = capsys.readouterr().err
+            assert f"{field} must be finite" in err
+            assert "missing.snap" not in err
+            assert not checkpoint.exists()
+
+
 def test_invalid_synth_shape_exits_two(tmp_path, capsys):
     assert main(["synth", "--horizons", "9", "--out", str(tmp_path)]) == 2
     capsys.readouterr()

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import tempfile
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -433,3 +437,152 @@ def test_snapshot_file_is_sorted_and_newline_terminated(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == json.loads(json.dumps(json.loads(text), sort_keys=True))
+
+
+def test_merge_parses_each_entity_dict_by_typed_value():
+    # An equal-looking entity parsed earlier must not stand in for a
+    # malformed one: `true` is not `1.0`, and an explicit null description
+    # is not a missing one.
+    cases = [
+        ("confidence", {"confidence": 1.0}, {"confidence": True}),
+        ("description", {}, {"description": None}),
+    ]
+    for field, good_extra, bad_extra in cases:
+        good, bad = _state_fact("wind_fcst", 48, 0), _state_fact("wind_fcst", 24, 1)
+        good["entities"][0] = {**good["entities"][0], **good_extra}
+        bad["entities"][0] = {**good["entities"][0], **bad_extra}
+        for batches, path in [
+            ([[good], [bad]], "batch[1].fact[0].entities[0]"),
+            ([[good, bad]], "batch[0].fact[1].entities[0]"),
+            ([[bad], [good]], "batch[0].fact[0].entities[0]"),
+        ]:
+            with pytest.raises(SchemaError) as err:
+                merge_facts(batches)
+            assert err.value.path == f"{path}.{field}"
+    assert merge_facts([[good], [good]]).entities["port:p"].confidence == 1.0
+    # The same values under other keys are another entity.
+    swapped = _state_fact("wind_fcst", 48, 0)
+    swapped["entities"] = [
+        {"id": "port:p", "name": "port:q", "type": "port"},
+        {"name": "port:p", "id": "port:q", "type": "port"},
+    ]
+    graph = merge_facts([[swapped]], synthesize=False)
+    assert (graph.entities["port:p"].name, graph.entities["port:q"].name) == ("port:q", "port:p")
+
+
+def test_merge_resolves_anchor_entities_whatever_the_fact_order():
+    anchor = horizon_anchor_id(48)
+    canonical = Entity(
+        anchor, "T-48", EntityType.HORIZON_TIME, "temporal anchor 48 hours before expected landfall"
+    )
+    facts = [_state_fact("wind_fcst", 48, 0), _state_fact("ops", 48, 1), dict(_state_fact("ops", 48, 1))]
+    assert merge_facts([facts]).entities[anchor] == canonical
+    # An explicit anchor entity competes with the canonical one; the winner
+    # must not depend on where either first appears.
+    explicit = _state_fact("ops", 72, 2)
+    explicit["horizon"] = 48
+    explicit["entities"].append({"id": anchor, "name": "T-48", "type": "horizon_time"})
+    plain = Entity(anchor, "T-48", EntityType.HORIZON_TIME)
+    for order in ([*facts, explicit], [explicit, *facts], [facts[0], explicit, *facts[1:]]):
+        for batches in ([order], [[fact] for fact in order]):
+            assert merge_facts(batches).entities[anchor] == plain
+
+
+def _reference_snapshot(graph, precedence_edges):
+    document = graph.to_snapshot(precedence_edges)
+    return (json.dumps(document, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+def _saved_snapshot(graph, precedence_edges):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "graph.snap")
+        graph.save_snapshot(path, precedence_edges)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+_AWKWARD_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "漢", "😀", " "]),
+        st.characters(codec="utf-8"),
+    ),
+    max_size=6,
+)
+_CONFIDENCES = st.one_of(
+    st.sampled_from([1.0, 1e-07, 0.5, 1 / 3, 5e-324, 0.1 + 0.2]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+_ENTITIES = st.builds(
+    Entity,
+    id=_AWKWARD_TEXT.filter(bool),
+    name=_AWKWARD_TEXT,
+    entity_type=st.sampled_from([kind for kind in EntityType if kind is not EntityType.HORIZON_TIME]),
+    description=_AWKWARD_TEXT,
+    confidence=_CONFIDENCES,
+)
+_EDGES = st.builds(
+    Hyperedge,
+    id=_AWKWARD_TEXT,
+    relation=_AWKWARD_TEXT,
+    family=st.integers(min_value=-(2**70), max_value=2**70),
+    entity_ids=st.frozensets(_AWKWARD_TEXT, min_size=2, max_size=3),
+    evidence=_AWKWARD_TEXT,
+    attributes=st.one_of(st.just({}), st.dictionaries(_AWKWARD_TEXT, _AWKWARD_TEXT, max_size=2)),
+    confidence=_CONFIDENCES,
+    group_id=st.sampled_from(["", "IRMA:p", "é \"g"]),
+    horizon=st.one_of(st.none(), st.integers(min_value=1, max_value=2**40)),
+    text_position=st.integers(min_value=0, max_value=2**40),
+)
+_PRECEDENCE = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.one_of(st.sampled_from(["IRMA:p", "no pairs"]), _AWKWARD_TEXT),
+        st.lists(st.tuples(_AWKWARD_TEXT, _AWKWARD_TEXT), max_size=2),
+        max_size=2,
+    ),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_ENTITIES, max_size=3), st.lists(_EDGES, max_size=3), _PRECEDENCE)
+@example([], [], None)
+@example([], [], {"IRMA:p": [], "G": [("a", "b")]})
+def test_snapshot_writer_matches_json_dumps(entities, edges, precedence_edges):
+    graph = KnowledgeHypergraph({e.id: e for e in entities}, {e.id: e for e in edges})
+    assert _saved_snapshot(graph, precedence_edges) == _reference_snapshot(graph, precedence_edges)
+
+
+def test_snapshot_writer_matches_json_dumps_on_awkward_values():
+    entity = Entity("port:ü\"\\", "P\u2028\x00", EntityType.PORT, "tab\there 漢😀", 1e-07)
+    plain = Hyperedge.create("forecasts_hazard_at_horizon", ["port:p", "x:T-48"], "ev")
+    awkward = Hyperedge.create(
+        "has_operation_status", ["port:p", "\x1f\u2029"], 'say "hi" \\ \x7f',
+        attributes={"b": "2", "a": "é\n"}, confidence=0.3, group_id="G\u2028", horizon=None,
+        text_position=7,
+    )
+    graph = KnowledgeHypergraph({entity.id: entity}, {plain.id: plain, awkward.id: awkward})
+    for precedence_edges in (None, {}, {"G\u2028": [(awkward.id, plain.id)], "": []}):
+        assert _saved_snapshot(graph, precedence_edges) == _reference_snapshot(graph, precedence_edges)
+
+
+def test_snapshot_writer_rejects_values_outside_their_declared_types(tmp_path):
+    port = Entity("port:p", "P", EntityType.PORT)
+    edge = Hyperedge.create("forecasts_hazard_at_horizon", ["port:p", "x"], "ev")
+    wrong = [
+        ({port.id: port}, {"e": _edge(attributes={"level": 3})}),
+        ({port.id: replace(port, confidence=True)}, {}),
+        ({port.id: replace(port, confidence=np.float64(0.5))}, {}),
+        ({}, {edge.id: replace(edge, family=6.0)}),
+        ({}, {edge.id: replace(edge, horizon=True)}),
+        ({}, {edge.id: replace(edge, text_position=np.int64(2))}),
+    ]
+    not_finite = Entity("port:p", "P", EntityType.PORT)
+    object.__setattr__(not_finite, "confidence", float("nan"))  # past __post_init__'s check
+    wrong.append(({not_finite.id: not_finite}, {}))
+    for entities, edges in wrong:
+        graph = KnowledgeHypergraph(entities, edges)
+        with pytest.raises(TypeError):
+            graph.save_snapshot(str(tmp_path / "wrong.snap"))
+    graph = KnowledgeHypergraph({}, {edge.id: edge})
+    with pytest.raises(TypeError):
+        graph.save_snapshot(str(tmp_path / "wrong.snap"), {"G": [(edge.id, edge.id, edge.id)]})

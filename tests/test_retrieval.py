@@ -951,13 +951,18 @@ def _reference_scope(query, graph, store, config, query_group):
     def ranked(ids):
         return sorted(ids, key=lambda eid: (-rel_of[eid], eid))
 
+    edges_by_entity = {}
+    for edge_id in sorted(graph.hyperedges):
+        for entity_id in graph.hyperedges[edge_id].entity_ids:
+            edges_by_entity.setdefault(entity_id, []).append(edge_id)
+
     seeds = ranked(store.ids)[: config.top_k]
     pool = set(seeds)
     for group in {graph.hyperedges[seed].group_id for seed in seeds}:
         pool.update(graph.groups.get(group, ()))
     for seed in seeds:
         for entity_id in graph.hyperedges[seed].entity_ids:
-            pool.update(graph.edges_by_entity.get(entity_id, ()))
+            pool.update(edges_by_entity.get(entity_id, ()))
     if query_group is not None and query_group in graph.groups:
         reserve = math.ceil(config.group_reserve_fraction * config.pool_cap)
         chosen = set(ranked(graph.groups[query_group])[:reserve])
