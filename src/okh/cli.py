@@ -1,7 +1,9 @@
 """Command line interface: synth, build, train, retrieve, eval.
 
-Exit codes: 0 on success, 2 for usage/config/schema problems, 1 for runtime
-failures. A JSON config file supplies defaults; explicit flags win.
+Exit codes: 0 on success, 2 for usage/config/schema problems and unreadable
+or unwritable files, 1 for runtime failures. Each option is declared once, in
+``_COMMANDS``: its default types both the flag and the ``--config`` key. A JSON
+config file supplies defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from okh.corpus import QAItem, GroupScenario, generate_synthetic
 from okh.embedding import (
@@ -43,11 +45,6 @@ from okh.transition import TrainingConfig, TransitionModel, build_pairs, train
 _PROVIDER_DIMS = {"local": DEFAULT_LOCAL_DIM, "remote": 1536}
 _PROVIDER_RANKS = {"local": 32, "remote": 64}
 
-# Config file keys may use the bare flag spelling for reserved words.
-_CONFIG_ALIASES = {"lambda": "lambda_"}
-# Config values restricted to a set, as the matching flags' choices are.
-_CONFIG_CHOICES = {"provider": tuple(_PROVIDER_DIMS)}
-
 
 def _write_json(path: str, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as handle:
@@ -56,54 +53,84 @@ def _write_json(path: str, payload: Any) -> None:
         )
 
 
-def _merged(ns: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
-    values = dict(defaults)
-    config_path = getattr(ns, "config", None)
-    if config_path:
+class _Choice(NamedTuple):
+    """A string option restricted to ``choices``; the default need not come first."""
+
+    default: str
+    choices: tuple[str, ...]
+
+
+class _Command(NamedTuple):
+    """A subcommand: help line, runner, the options it needs set, and each
+    option's default (or ``_Choice``) by argparse dest, in ``--help`` order."""
+
+    help: str
+    run: Callable[[dict[str, Any]], int]
+    required: tuple[str, ...]
+    options: dict[str, Any]
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.rstrip("_").replace("_", "-")
+
+
+def _merged(ns: argparse.Namespace, options: dict[str, Any]) -> dict[str, Any]:
+    """Option values, each of its entry's type: table defaults, then the
+    ``--config`` file, then flags."""
+    values = {
+        key: entry.default if isinstance(entry, _Choice) else entry
+        for key, entry in options.items()
+    }
+    if ns.config:
         try:
-            with open(config_path, encoding="utf-8") as handle:
+            with open(ns.config, encoding="utf-8") as handle:
                 loaded = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise SchemaError("config", f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise SchemaError("config", "config file must hold a JSON object")
         for raw_key, value in loaded.items():
-            key = _CONFIG_ALIASES.get(raw_key, raw_key)
-            if key not in defaults:
+            # Keys are dests, which may drop the trailing "_" of a reserved word.
+            key = raw_key if raw_key in options else f"{raw_key}_"
+            if key not in options:
                 raise SchemaError(f"config.{raw_key}", "unknown option")
-            problem = _type_problem(value, defaults[key], _CONFIG_CHOICES.get(key))
+            problem = _type_problem(value, options[key])
             if problem:
                 raise SchemaError(f"config.{raw_key}", problem)
-            values[key] = value
-    for key in defaults:
-        flag = getattr(ns, key, None)
+            values[key] = float(value) if isinstance(options[key], float) else value
+    for key in options:
+        flag = getattr(ns, key)
         if flag is not None:
             values[key] = flag
     return values
 
 
-def _type_problem(value: Any, default: Any, choices: Sequence[str] | None) -> str:
-    """Why ``value`` cannot stand in for ``default``, or "" if it can.
+def _type_problem(value: Any, entry: Any) -> str:
+    """Why ``value`` cannot stand in for the table entry ``entry``, or "" if it can.
 
-    The default declares the type: integers must be JSON integers, floats
-    finite numbers, strings strings and lists lists of strings.
+    The entry declares the type: integers must be JSON integers, floats
+    finite numbers, strings strings (one of the choices of a ``_Choice``)
+    and lists lists of strings.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(default, float):
+    if isinstance(entry, _Choice):
+        ok = isinstance(value, str) and value in entry.choices
+        expected = f"one of {', '.join(entry.choices)}"
+    elif isinstance(entry, float):
         try:
             ok = number and math.isfinite(value)
         except OverflowError:  # an integer beyond the float range
             ok = False
         expected = "a finite number"
-    elif isinstance(default, int):
+    elif isinstance(entry, int):
         ok = number and isinstance(value, int)
         expected = "an integer"
-    elif isinstance(default, list):
+    elif isinstance(entry, list):
         ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
         expected = "a list of strings"
     else:
-        ok = isinstance(value, str) and (choices is None or value in choices)
-        expected = f"one of {', '.join(choices)}" if choices else "a string"
+        ok = isinstance(value, str)
+        expected = "a string"
     return "" if ok else f"expected {expected}, got {json.dumps(value, allow_nan=True)}"
 
 
@@ -120,16 +147,14 @@ def _make_embedder(values: dict[str, Any]):
 def _load_graph(values: dict[str, Any]) -> tuple[KnowledgeHypergraph, PrecedenceIndex]:
     graph, direct = KnowledgeHypergraph.load_snapshot(values["snapshot"])
     if direct:
-        precedence = PrecedenceIndex.from_direct_edges(graph, direct)
-    else:
-        precedence = PrecedenceIndex.build(graph)
-    return graph, precedence
+        return graph, PrecedenceIndex.from_direct_edges(graph, direct)
+    return graph, PrecedenceIndex.build(graph)
 
 
 def _make_store(graph: KnowledgeHypergraph, values: dict[str, Any]) -> EmbeddingStore:
     embedder = _make_embedder(values)
     cache = None
-    if values.get("cache"):
+    if values["cache"]:
         cache = EmbeddingCache(values["cache"], embedder.dim, embedder.identity)
     store = EmbeddingStore.build(graph, embedder, cache)
     if cache is not None:
@@ -149,87 +174,55 @@ def _load_retriever(values: dict[str, Any]) -> Retriever:
     return Retriever(graph, store, precedence, model)
 
 
-def _weights(values: dict[str, Any]) -> RetrievalWeights:
-    return RetrievalWeights(
-        lambda_coherence=float(values["lambda_"]),
-        mu_precedence=float(values["mu"]),
-        nu_continuity=float(values["nu"]),
-        rho_coverage=float(values["rho"]),
+def _retrieval_settings(
+    values: dict[str, Any],
+) -> tuple[RetrievalWeights, SearchConfig, ScopeConfig]:
+    weights = RetrievalWeights(
+        lambda_coherence=values["lambda_"],
+        mu_precedence=values["mu"],
+        nu_continuity=values["nu"],
+        rho_coverage=values["rho"],
     )
-
-
-def _search_config(values: dict[str, Any]) -> SearchConfig:
-    return SearchConfig(
-        beam_width=int(values["beam"]),
-        trajectory_length=int(values["length"]),
-        num_trajectories=int(values["paths"]),
+    search = SearchConfig(
+        beam_width=values["beam"],
+        trajectory_length=values["length"],
+        num_trajectories=values["paths"],
     )
-
-
-def _scope_config(values: dict[str, Any]) -> ScopeConfig:
-    return ScopeConfig(
-        top_k=int(values["topk"]),
-        pool_cap=int(values["cap"]),
-        group_reserve_fraction=float(values["reserve"]),
+    scope = ScopeConfig(
+        top_k=values["topk"],
+        pool_cap=values["cap"],
+        group_reserve_fraction=values["reserve"],
     )
+    return weights, search, scope
 
 
-# Flag defaults mirror the library dataclasses so they cannot drift.
-_DEFAULT_WEIGHTS = RetrievalWeights()
-_DEFAULT_SEARCH = SearchConfig()
-_DEFAULT_SCOPE = ScopeConfig()
-
-_PROVIDER_DEFAULTS: dict[str, Any] = {
-    "provider": "local",
-    "endpoint": "",
-    "model_name": "",
-    "dim": 0,
-    "cache": "",
-}
-
-_RETRIEVAL_DEFAULTS: dict[str, Any] = {
-    **_PROVIDER_DEFAULTS,
-    "lambda_": _DEFAULT_WEIGHTS.lambda_coherence,
-    "mu": _DEFAULT_WEIGHTS.mu_precedence,
-    "nu": _DEFAULT_WEIGHTS.nu_continuity,
-    "rho": _DEFAULT_WEIGHTS.rho_coverage,
-    "beam": _DEFAULT_SEARCH.beam_width,
-    "length": _DEFAULT_SEARCH.trajectory_length,
-    "paths": _DEFAULT_SEARCH.num_trajectories,
-    "topk": _DEFAULT_SCOPE.top_k,
-    "cap": _DEFAULT_SCOPE.pool_cap,
-    "reserve": _DEFAULT_SCOPE.group_reserve_fraction,
-}
+def _read_jsonl(path: str, field: str) -> list[Any]:
+    """The JSON value of each non-blank line of ``path``; a bad line names its number."""
+    rows = []
+    # Undecodable bytes come back as lone surrogates, which encode() refuses.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for number, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                line.encode("utf-8")
+                rows.append(json.loads(line))
+            except UnicodeEncodeError:
+                raise SchemaError(field, f"{path} line {number}: not valid UTF-8") from None
+            except json.JSONDecodeError as exc:
+                column = exc.colno + len(raw) - len(raw.lstrip())
+                raise SchemaError(
+                    field, f"{path} line {number} column {column}: {exc.msg}"
+                ) from None
+    return rows
 
 
-def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--provider", choices=("local", "remote"))
-    parser.add_argument("--endpoint")
-    parser.add_argument("--model-name", dest="model_name")
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--cache")
-
-
-def _add_retrieval_flags(parser: argparse.ArgumentParser) -> None:
-    _add_provider_flags(parser)
-    parser.add_argument("--lambda", dest="lambda_", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--beam", type=int)
-    parser.add_argument("--length", type=int)
-    parser.add_argument("--paths", type=int)
-    parser.add_argument("--topk", type=int)
-    parser.add_argument("--cap", type=int)
-    parser.add_argument("--reserve", type=float)
-
-
-def _cmd_synth(ns: argparse.Namespace) -> int:
-    values = _merged(ns, {"seed": 0, "groups": 5, "horizons": 3, "out": "."})
+def _cmd_synth(values: dict[str, Any]) -> int:
     corpus = generate_synthetic(
-        seed=int(values["seed"]),
-        n_groups=int(values["groups"]),
-        horizons_per_group=int(values["horizons"]),
+        seed=values["seed"],
+        n_groups=values["groups"],
+        horizons_per_group=values["horizons"],
     )
     os.makedirs(values["out"], exist_ok=True)
     facts_path = os.path.join(values["out"], "facts.jsonl")
@@ -245,19 +238,10 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build(ns: argparse.Namespace) -> int:
-    values = _merged(ns, {"corpus": [], "snapshot": ""})
-    if not values["corpus"] or not values["snapshot"]:
-        raise SchemaError("build", "--corpus and --snapshot are required")
-    batches = []
-    for path in values["corpus"]:
-        batch = []
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    batch.append(json.loads(line))
-        batches.append(batch)
+def _cmd_build(values: dict[str, Any]) -> int:
+    batches = [
+        _read_jsonl(path, f"corpus[{index}]") for index, path in enumerate(values["corpus"])
+    ]
     graph = merge_facts(batches)
     precedence = PrecedenceIndex.build(graph)
     graph.save_snapshot(values["snapshot"], precedence.direct_edges())
@@ -269,35 +253,20 @@ def _cmd_build(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(ns: argparse.Namespace) -> int:
-    defaults: dict[str, Any] = {
-        "snapshot": "",
-        "checkpoint": "",
-        **_PROVIDER_DEFAULTS,
-        "rank": 0,
-        "seed": 0,
-        "epochs": 5,
-        "alpha": 0.5,
-        "negatives": 64,
-        "step": 0.01,
-        "batch": 128,
-    }
-    values = _merged(ns, defaults)
-    if not values["snapshot"] or not values["checkpoint"]:
-        raise SchemaError("train", "--snapshot and --checkpoint are required")
+def _cmd_train(values: dict[str, Any]) -> int:
     config = TrainingConfig(
-        alpha=float(values["alpha"]),
-        negatives_per_example=int(values["negatives"]),
-        step_size=float(values["step"]),
-        epochs=int(values["epochs"]),
-        batch_size=int(values["batch"]),
-        seed=int(values["seed"]),
+        alpha=values["alpha"],
+        negatives_per_example=values["negatives"],
+        step_size=values["step"],
+        epochs=values["epochs"],
+        batch_size=values["batch"],
+        seed=values["seed"],
     )
     graph, precedence = _load_graph(values)
     store = _make_store(graph, values)
-    rank = int(values["rank"]) or _PROVIDER_RANKS[values["provider"]]
-    model = TransitionModel.create(store.dim, rank, seed=int(values["seed"]))
-    pairs = build_pairs(graph, precedence, seed=int(values["seed"]))
+    rank = values["rank"] or _PROVIDER_RANKS[values["provider"]]
+    model = TransitionModel.create(store.dim, rank, seed=values["seed"])
+    pairs = build_pairs(graph, precedence, seed=values["seed"])
     history = train(model, pairs, store, config)
     model.save(values["checkpoint"])
     losses = " ".join(f"{loss:.6f}" for loss in history)
@@ -308,21 +277,8 @@ def _cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_retrieve(ns: argparse.Namespace) -> int:
-    defaults: dict[str, Any] = {
-        "snapshot": "",
-        "checkpoint": "",
-        "query": "",
-        "group": "",
-        "variant": "full",
-        "out": "",
-        **_RETRIEVAL_DEFAULTS,
-    }
-    values = _merged(ns, defaults)
-    for key in ("snapshot", "checkpoint", "query"):
-        if not values[key]:
-            raise SchemaError("retrieve", f"--{key} is required")
-    weights, search, scope = _weights(values), _search_config(values), _scope_config(values)
+def _cmd_retrieve(values: dict[str, Any]) -> int:
+    weights, search, scope = _retrieval_settings(values)
     retriever = _load_retriever(values)
     if values["group"] and values["group"] not in retriever.hypergraph.groups:
         raise SchemaError("group", f"unknown group {values['group']!r}")
@@ -345,20 +301,7 @@ def _cmd_retrieve(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(ns: argparse.Namespace) -> int:
-    defaults: dict[str, Any] = {
-        "snapshot": "",
-        "checkpoint": "",
-        "qa": "",
-        "variant": "all",
-        "seed": 0,
-        "out": "",
-        **_RETRIEVAL_DEFAULTS,
-    }
-    values = _merged(ns, defaults)
-    for key in ("snapshot", "checkpoint", "qa"):
-        if not values[key]:
-            raise SchemaError("eval", f"--{key} is required")
+def _cmd_eval(values: dict[str, Any]) -> int:
     # The QA file is checked before the expensive load; only group
     # membership needs the graph.
     with open(values["qa"], encoding="utf-8") as handle:
@@ -369,7 +312,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     if not isinstance(qa_raw, list):
         raise SchemaError("qa", "expected a JSON array of questions")
     qa_items = [QAItem.from_dict(raw, f"qa[{index}]") for index, raw in enumerate(qa_raw)]
-    weights, search, scope = _weights(values), _search_config(values), _scope_config(values)
+    weights, search, scope = _retrieval_settings(values)
     retriever = _load_retriever(values)
     for index, item in enumerate(qa_items):
         if item.group_id not in retriever.hypergraph.groups:
@@ -385,10 +328,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         for group in sorted(retriever.hypergraph.groups)
     ]
 
-    if values["variant"] == "all":
-        variants = list(AblationVariant)
-    else:
-        variants = [AblationVariant(values["variant"])]
+    chosen = values["variant"]
+    variants = list(AblationVariant) if chosen == "all" else [AblationVariant(chosen)]
     reports = [
         run_ablation(
             retriever,
@@ -398,7 +339,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
             weights=weights,
             search=search,
             scope=scope,
-            seed=int(values["seed"]),
+            seed=values["seed"],
         )
         for variant in variants
     ]
@@ -408,63 +349,111 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
+# Defaults come from the library dataclasses so they cannot drift.
+_WEIGHTS, _SEARCH, _SCOPE = RetrievalWeights(), SearchConfig(), ScopeConfig()
+_TRAINING = TrainingConfig()
+_VARIANTS = tuple(variant.value for variant in AblationVariant)
+
+_PROVIDER_OPTIONS: dict[str, Any] = {
+    "provider": _Choice("local", tuple(_PROVIDER_DIMS)),
+    "endpoint": "",
+    "model_name": "",
+    "dim": 0,
+    "cache": "",
+}
+
+_RETRIEVAL_OPTIONS: dict[str, Any] = {
+    **_PROVIDER_OPTIONS,
+    "lambda_": _WEIGHTS.lambda_coherence,
+    "mu": _WEIGHTS.mu_precedence,
+    "nu": _WEIGHTS.nu_continuity,
+    "rho": _WEIGHTS.rho_coverage,
+    "beam": _SEARCH.beam_width,
+    "length": _SEARCH.trajectory_length,
+    "paths": _SEARCH.num_trajectories,
+    "topk": _SCOPE.top_k,
+    "cap": _SCOPE.pool_cap,
+    "reserve": _SCOPE.group_reserve_fraction,
+}
+
+_COMMANDS: dict[str, _Command] = {
+    "synth": _Command(
+        "generate a synthetic scenario corpus",
+        _cmd_synth,
+        (),
+        {"seed": 0, "groups": 5, "horizons": 3, "out": "."},
+    ),
+    "build": _Command(
+        "merge fact files into a hypergraph snapshot",
+        _cmd_build,
+        ("corpus", "snapshot"),
+        {"corpus": [], "snapshot": ""},
+    ),
+    "train": _Command(
+        "train the transition model on a snapshot",
+        _cmd_train,
+        ("snapshot", "checkpoint"),
+        {
+            "snapshot": "",
+            "checkpoint": "",
+            **_PROVIDER_OPTIONS,
+            "rank": 0,
+            "seed": _TRAINING.seed,
+            "epochs": _TRAINING.epochs,
+            "alpha": _TRAINING.alpha,
+            "negatives": _TRAINING.negatives_per_example,
+            "step": _TRAINING.step_size,
+            "batch": _TRAINING.batch_size,
+        },
+    ),
+    "retrieve": _Command(
+        "retrieve evidence trajectories for a query",
+        _cmd_retrieve,
+        ("snapshot", "checkpoint", "query"),
+        {
+            "snapshot": "",
+            "checkpoint": "",
+            "query": "",
+            "group": "",
+            "variant": _Choice("full", _VARIANTS),
+            "out": "",
+            **_RETRIEVAL_OPTIONS,
+        },
+    ),
+    "eval": _Command(
+        "run ablation evaluation over generated questions",
+        _cmd_eval,
+        ("snapshot", "checkpoint", "qa"),
+        {
+            "snapshot": "",
+            "checkpoint": "",
+            "qa": "",
+            "variant": _Choice("all", (*_VARIANTS, "all")),
+            "seed": 0,
+            "out": "",
+            **_RETRIEVAL_OPTIONS,
+        },
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="okh",
         description="Order-aware knowledge hypergraph: build, train, retrieve, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic scenario corpus")
-    p_synth.add_argument("--config")
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--groups", type=int)
-    p_synth.add_argument("--horizons", type=int)
-    p_synth.add_argument("--out")
-    p_synth.set_defaults(func=_cmd_synth)
-
-    p_build = sub.add_parser("build", help="merge fact files into a hypergraph snapshot")
-    p_build.add_argument("--config")
-    p_build.add_argument("--corpus", nargs="+")
-    p_build.add_argument("--snapshot")
-    p_build.set_defaults(func=_cmd_build)
-
-    p_train = sub.add_parser("train", help="train the transition model on a snapshot")
-    p_train.add_argument("--config")
-    p_train.add_argument("--snapshot")
-    p_train.add_argument("--checkpoint")
-    _add_provider_flags(p_train)
-    p_train.add_argument("--rank", type=int)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--alpha", type=float)
-    p_train.add_argument("--negatives", type=int)
-    p_train.add_argument("--step", type=float)
-    p_train.add_argument("--batch", type=int)
-    p_train.set_defaults(func=_cmd_train)
-
-    p_retrieve = sub.add_parser("retrieve", help="retrieve evidence trajectories for a query")
-    p_retrieve.add_argument("--config")
-    p_retrieve.add_argument("--snapshot")
-    p_retrieve.add_argument("--checkpoint")
-    p_retrieve.add_argument("--query")
-    p_retrieve.add_argument("--group")
-    p_retrieve.add_argument("--variant", choices=[v.value for v in AblationVariant])
-    p_retrieve.add_argument("--out")
-    _add_retrieval_flags(p_retrieve)
-    p_retrieve.set_defaults(func=_cmd_retrieve)
-
-    p_eval = sub.add_parser("eval", help="run ablation evaluation over generated questions")
-    p_eval.add_argument("--config")
-    p_eval.add_argument("--snapshot")
-    p_eval.add_argument("--checkpoint")
-    p_eval.add_argument("--qa")
-    p_eval.add_argument("--variant", choices=[v.value for v in AblationVariant] + ["all"])
-    p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--out")
-    _add_retrieval_flags(p_eval)
-    p_eval.set_defaults(func=_cmd_eval)
-
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        subparser.add_argument("--config")
+        for dest, entry in command.options.items():
+            if isinstance(entry, _Choice):
+                kind: dict[str, Any] = {"choices": entry.choices}
+            elif isinstance(entry, list):
+                kind = {"nargs": "+"}
+            else:
+                kind = {"type": type(entry)}
+            subparser.add_argument(_flag(dest), dest=dest, **kind)
     return parser
 
 
@@ -474,9 +463,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = _COMMANDS[ns.command]
     try:
-        return ns.func(ns)
-    except (SchemaError, FileNotFoundError, ValueError) as exc:
+        values = _merged(ns, command.options)
+        for key in command.required:
+            if not values[key]:
+                raise SchemaError(ns.command, f"{_flag(key)} is required")
+        return command.run(values)
+    except (SchemaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OkhError as exc:

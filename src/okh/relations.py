@@ -9,7 +9,6 @@ states of the same entity at consecutive lead times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -41,21 +40,21 @@ class EntityType(str, Enum):
 CROSS_HORIZON_FAMILY = 13
 FALLBACK_RELATION = "has_attribute"
 
-# (family number, family label, canonical relations in rank order)
-_FAMILY_TABLE: tuple[tuple[int, str, tuple[str, ...]], ...] = (
-    (1, "cyclone_state", ("has_cyclone_state", "has_category_state", "has_motion", FALLBACK_RELATION)),
-    (2, "track_landfall", ("forecasts_track", "forecasts_landfall")),
-    (3, "timing", ("has_hours_to_landfall", "has_forecast_window")),
-    (4, "advisory", ("has_watch_status", "has_warning_status")),
-    (5, "probability", ("has_leadtime_probability", "has_cumulative_probability")),
-    (6, "hazard_forecast", ("forecasts_hazard_at_horizon",)),
-    (7, "hazard_observation", ("observes_hazard_at_horizon",)),
-    (8, "threshold", ("has_threshold_status",)),
-    (9, "additional_hazards", ("has_additional_hazard",)),
-    (10, "operation_status", ("has_operation_status", "affects_vessel_handling")),
-    (11, "impact_prediction", ("has_impact_prediction", "causes_operational_disruption")),
-    (12, "recovery_status", ("has_recovery_status", "starts_recovery")),
-    (13, "cross_horizon", ("forecast_updates_to", "intensifies_to", "changes_status_to", "changes_probability_to")),
+# (family number, canonical relations in rank order)
+_FAMILY_TABLE: tuple[tuple[int, tuple[str, ...]], ...] = (
+    (1, ("has_cyclone_state", "has_category_state", "has_motion", FALLBACK_RELATION)),
+    (2, ("forecasts_track", "forecasts_landfall")),
+    (3, ("has_hours_to_landfall", "has_forecast_window")),
+    (4, ("has_watch_status", "has_warning_status")),
+    (5, ("has_leadtime_probability", "has_cumulative_probability")),
+    (6, ("forecasts_hazard_at_horizon",)),
+    (7, ("observes_hazard_at_horizon",)),
+    (8, ("has_threshold_status",)),
+    (9, ("has_additional_hazard",)),
+    (10, ("has_operation_status", "affects_vessel_handling")),
+    (11, ("has_impact_prediction", "causes_operational_disruption")),
+    (12, ("has_recovery_status", "starts_recovery")),
+    (13, ("forecast_updates_to", "intensifies_to", "changes_status_to", "changes_probability_to")),
 )
 
 # Phase labels used by trajectory coverage scoring. Families outside the six
@@ -95,7 +94,7 @@ CHANGE_RELATION_BY_FAMILY: dict[int, str] = {
 }
 DEFAULT_CHANGE_RELATION = "forecast_updates_to"
 
-_DEFAULT_ALIASES: dict[str, str] = {
+_ALIASES: dict[str, str] = {
     "closes_port": "has_operation_status",
 }
 
@@ -108,42 +107,44 @@ def _tokens(name: str) -> frozenset[str]:
     return frozenset(name.replace("_", " ").split())
 
 
-@dataclass(frozen=True)
+def _relation_tables(
+    families: tuple[tuple[int, tuple[str, ...]], ...], aliases: dict[str, str]
+) -> tuple[dict[str, int], dict[str, int], dict[str, str]]:
+    """Family and rank per canonical relation, and the lookup from each folded name
+    or alias; ``ValueError`` if a relation is in two families or an alias names none."""
+    family_of: dict[str, int] = {}
+    rank_of: dict[str, int] = {}
+    for number, relations in families:
+        for rank, relation in enumerate(relations, start=1):
+            if relation in family_of:
+                raise ValueError(f"relation {relation!r} assigned to two families")
+            family_of[relation] = number
+            rank_of[relation] = rank
+    lookup = {name: name for name in family_of}
+    for raw, canonical in aliases.items():
+        if canonical not in family_of:
+            raise ValueError(f"alias {raw!r} points at unknown relation {canonical!r}")
+        lookup[_fold(raw)] = canonical
+    return family_of, rank_of, lookup
+
+
+_FAMILY_OF, _RANK_OF, _LOOKUP = _relation_tables(_FAMILY_TABLE, _ALIASES)
+_TOKEN_INDEX = tuple(sorted((key, _tokens(key)) for key in _LOOKUP))
+
+
 class RelationVocabulary:
-    """Canonical relations, per-relation family, and an extensible alias map."""
+    """Canonical relations, their families and ranks, and the alias map."""
 
-    families: tuple[tuple[int, str, tuple[str, ...]], ...] = _FAMILY_TABLE
-    aliases: dict[str, str] = field(default_factory=lambda: dict(_DEFAULT_ALIASES))
-
-    def __post_init__(self) -> None:
-        family_of: dict[str, int] = {}
-        rank_of: dict[str, int] = {}
-        for number, _label, relations in self.families:
-            for rank, relation in enumerate(relations, start=1):
-                if relation in family_of:
-                    raise ValueError(f"relation {relation!r} assigned to two families")
-                family_of[relation] = number
-                rank_of[relation] = rank
-        lookup = {name: name for name in family_of}
-        for raw, canonical in self.aliases.items():
-            if canonical not in family_of:
-                raise ValueError(f"alias {raw!r} points at unknown relation {canonical!r}")
-            lookup[_fold(raw)] = canonical
-        object.__setattr__(self, "_family_of", family_of)
-        object.__setattr__(self, "_rank_of", rank_of)
-        object.__setattr__(self, "_lookup", lookup)
-        object.__setattr__(
-            self, "_token_index", tuple(sorted((key, _tokens(key)) for key in lookup))
-        )
+    __slots__ = ()
 
     def is_canonical(self, relation: str) -> bool:
-        return relation in self._family_of
+        return relation in _FAMILY_OF
 
     def family(self, relation: str) -> int:
-        return self._family_of[relation]
+        return _FAMILY_OF[relation]
 
     def rank_in_family(self, relation: str) -> int:
-        return self._rank_of[relation]
+        return _RANK_OF[relation]
 
     def normalize(self, raw: str) -> tuple[str, int]:
         """Map a raw relation string to (canonical relation, family number).
@@ -155,14 +156,14 @@ class RelationVocabulary:
         a relation with a family in 1-13.
         """
         folded = _fold(raw)
-        hit = self._lookup.get(folded)
+        hit = _LOOKUP.get(folded)
         if hit is not None:
-            return hit, self._family_of[hit]
+            return hit, _FAMILY_OF[hit]
         raw_tokens = _tokens(folded)
         if raw_tokens:
             best_key = None
             best_score = 0.0
-            for key, key_tokens in self._token_index:
+            for key, key_tokens in _TOKEN_INDEX:
                 union = len(raw_tokens | key_tokens)
                 if union == 0:
                     continue
@@ -170,9 +171,9 @@ class RelationVocabulary:
                 if score > best_score:
                     best_key, best_score = key, score
             if best_key is not None and best_score >= 0.5:
-                hit = self._lookup[best_key]
-                return hit, self._family_of[hit]
-        return FALLBACK_RELATION, self._family_of[FALLBACK_RELATION]
+                hit = _LOOKUP[best_key]
+                return hit, _FAMILY_OF[hit]
+        return FALLBACK_RELATION, _FAMILY_OF[FALLBACK_RELATION]
 
 
 DEFAULT_VOCABULARY = RelationVocabulary()

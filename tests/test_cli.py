@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
+from okh import cli
 from okh.cli import main
 from okh.hypergraph import merge_facts
 
@@ -425,3 +428,134 @@ def test_argparse_errors_map_to_exit_codes(capsys):
     assert main(["--help"]) == 0
     assert main(["retrieve", "--variant", "bogus"]) == 2
     capsys.readouterr()
+
+
+def test_os_errors_exit_two_naming_the_path(pipeline, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    retrieve = ["retrieve", "--checkpoint", str(pipeline["checkpoint"]), "--dim", "32",
+                "--query", "q"]
+    for argv in [
+        ["synth", "--groups", "1", "--horizons", "2", "--out", str(taken)],
+        ["build", "--corpus", str(pipeline["facts"]), "--snapshot", str(folder)],
+        [*retrieve, "--snapshot", str(folder)],
+        [*retrieve, "--snapshot", str(pipeline["snapshot"]), "--cache", str(folder)],
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert repr(str(taken if argv[0] == "synth" else folder)) in err
+
+
+def test_build_names_file_and_line_of_an_unreadable_jsonl_line(pipeline, tmp_path, capsys):
+    good = pipeline["facts"].read_text(encoding="utf-8").splitlines()[0]
+    broken = tmp_path / "broken.jsonl"
+    for payload, message in [
+        (f"{good}\n\n  {{\"relation\" 2}}\n".encode(), "line 3 column 15: Expecting ':' delimiter"),
+        (f"{good}\n".encode() + b'{"relation": "\xff"}\n', "line 2: not valid UTF-8"),
+    ]:
+        broken.write_bytes(payload)
+        snapshot = tmp_path / "never.snap"
+        assert main(["build", "--corpus", str(pipeline["facts"]), str(broken),
+                     "--snapshot", str(snapshot)]) == 2
+        assert f"error: corpus[1]: {broken} {message}" in capsys.readouterr().err
+        assert not snapshot.exists()
+
+
+def test_config_variant_is_checked_before_loading(tmp_path, capsys):
+    config = tmp_path / "variant.json"
+    config.write_text(json.dumps({"variant": "bogus"}), encoding="utf-8")
+    missing = str(tmp_path / "missing")
+    for command, target in [("retrieve", "--query"), ("eval", "--qa")]:
+        assert main([command, "--config", str(config), "--snapshot", missing,
+                     "--checkpoint", missing, target, missing]) == 2
+        err = capsys.readouterr().err
+        assert 'config.variant: expected one of full, shuffled' in err
+        assert "missing" not in err
+
+
+_CHOICES = sorted({
+    choice
+    for command in cli._COMMANDS.values()
+    for entry in command.options.values()
+    if isinstance(entry, cli._Choice)
+    for choice in entry.choices
+})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _values_for(entry):
+    """Values near the entry's declared type, or any JSON value."""
+    if isinstance(entry, cli._Choice):
+        near = st.sampled_from(entry.choices) | st.sampled_from(_CHOICES)
+    elif type(entry) is float:
+        near = st.floats() | st.integers() | st.sampled_from([math.nan, math.inf, -math.inf])
+    elif type(entry) is list:
+        near = st.lists(st.text(max_size=6), max_size=3)
+    else:
+        near = st.from_type(type(entry))
+    return near | _JSON
+
+
+def _fits(value, entry):
+    """The declared type of a table entry, restated apart from the CLI's own check."""
+    if isinstance(entry, cli._Choice):
+        return type(value) is str and value in entry.choices
+    if type(entry) is float:
+        try:
+            return type(value) in (int, float) and math.isfinite(float(value))
+        except OverflowError:
+            return False
+    if type(entry) is list:
+        return type(value) is list and all(type(item) is str for item in value)
+    return type(value) is type(entry)
+
+
+@st.composite
+def _config_entries(draw):
+    """A subcommand, one of its options, a config key for it and a value."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    dest = draw(st.sampled_from(list(cli._COMMANDS[name].options)))
+    key = draw(st.sampled_from(sorted({dest, dest.rstrip("_")})))
+    return name, dest, key, draw(_values_for(cli._COMMANDS[name].options[dest]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_config_entries())
+@example(("retrieve", "lambda_", "lambda", 1))
+@example(("eval", "lambda_", "lambda_", 2.5))
+@example(("train", "dim", "dim", True))
+@example(("train", "step", "step", math.nan))
+@example(("build", "corpus", "corpus", ["a", 1]))
+@example(("retrieve", "variant", "variant", "all"))
+def test_config_value_is_accepted_exactly_when_it_fits_its_option(tmp_path, capsys, drawn):
+    name, dest, key, value = drawn
+    options = cli._COMMANDS[name].options
+    entry = options[dest]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    parser = cli.build_parser()
+    event(f"{type(entry).__name__} option, value {'fits' if _fits(value, entry) else 'does not fit'}")
+    if not _fits(value, entry):
+        assert main([name, "--config", str(config)]) == 2
+        assert f"error: config.{key}: expected" in capsys.readouterr().err
+        return
+    merged = cli._merged(parser.parse_args([name, "--config", str(config)]), options)
+    default = entry.default if isinstance(entry, cli._Choice) else entry
+    assert merged[dest] == (float(value) if type(entry) is float else value)
+    assert type(merged[dest]) is type(default)
+    flag = f"--{dest.rstrip('_').replace('_', '-')}"
+    if type(entry) is list:
+        if not value or any(item.startswith("-") for item in value):
+            return  # no flag spelling for an empty list or an option-like item
+        argv = [flag, *value]
+    else:
+        argv = [f"{flag}={value!r}" if type(entry) is float else f"{flag}={value}"]
+    assert cli._merged(parser.parse_args([name, *argv]), options)[dest] == merged[dest]

@@ -5,7 +5,9 @@ from okh.relations import (
     CROSS_HORIZON_FAMILY,
     DEFAULT_VOCABULARY,
     EntityType,
-    RelationVocabulary,
+    _ALIASES,
+    _FAMILY_TABLE,
+    _relation_tables,
     change_relation_for_family,
     phase_of_family,
 )
@@ -49,7 +51,7 @@ def test_empty_relation_falls_back():
 
 
 def test_every_canonical_relation_has_family_in_range():
-    for _, _, relations in DEFAULT_VOCABULARY.families:
+    for _, relations in _FAMILY_TABLE:
         for relation in relations:
             assert 1 <= DEFAULT_VOCABULARY.family(relation) <= 13
 
@@ -93,7 +95,7 @@ def test_change_relation_per_family():
 
 def test_extended_vocabulary_rejects_unknown_target():
     with pytest.raises(ValueError):
-        RelationVocabulary(aliases={"x": "not_a_relation"})
+        _relation_tables(_FAMILY_TABLE, {**_ALIASES, "x": "not_a_relation"})
 
 
 def test_entity_type_parse_is_case_insensitive_with_fallback():
@@ -104,8 +106,8 @@ def test_entity_type_parse_is_case_insensitive_with_fallback():
 
 def test_duplicate_relation_across_families_rejected():
     families = (
-        (1, "a", ("rel_one",)),
-        (2, "b", ("rel_one",)),
+        (1, ("rel_one",)),
+        (2, ("rel_one",)),
     )
     with pytest.raises(ValueError):
-        RelationVocabulary(families=families)
+        _relation_tables(families, {})
