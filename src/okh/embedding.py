@@ -13,11 +13,12 @@ import os
 import struct
 import threading
 import time
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from okh.errors import DimensionMismatch, ProviderError
+from okh.errors import DimensionMismatch, ProviderError, SchemaError
 from okh.hashutil import content_key, fnv1a64_many
 from okh.hypergraph import Entity, Hyperedge, KnowledgeHypergraph
 from okh.relations import EntityType
@@ -35,15 +36,28 @@ def compose_text(edge: Hyperedge, entities: Mapping[str, Entity]) -> str:
     id, and attributes as "key=value" sorted by key, joined by " | ". The
     attribute segment is present but empty when the edge has no attributes.
     """
-    parts = []
-    for entity_id in sorted(edge.entity_ids):
-        entity = entities.get(entity_id)
-        if entity is None:
-            parts.append(f"{entity_id} [{EntityType.OTHER.value}]")
-        else:
-            parts.append(f"{entity.name} [{entity.entity_type.value}]")
-    attr_part = "; ".join(f"{key}={value}" for key, value in sorted(edge.attributes.items()))
-    return f"{edge.relation} | {edge.evidence} | " + "; ".join(parts) + f" | {attr_part}"
+    labels = {
+        entity_id: _entity_label(entity)
+        for entity_id in edge.entity_ids
+        if (entity := entities.get(entity_id)) is not None
+    }
+    return _compose(edge, labels)
+
+
+def _entity_label(entity: Entity) -> str:
+    return f"{entity.name} [{entity.entity_type.value}]"
+
+
+def _compose(edge: Hyperedge, labels: Mapping[str, str]) -> str:
+    """`compose_text`, given the label of each entity that has one."""
+    entity_part = "; ".join(
+        [
+            labels.get(entity_id) or f"{entity_id} [{EntityType.OTHER.value}]"
+            for entity_id in sorted(edge.entity_ids)
+        ]
+    )
+    attr_part = "; ".join([f"{key}={value}" for key, value in sorted(edge.attributes.items())])
+    return f"{edge.relation} | {edge.evidence} | {entity_part} | {attr_part}"
 
 
 def _quantize(vector: np.ndarray) -> np.ndarray:
@@ -57,6 +71,14 @@ def _unit(vector: np.ndarray, dim: int) -> np.ndarray:
         basis[0] = 1.0
         return basis
     return vector / norm
+
+
+class _Slots(dict):
+    """Token -> slot number, a new token taking the next number."""
+
+    def __missing__(self, token: str) -> int:
+        slot = self[token] = len(self)
+        return slot
 
 
 class LocalHashingEmbedder:
@@ -83,16 +105,27 @@ class LocalHashingEmbedder:
             return np.zeros((0, self.dim), dtype=np.float64)
         # Each distinct token is hashed once. The bucket sums are small
         # integers, so accumulating them in any order gives the same floats.
-        slot_of: dict[str, int] = {}
-        slots = [[slot_of.setdefault(token, len(slot_of)) for token in text.split()] for text in texts]
+        slot_of = _Slots()
+        slots = [list(map(slot_of.__getitem__, text.split())) for text in texts]
+        sizes = [len(row) for row in slots]
+        tokens = np.fromiter(chain.from_iterable(slots), dtype=np.intp, count=sum(sizes))
         digests = fnv1a64_many([token.encode("utf-8") for token in slot_of])
         buckets = np.array([digest % self.dim for digest in digests], dtype=np.intp)
         signs = np.array([1.0 if digest >> 63 == 0 else -1.0 for digest in digests])
-        rows = []
-        for row in slots:
-            accum = np.bincount(buckets[row], weights=signs[row], minlength=self.dim)
-            rows.append(_quantize(_unit(accum, self.dim)))
-        return np.stack(rows)
+        # One bincount over (text, bucket) cells fills every row at once. The
+        # squared norms are sums of squared small integers, exact in any
+        # order, so each row is the one `_unit` would give.
+        cells = np.repeat(np.arange(len(texts), dtype=np.intp) * self.dim, sizes) + buckets[tokens]
+        accum = np.bincount(cells, weights=signs[tokens], minlength=len(texts) * self.dim)
+        # (bincount returns integers when no text has a token.)
+        accum = accum.reshape(len(texts), self.dim).astype(np.float64, copy=False)
+        norms = np.sqrt(np.einsum("ij,ij->i", accum, accum))
+        empty = norms == 0.0
+        accum[empty, 0] = 1.0
+        norms[empty] = 1.0
+        accum /= norms[:, None]
+        accum[...] = accum.astype(np.float32)  # `_quantize`, in place
+        return accum
 
 
 def post_json_with_retries(
@@ -201,14 +234,22 @@ class EmbeddingCache:
     16-byte digest followed by dimension little-endian f32 values. The
     identity names the provider, plus the endpoint and model for a remote
     one, so vectors of another embedder with the same dimension are never
-    reused. Reads are lock-free once loaded; writes are serialized.
+    reused. The records load as the rows of one float64 matrix; a digest
+    recorded twice reads as its later record. Reads are lock-free once
+    loaded; writes are serialized.
     """
 
     def __init__(self, path: str, dim: int, identity: str = LocalHashingEmbedder.identity):
         self.path = path
         self.dim = dim
         self.identity = identity
-        self._records: dict[bytes, np.ndarray] = {}
+        self._record = np.dtype([("key", "V16"), ("vector", "<f4", (dim,))])
+        # The loaded records, as a key -> row index into one matrix that is
+        # never written after loading, and the vectors stored since, which
+        # win over a loaded row of the same key.
+        self._row_of: dict[bytes, int] = {}
+        self._matrix = np.zeros((0, dim), dtype=np.float64)
+        self._stored: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
         self._load()
 
@@ -227,37 +268,84 @@ class EmbeddingCache:
             # A cache of another version, dimension or embedder is ignored
             # and rebuilt on save.
             return
-        dim = self.dim
-        record = 16 + 4 * dim
-        offset = len(header)
-        while offset + record <= len(blob):
-            key = blob[offset : offset + 16]
-            vector = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset + 16)
-            self._records[key] = vector.astype(np.float64)
-            offset += record
+        size = self._record.itemsize
+        count = (len(blob) - len(header)) // size
+        records = np.frombuffer(blob, dtype=self._record, count=count, offset=len(header))
+        self._matrix = records["vector"].astype(np.float64)
+        starts = range(len(header), len(header) + count * size, size)
+        keys = [blob[start : start + 16] for start in starts]
+        self._row_of = dict(zip(keys, range(count)))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._row_of.keys() | self._stored.keys())
 
     def lookup(self, text: str) -> np.ndarray | None:
-        vector = self._records.get(content_key(text))
-        return None if vector is None else vector.copy()
+        key = content_key(text)
+        vector = self._stored.get(key)
+        if vector is None:
+            row = self._row_of.get(key)
+            return None if row is None else self._matrix[row].copy()
+        return vector.copy()
+
+    def lookup_many(self, texts: Sequence[str]) -> tuple[np.ndarray, list[int]]:
+        """The vectors of ``texts`` as the rows of one matrix, and the positions
+        of the texts that have no record, whose rows are zero."""
+        keys = [content_key(text) for text in texts]
+        get = self._row_of.get
+        rows = [get(key, -1) for key in keys]
+        misses = [i for i, row in enumerate(rows) if row < 0]
+        if len(misses) == len(rows):
+            found = np.zeros((len(rows), self.dim), dtype=np.float64)
+        else:
+            found = self._matrix[rows]
+            found[misses] = 0.0
+        if self._stored:
+            for i, key in enumerate(keys):
+                vector = self._stored.get(key)
+                if vector is not None:
+                    found[i] = vector
+            misses = [i for i in misses if keys[i] not in self._stored]
+        return found, misses
 
     def store(self, text: str, vector: np.ndarray) -> None:
         if vector.shape != (self.dim,):
             raise DimensionMismatch(f"cache holds {self.dim}-d vectors, got {vector.shape}")
         with self._lock:
-            self._records[content_key(text)] = np.asarray(vector, dtype=np.float64)
+            self._stored[content_key(text)] = np.asarray(vector, dtype=np.float64)
 
     def save(self) -> None:
+        """Write the records in key order.
+
+        Refuses (SchemaError at ``cache``) to replace a non-empty file that
+        does not start with the cache magic, since that file is not a cache.
+        """
         with self._lock:
-            blob = bytearray(self._header())
-            for key in sorted(self._records):
-                blob += key
-                blob += self._records[key].astype("<f4").tobytes()
+            try:
+                with open(self.path, "rb") as handle:
+                    head = handle.read(len(CACHE_MAGIC))
+            except FileNotFoundError:
+                head = b""
+            if head and head != CACHE_MAGIC:
+                raise SchemaError(
+                    "cache", f"{self.path} is not an embedding cache; refusing to overwrite it"
+                )
+            keys = sorted(self._row_of.keys() | self._stored.keys())
+            records = np.empty(len(keys), dtype=self._record)
+            records["key"] = np.frombuffer(b"".join(keys), dtype="V16")
+            vectors = records["vector"]
+            loaded = [i for i, key in enumerate(keys) if key not in self._stored]
+            rows = [self._row_of[keys[i]] for i in loaded]
+            # In blocks, so that the float64 rows gathered on the way stay few.
+            for start in range(0, len(rows), 1024):
+                vectors[loaded[start : start + 1024]] = self._matrix[rows[start : start + 1024]]
+            for i, key in enumerate(keys):
+                vector = self._stored.get(key)
+                if vector is not None:
+                    vectors[i] = vector
             tmp = self.path + ".tmp"
             with open(tmp, "wb") as handle:
-                handle.write(bytes(blob))
+                handle.write(self._header())
+                handle.write(records)
             os.replace(tmp, self.path)
 
 
@@ -289,29 +377,19 @@ class EmbeddingStore:
         cache: EmbeddingCache | None = None,
     ) -> "EmbeddingStore":
         ids = sorted(hypergraph.hyperedges)
-        texts = [
-            compose_text(hypergraph.hyperedges[edge_id], hypergraph.entities)
-            for edge_id in ids
-        ]
-        rows: list[np.ndarray | None] = [None] * len(ids)
-        misses: list[int] = []
-        if cache is not None:
-            for i, text in enumerate(texts):
-                rows[i] = cache.lookup(text)
-                if rows[i] is None:
-                    misses.append(i)
+        labels = {
+            entity_id: _entity_label(entity) for entity_id, entity in hypergraph.entities.items()
+        }
+        texts = [_compose(hypergraph.hyperedges[edge_id], labels) for edge_id in ids]
+        if cache is None:
+            matrix = np.asarray(embedder.embed(texts), dtype=np.float64)
         else:
-            misses = list(range(len(ids)))
-        if misses:
-            fresh = embedder.embed([texts[i] for i in misses])
-            for slot, i in enumerate(misses):
-                rows[i] = fresh[slot]
-                if cache is not None:
+            matrix, misses = cache.lookup_many(texts)
+            if misses:
+                fresh = embedder.embed([texts[i] for i in misses])
+                for slot, i in enumerate(misses):
                     cache.store(texts[i], fresh[slot])
-        dim = getattr(embedder, "dim", None) or (rows[0].shape[0] if rows else 0)
-        matrix = (
-            np.stack(rows) if rows else np.zeros((0, dim), dtype=np.float64)
-        )
+                matrix[misses] = fresh
         return cls(ids, matrix, embedder, cache)
 
     def vector(self, edge_id: str) -> np.ndarray:

@@ -26,6 +26,7 @@ from okh.relations import (
     COVERAGE_PHASES,
     CROSS_HORIZON_FAMILY,
     DEFAULT_VOCABULARY,
+    FAMILY_OF,
     EntityType,
     change_relation_for_family,
     phase_of_family,
@@ -135,8 +136,7 @@ class Entity:
             raise ValueError("entity id must be non-empty")
         if not 0.0 < self.confidence <= 1.0:
             raise ValueError(f"entity confidence must be in (0, 1], got {self.confidence}")
-        is_anchor_id = HORIZON_ANCHOR_RE.match(self.id) is not None
-        if self.entity_type is EntityType.HORIZON_TIME and not is_anchor_id:
+        if self.entity_type is EntityType.HORIZON_TIME and not HORIZON_ANCHOR_RE.match(self.id):
             raise ValueError(f"horizon_time entity id {self.id!r} must match horizon:T-<int>")
 
     def to_dict(self) -> dict[str, Any]:
@@ -483,20 +483,27 @@ class KnowledgeHypergraph:
         for key in ("entities", "hyperedges"):
             if not isinstance(snapshot.get(key, []), list):
                 raise SchemaError(key, "expected a list")
+        # An entry whose fields hold exactly the types a saved snapshot writes,
+        # and that its constructor accepts, is built directly; any other goes
+        # through the checks that name the bad field, and is accepted or
+        # refused just as they decide.
         entities: dict[str, Entity] = {}
         for index, raw in enumerate(snapshot.get("entities", [])):
-            entity = _entity_from_dict(raw, f"entities[{index}]")
+            entity = _plain_entity(raw) or _entity_from_dict(raw, f"entities[{index}]")
             entities[entity.id] = entity
         parsed: list[Hyperedge] = []
         malformed: SchemaError | ValueError | None = None
         for index, raw in enumerate(snapshot.get("hyperedges", [])):
-            try:
-                parsed.append(_edge_from_dict(raw, f"hyperedges[{index}]"))
-            except (SchemaError, ValueError) as exc:
-                # Raised after the edges before it are checked, so the first
-                # bad edge in index order is the one reported.
-                malformed = exc
-                break
+            edge = _plain_edge(raw)
+            if edge is None:
+                try:
+                    edge = _edge_from_dict(raw, f"hyperedges[{index}]")
+                except (SchemaError, ValueError) as exc:
+                    # Raised after the edges before it are checked, so the
+                    # first bad edge in index order is the one reported.
+                    malformed = exc
+                    break
+            parsed.append(edge)
         expected_ids = _dedup_ids((edge.relation, edge.entity_ids, edge.evidence) for edge in parsed)
         hyperedges: dict[str, Hyperedge] = {}
         for index, (edge, expected) in enumerate(zip(parsed, expected_ids)):
@@ -513,8 +520,24 @@ class KnowledgeHypergraph:
 
     @classmethod
     def load_snapshot(cls, path: str) -> tuple["KnowledgeHypergraph", dict[str, list[tuple[str, str]]]]:
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_snapshot(json.load(handle))
+        return cls.from_snapshot(_read_snapshot(path))
+
+
+def _read_snapshot(path: str) -> Any:
+    """The JSON document in a snapshot file, or SchemaError at ``snapshot``
+    naming the file and line where it cannot be decoded."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError("snapshot", f"{path} line {line}: not valid UTF-8") from None
+    del data  # neither copy of the file outlives the parse
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("snapshot", f"{path} line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
 # The snapshot file holds exactly the bytes of
@@ -658,6 +681,68 @@ def _entity_from_dict(raw: Any, path: str) -> Entity:
     return Entity(entity_id, name, entity_type, description, float(confidence))
 
 
+_TYPE_OF_VALUE = {member.value: member for member in EntityType}
+
+
+def _plain_entity(raw: Any) -> Entity | None:
+    """The entity of a snapshot entry whose fields all hold exactly the types
+    `Entity.to_dict` writes, else None; what it builds, `_entity_from_dict` would."""
+    if raw.__class__ is not dict:
+        return None
+    entity_id, name, type_raw = raw.get("id"), raw.get("name"), raw.get("type")
+    description, confidence = raw.get("description", ""), raw.get("confidence", 1.0)
+    if not (
+        entity_id.__class__ is str
+        and name.__class__ is str
+        and type_raw.__class__ is str
+        and type_raw in _TYPE_OF_VALUE
+        and description.__class__ is str
+        and confidence.__class__ is float
+    ):
+        return None
+    entity_type = _TYPE_OF_VALUE[type_raw]
+    if entity_id.startswith("horizon:T-") and HORIZON_ANCHOR_RE.match(entity_id):
+        entity_type = EntityType.HORIZON_TIME
+    try:
+        return Entity(entity_id, name, entity_type, description, confidence)
+    except ValueError:
+        return None  # `_entity_from_dict` names the bad field
+
+
+def _plain_edge(raw: Any) -> Hyperedge | None:
+    """The hyperedge of a snapshot entry whose fields all hold exactly the types
+    `Hyperedge.to_dict` writes, else None; what it builds, `_edge_from_dict` would."""
+    if raw.__class__ is not dict:
+        return None
+    entity_ids, relation, family = raw.get("entities"), raw.get("relation"), raw.get("family")
+    edge_id, evidence, group = raw.get("id"), raw.get("evidence"), raw.get("group")
+    confidence, horizon, position = raw.get("confidence"), raw.get("horizon"), raw.get("text_position")
+    attributes = raw.get("attributes", {})
+    if not (
+        entity_ids.__class__ is list
+        and all(entity_id.__class__ is str for entity_id in entity_ids)
+        and attributes.__class__ is dict
+        and all(key.__class__ is str and value.__class__ is str for key, value in attributes.items())
+        and relation.__class__ is str
+        and family.__class__ is int
+        and FAMILY_OF.get(relation) == family
+        and edge_id.__class__ is str
+        and evidence.__class__ is str
+        and group.__class__ is str
+        and confidence.__class__ is float
+        and (horizon is None or horizon.__class__ is int)
+        and position.__class__ is int
+    ):
+        return None
+    try:
+        return Hyperedge(
+            edge_id, relation, family, frozenset(entity_ids), evidence, dict(attributes),
+            confidence, group, horizon, position,
+        )
+    except ValueError:
+        return None  # `_edge_from_dict` names the bad field
+
+
 def _optional_horizon(raw: Mapping[str, Any], path: str) -> int | None:
     horizon = raw.get("horizon")
     if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool) or horizon <= 0):
@@ -709,17 +794,17 @@ def _precedence_from_dict(
             raise SchemaError(f"precedence.{group}", "expected a list of [src, dst] pairs")
         checked = []
         for index, pair in enumerate(pairs):
-            path = f"precedence.{group}[{index}]"
             if not (
                 isinstance(pair, list)
                 and len(pair) == 2
                 and isinstance(pair[0], str)
                 and isinstance(pair[1], str)
             ):
-                raise SchemaError(path, "expected a [src, dst] pair of edge ids")
+                raise SchemaError(f"precedence.{group}[{index}]", "expected a [src, dst] pair of edge ids")
             src, dst = pair
             if src not in hyperedges or dst not in hyperedges:
-                raise SchemaError(path, f"unknown edge {src if src not in hyperedges else dst!r}")
+                missing = src if src not in hyperedges else dst
+                raise SchemaError(f"precedence.{group}[{index}]", f"unknown edge {missing!r}")
             checked.append((src, dst))
         precedence[group] = checked
     return precedence

@@ -128,7 +128,8 @@ def _relation_tables(
     return family_of, rank_of, lookup
 
 
-_FAMILY_OF, _RANK_OF, _LOOKUP = _relation_tables(_FAMILY_TABLE, _ALIASES)
+# FAMILY_OF maps each canonical relation, and nothing else, to its family.
+FAMILY_OF, _RANK_OF, _LOOKUP = _relation_tables(_FAMILY_TABLE, _ALIASES)
 _TOKEN_INDEX = tuple(sorted((key, _tokens(key)) for key in _LOOKUP))
 
 
@@ -138,10 +139,10 @@ class RelationVocabulary:
     __slots__ = ()
 
     def is_canonical(self, relation: str) -> bool:
-        return relation in _FAMILY_OF
+        return relation in FAMILY_OF
 
     def family(self, relation: str) -> int:
-        return _FAMILY_OF[relation]
+        return FAMILY_OF[relation]
 
     def rank_in_family(self, relation: str) -> int:
         return _RANK_OF[relation]
@@ -158,7 +159,7 @@ class RelationVocabulary:
         folded = _fold(raw)
         hit = _LOOKUP.get(folded)
         if hit is not None:
-            return hit, _FAMILY_OF[hit]
+            return hit, FAMILY_OF[hit]
         raw_tokens = _tokens(folded)
         if raw_tokens:
             best_key = None
@@ -172,8 +173,8 @@ class RelationVocabulary:
                     best_key, best_score = key, score
             if best_key is not None and best_score >= 0.5:
                 hit = _LOOKUP[best_key]
-                return hit, _FAMILY_OF[hit]
-        return FALLBACK_RELATION, _FAMILY_OF[FALLBACK_RELATION]
+                return hit, FAMILY_OF[hit]
+        return FALLBACK_RELATION, FAMILY_OF[FALLBACK_RELATION]
 
 
 DEFAULT_VOCABULARY = RelationVocabulary()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -447,6 +448,40 @@ def test_os_errors_exit_two_naming_the_path(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert repr(str(taken if argv[0] == "synth" else folder)) in err
+
+
+def test_retrieve_and_train_refuse_to_overwrite_a_file_that_is_not_a_cache(
+    pipeline, tmp_path, capsys
+):
+    qa = tmp_path / "qa.json"
+    qa.write_bytes(pipeline["qa"].read_bytes())
+    digest = hashlib.sha256(qa.read_bytes()).hexdigest()
+    out = tmp_path / "out.json"
+    checkpoint = tmp_path / "never.okht"
+    for argv in [
+        ["retrieve", "--checkpoint", str(pipeline["checkpoint"]), "--query", "q",
+         "--out", str(out)],
+        ["train", "--checkpoint", str(checkpoint), "--rank", "4", "--epochs", "1"],
+    ]:
+        assert main([*argv, "--snapshot", str(pipeline["snapshot"]), "--dim", "32",
+                     "--cache", str(qa)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cache: {qa} is not an embedding cache; refusing to overwrite it\n"
+        assert hashlib.sha256(qa.read_bytes()).hexdigest() == digest
+        assert not out.exists() and not checkpoint.exists()
+
+
+def test_snapshot_that_cannot_be_decoded_exits_two_naming_the_file(pipeline, tmp_path, capsys):
+    undecodable = tmp_path / "bom.snap"
+    undecodable.write_bytes(b"\xff\xfe")
+    for path, message in [
+        (pipeline["facts"], "line 2 column 1: Extra data"),
+        (undecodable, "line 1: not valid UTF-8"),
+    ]:
+        assert main(["retrieve", "--snapshot", str(path),
+                     "--checkpoint", str(pipeline["checkpoint"]),
+                     "--dim", "32", "--query", "q"]) == 2
+        assert capsys.readouterr().err == f"error: snapshot: {path} {message}\n"
 
 
 def test_build_names_file_and_line_of_an_unreadable_jsonl_line(pipeline, tmp_path, capsys):
