@@ -9,6 +9,7 @@ config file supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -457,10 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` uses, built once per process; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     command = _COMMANDS[ns.command]

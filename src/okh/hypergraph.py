@@ -10,12 +10,10 @@ snapshot and reloaded byte-for-byte.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from json.encoder import encode_basestring as _json_string
 from typing import Any
 
 import numpy as np
@@ -455,7 +453,6 @@ class KnowledgeHypergraph:
             "version": SNAPSHOT_VERSION,
             "entities": [self.entities[eid].to_dict() for eid in sorted(self.entities)],
             "hyperedges": [self.hyperedges[eid].to_dict() for eid in sorted(self.hyperedges)],
-            "groups": {group: list(ids) for group, ids in self.groups.items()},
         }
         if precedence_edges is not None:
             snapshot["precedence"] = {
@@ -469,7 +466,13 @@ class KnowledgeHypergraph:
         path: str,
         precedence_edges: dict[str, list[tuple[str, str]]] | None = None,
     ) -> None:
-        payload = _snapshot_json(self.to_snapshot(precedence_edges))
+        payload = json.dumps(
+            self.to_snapshot(precedence_edges),
+            sort_keys=True,
+            ensure_ascii=False,
+            separators=(",", ":"),
+            allow_nan=False,
+        ) + "\n"
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(payload)
 
@@ -525,126 +528,20 @@ class KnowledgeHypergraph:
 
 def _read_snapshot(path: str) -> Any:
     """The JSON document in a snapshot file, or SchemaError at ``snapshot``
-    naming the file and line where it cannot be decoded."""
+    naming the file, line and column where it cannot be decoded."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise SchemaError("snapshot", f"{path} line {line}: not valid UTF-8") from None
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise SchemaError("snapshot", f"{path} line {line} column {column}: not valid UTF-8") from None
     del data  # neither copy of the file outlives the parse
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("snapshot", f"{path} line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-
-
-# The snapshot file holds exactly the bytes of
-# ``json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"``.
-# That call runs json's pure-Python encoder (the C one skips indent), so the
-# writer below lays out each entity, hyperedge and precedence pair with one
-# template and encodes strings with the C function that call uses. A value
-# outside its field's declared type raises instead of being written.
-_ENTITY_JSON = (
-    "{\n"
-    '      "confidence": %s,\n'
-    '      "description": %s,\n'
-    '      "id": %s,\n'
-    '      "name": %s,\n'
-    '      "type": %s\n'
-    "    }"
-)
-_EDGE_JSON = (
-    "{\n"
-    '      "attributes": %s,\n'
-    '      "confidence": %s,\n'
-    '      "entities": %s,\n'
-    '      "evidence": %s,\n'
-    '      "family": %s,\n'
-    '      "group": %s,\n'
-    '      "horizon": %s,\n'
-    '      "id": %s,\n'
-    '      "relation": %s,\n'
-    '      "text_position": %s\n'
-    "    }"
-)
-_PAIR_JSON = '[\n        %s,\n        %s\n      ]'
-
-
-def _json_float(value: Any) -> str:
-    if (value.__class__ is float or value.__class__ is int) and math.isfinite(value):
-        return repr(value)
-    raise TypeError(f"snapshot number must be a finite float or int, got {value!r}")
-
-
-def _json_int(value: Any) -> str:
-    if value.__class__ is int:
-        return repr(value)
-    raise TypeError(f"snapshot integer must be an int, got {value!r}")
-
-
-def _json_list(items: Iterable[str], indent: str, brackets: str = "[]") -> str:
-    """Formatted items one per line inside ``brackets``, for a value at ``indent``."""
-    inner = "\n" + indent + "  "
-    body = ("," + inner).join(items)
-    return brackets[0] + inner + body + "\n" + indent + brackets[1] if body else brackets
-
-
-def _json_object(items: Iterable[tuple[str, str]], indent: str) -> str:
-    """A JSON object of (string key, formatted value) items, in key order."""
-    return _json_list(
-        [_json_string(key) + ": " + value for key, value in sorted(items)], indent, "{}"
-    )
-
-
-def _entity_json(entity: Mapping[str, Any]) -> str:
-    return _ENTITY_JSON % (
-        _json_float(entity["confidence"]),
-        _json_string(entity["description"]),
-        _json_string(entity["id"]),
-        _json_string(entity["name"]),
-        _json_string(entity["type"]),
-    )
-
-
-def _edge_json(edge: Mapping[str, Any]) -> str:
-    attributes = [(key, _json_string(value)) for key, value in edge["attributes"].items()]
-    horizon = edge["horizon"]
-    return _EDGE_JSON % (
-        _json_object(attributes, "      "),
-        _json_float(edge["confidence"]),
-        _json_list(map(_json_string, edge["entities"]), "      "),
-        _json_string(edge["evidence"]),
-        _json_int(edge["family"]),
-        _json_string(edge["group"]),
-        "null" if horizon is None else _json_int(horizon),
-        _json_string(edge["id"]),
-        _json_string(edge["relation"]),
-        _json_int(edge["text_position"]),
-    )
-
-
-def _pair_json(pair: Sequence[str]) -> str:
-    return _PAIR_JSON % tuple(map(_json_string, pair))
-
-
-def _snapshot_json(doc: Mapping[str, Any]) -> str:
-    """The text of a `to_snapshot` document, as the json.dumps call above writes it."""
-    groups = [(group, _json_list(map(_json_string, ids), "    ")) for group, ids in doc["groups"].items()]
-    fields = [
-        ("entities", _json_list(map(_entity_json, doc["entities"]), "  ")),
-        ("groups", _json_object(groups, "  ")),
-        ("hyperedges", _json_list(map(_edge_json, doc["hyperedges"]), "  ")),
-        ("version", _json_int(doc["version"])),
-    ]
-    if "precedence" in doc:
-        precedence = [
-            (group, _json_list(map(_pair_json, pairs), "    "))
-            for group, pairs in doc["precedence"].items()
-        ]
-        fields.append(("precedence", _json_object(precedence, "  ")))
-    return _json_object(fields, "") + "\n"
 
 
 def _require(fact: Mapping[str, Any], key: str, kind: type | tuple, path: str) -> Any:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from okh.embedding import EmbeddingStore
-from okh.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss
+from okh.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, SchemaError
 from okh.hypergraph import KnowledgeHypergraph
 from okh.precedence import PrecedenceIndex
 
@@ -111,15 +111,15 @@ class TransitionModel:
             blob = handle.read()
         header = struct.calcsize("<4sIII")
         if len(blob) < header:
-            raise ValueError(f"checkpoint {path} is truncated")
+            raise SchemaError("checkpoint", f"{path} is truncated")
         magic, version, dim, rank = struct.unpack_from("<4sIII", blob)
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"checkpoint {path} has magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+            raise SchemaError("checkpoint", f"{path} has magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise SchemaError("checkpoint", f"{path} has unsupported version {version}")
         expected = header + 2 * 4 * dim * rank + 8
         if len(blob) != expected:
-            raise ValueError(f"checkpoint {path} has {len(blob)} bytes, expected {expected}")
+            raise SchemaError("checkpoint", f"{path} has {len(blob)} bytes, expected {expected}")
         offset = header
         u = np.frombuffer(blob, dtype="<f4", count=rank * dim, offset=offset)
         offset += 4 * rank * dim
@@ -128,7 +128,7 @@ class TransitionModel:
         (seed,) = struct.unpack_from("<Q", blob, offset)
         for name, matrix in (("u", u), ("v", v)):
             if not np.isfinite(matrix).all():
-                raise ValueError(f"checkpoint {path} has a non-finite value in {name}")
+                raise SchemaError("checkpoint", f"{path} has a non-finite value in {name}")
         return cls(
             u.astype(np.float64).reshape(rank, dim),
             v.astype(np.float64).reshape(rank, dim),

@@ -308,6 +308,39 @@ def test_retrieve_rejects_non_finite_checkpoint(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@st.composite
+def _corrupted_checkpoints(draw, blob):
+    """A saved checkpoint cut short, extended, with a header byte flipped, or
+    with one float of u or v made non-finite."""
+    kind = draw(st.sampled_from(["truncate", "extend", "header", "value"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "extend":
+        return blob + draw(st.binary(min_size=1, max_size=64))
+    if kind == "header":
+        at = draw(st.integers(0, 15))
+        return blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1 :]
+    # An all-ones exponent is infinity or NaN, whatever the sign and mantissa.
+    at = 16 + 4 * draw(st.integers(0, (len(blob) - 16 - 8) // 4 - 1))
+    mantissa = draw(st.integers(0, 2**23 - 1))
+    word = (draw(st.integers(0, 1)) << 31 | 0xFF << 23 | mantissa).to_bytes(4, "little")
+    return blob[:at] + word + blob[at + 4 :]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_checkpoint_exits_two_naming_the_file(pipeline, tmp_path, capsys, data):
+    broken = tmp_path / "corrupted.okht"
+    broken.write_bytes(data.draw(_corrupted_checkpoints(pipeline["checkpoint"].read_bytes())))
+    assert main(["retrieve", "--snapshot", str(pipeline["snapshot"]),
+                 "--checkpoint", str(broken), "--dim", "32", "--query", "q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: checkpoint: {broken} ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_config_values_of_the_wrong_type_exit_two(pipeline, tmp_path, capsys):
     common = ["--snapshot", str(pipeline["snapshot"]),
               "--checkpoint", str(pipeline["checkpoint"]), "--query", "q"]
@@ -431,6 +464,35 @@ def test_argparse_errors_map_to_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_command_of_a_process(pipeline, tmp_path, capsys):
+    snapshot = tmp_path / "graph.snap"
+    retrieve = ["retrieve", "--snapshot", str(pipeline["snapshot"]),
+                "--checkpoint", str(pipeline["checkpoint"]), "--dim", "32", "--query", "q"]
+    runs = [
+        [*retrieve, "--paths", "2", "--variant", "no_order"],
+        ["build", "--corpus", str(pipeline["facts"]), "--snapshot", str(snapshot)],
+        retrieve,
+        ["retrieve", "--help"],
+        ["build", "--snapshot", str(snapshot)],
+        ["--help"],
+    ]
+
+    def run(argv):
+        snapshot.unlink(missing_ok=True)
+        code = main(argv)
+        written = snapshot.read_bytes() if argv[0] == "build" and snapshot.exists() else None
+        return code, capsys.readouterr(), written
+
+    shared = [run(argv) for argv in runs]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0]
+    assert shared == fresh
+
+
 def test_os_errors_exit_two_naming_the_path(pipeline, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
@@ -474,9 +536,12 @@ def test_retrieve_and_train_refuse_to_overwrite_a_file_that_is_not_a_cache(
 def test_snapshot_that_cannot_be_decoded_exits_two_naming_the_file(pipeline, tmp_path, capsys):
     undecodable = tmp_path / "bom.snap"
     undecodable.write_bytes(b"\xff\xfe")
+    mid_line = tmp_path / "mid-line.snap"
+    mid_line.write_bytes(b'{\n  "version": "\xff"}\n')
     for path, message in [
         (pipeline["facts"], "line 2 column 1: Extra data"),
-        (undecodable, "line 1: not valid UTF-8"),
+        (undecodable, "line 1 column 1: not valid UTF-8"),
+        (mid_line, "line 2 column 15: not valid UTF-8"),
     ]:
         assert main(["retrieve", "--snapshot", str(path),
                      "--checkpoint", str(pipeline["checkpoint"]),

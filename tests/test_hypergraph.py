@@ -24,7 +24,7 @@ from okh.hypergraph import (
     synthesize_cross_horizon,
     validate_fact,
 )
-from okh.relations import EntityType
+from okh.relations import FAMILY_OF, EntityType
 
 
 def reference_fnv1a64(data: bytes) -> int:
@@ -488,17 +488,11 @@ def test_merge_resolves_anchor_entities_whatever_the_fact_order():
             assert merge_facts(batches).entities[anchor] == plain
 
 
-def _reference_snapshot(graph, precedence_edges):
-    document = graph.to_snapshot(precedence_edges)
-    return (json.dumps(document, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
-
-
-def _saved_snapshot(graph, precedence_edges):
+def _saved_and_loaded(graph, precedence_edges):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "graph.snap")
         graph.save_snapshot(path, precedence_edges)
-        with open(path, "rb") as handle:
-            return handle.read()
+        return KnowledgeHypergraph.load_snapshot(path)
 
 
 _AWKWARD_TEXT = st.text(
@@ -520,69 +514,73 @@ _ENTITIES = st.builds(
     description=_AWKWARD_TEXT,
     confidence=_CONFIDENCES,
 )
-_EDGES = st.builds(
-    Hyperedge,
-    id=_AWKWARD_TEXT,
-    relation=_AWKWARD_TEXT,
-    family=st.integers(min_value=-(2**70), max_value=2**70),
-    entity_ids=st.frozensets(_AWKWARD_TEXT, min_size=2, max_size=3),
-    evidence=_AWKWARD_TEXT,
-    attributes=st.one_of(st.just({}), st.dictionaries(_AWKWARD_TEXT, _AWKWARD_TEXT, max_size=2)),
-    confidence=_CONFIDENCES,
-    group_id=st.sampled_from(["", "IRMA:p", "é \"g"]),
-    horizon=st.one_of(st.none(), st.integers(min_value=1, max_value=2**40)),
-    text_position=st.integers(min_value=0, max_value=2**40),
-)
-_PRECEDENCE = st.one_of(
-    st.none(),
-    st.dictionaries(
-        st.one_of(st.sampled_from(["IRMA:p", "no pairs"]), _AWKWARD_TEXT),
-        st.lists(st.tuples(_AWKWARD_TEXT, _AWKWARD_TEXT), max_size=2),
-        max_size=2,
-    ),
-)
+
+
+@st.composite
+def _graphs_with_precedence(draw):
+    """A valid graph over awkward text, and direct precedence pairs of its edges."""
+    entities = draw(st.lists(_ENTITIES, min_size=2, max_size=4, unique_by=lambda entity: entity.id))
+    entity_ids = sorted(entity.id for entity in entities)
+    edges = draw(st.lists(st.builds(
+        Hyperedge.create,
+        relation=st.sampled_from(sorted(FAMILY_OF)),
+        entity_ids=st.sets(st.sampled_from(entity_ids), min_size=2, max_size=3),
+        evidence=_AWKWARD_TEXT,
+        attributes=st.dictionaries(_AWKWARD_TEXT, _AWKWARD_TEXT, max_size=2),
+        confidence=_CONFIDENCES,
+        group_id=_AWKWARD_TEXT,
+        horizon=st.one_of(st.none(), st.integers(min_value=1, max_value=2**40)),
+        text_position=st.integers(min_value=0, max_value=2**40),
+    ), max_size=4))
+    graph = KnowledgeHypergraph({e.id: e for e in entities}, {e.id: e for e in edges})
+    edge_id = st.sampled_from(sorted(graph.hyperedges))
+    pairs = st.lists(st.tuples(edge_id, edge_id), max_size=3) if edges else st.just([])
+    precedence = draw(st.one_of(st.none(), st.dictionaries(_AWKWARD_TEXT, pairs, max_size=2)))
+    return graph, precedence
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.lists(_ENTITIES, max_size=3), st.lists(_EDGES, max_size=3), _PRECEDENCE)
-@example([], [], None)
-@example([], [], {"IRMA:p": [], "G": [("a", "b")]})
-def test_snapshot_writer_matches_json_dumps(entities, edges, precedence_edges):
-    graph = KnowledgeHypergraph({e.id: e for e in entities}, {e.id: e for e in edges})
-    assert _saved_snapshot(graph, precedence_edges) == _reference_snapshot(graph, precedence_edges)
+@given(_graphs_with_precedence())
+def test_snapshot_round_trips_awkward_text_exactly(drawn):
+    graph, precedence_edges = drawn
+    loaded, precedence = _saved_and_loaded(graph, precedence_edges)
+    assert loaded.entities == graph.entities
+    assert loaded.hyperedges == graph.hyperedges
+    assert loaded.groups == graph.groups
+    expected = {group: sorted(pairs) for group, pairs in (precedence_edges or {}).items()}
+    assert precedence == expected
 
 
-def test_snapshot_writer_matches_json_dumps_on_awkward_values():
-    entity = Entity("port:ü\"\\", "P\u2028\x00", EntityType.PORT, "tab\there 漢😀", 1e-07)
-    plain = Hyperedge.create("forecasts_hazard_at_horizon", ["port:p", "x:T-48"], "ev")
-    awkward = Hyperedge.create(
-        "has_operation_status", ["port:p", "\x1f\u2029"], 'say "hi" \\ \x7f',
-        attributes={"b": "2", "a": "é\n"}, confidence=0.3, group_id="G\u2028", horizon=None,
-        text_position=7,
-    )
-    graph = KnowledgeHypergraph({entity.id: entity}, {plain.id: plain, awkward.id: awkward})
-    for precedence_edges in (None, {}, {"G\u2028": [(awkward.id, plain.id)], "": []}):
-        assert _saved_snapshot(graph, precedence_edges) == _reference_snapshot(graph, precedence_edges)
+def test_snapshot_in_the_indented_layout_with_groups_loads_to_the_same_graph(tmp_path):
+    # Files in the earlier indented layout, with a "groups" field that the
+    # reader ignores, must keep loading.
+    facts = [_state_fact("wind_fcst", 72, 0), _state_fact("wind_fcst", 48, 1), _state_fact("ops", 48, 2)]
+    graph = merge_facts([facts])
+    first, second = sorted(graph.hyperedges)[:2]
+    direct = {"IRMA:p": [(first, second)], "é \u2028": []}
+    document = graph.to_snapshot(direct)
+    assert "groups" not in document
+    document["groups"] = {group: list(ids) for group, ids in graph.groups.items()}
+    legacy = tmp_path / "legacy.snap"
+    legacy.write_text(json.dumps(document, sort_keys=True, ensure_ascii=False, indent=2) + "\n", "utf-8")
+    compact = tmp_path / "compact.snap"
+    graph.save_snapshot(str(compact), direct)
+    compact_text = compact.read_text("utf-8")
+    assert compact_text.count("\n") == 1 and '"é \u2028":[]' in compact_text
+    old_graph, old_precedence = KnowledgeHypergraph.load_snapshot(str(legacy))
+    new_graph, new_precedence = KnowledgeHypergraph.load_snapshot(str(compact))
+    assert old_graph.entities == new_graph.entities == graph.entities
+    assert old_graph.hyperedges == new_graph.hyperedges == graph.hyperedges
+    assert old_precedence == new_precedence == direct
 
 
 def test_snapshot_writer_rejects_values_outside_their_declared_types(tmp_path):
-    port = Entity("port:p", "P", EntityType.PORT)
-    edge = Hyperedge.create("forecasts_hazard_at_horizon", ["port:p", "x"], "ev")
-    wrong = [
-        ({port.id: port}, {"e": _edge(attributes={"level": 3})}),
-        ({port.id: replace(port, confidence=True)}, {}),
-        ({port.id: replace(port, confidence=np.float64(0.5))}, {}),
-        ({}, {edge.id: replace(edge, family=6.0)}),
-        ({}, {edge.id: replace(edge, horizon=True)}),
-        ({}, {edge.id: replace(edge, text_position=np.int64(2))}),
-    ]
+    # What json.dumps itself refuses: a non-finite number and a numpy scalar.
     not_finite = Entity("port:p", "P", EntityType.PORT)
     object.__setattr__(not_finite, "confidence", float("nan"))  # past __post_init__'s check
-    wrong.append(({not_finite.id: not_finite}, {}))
-    for entities, edges in wrong:
-        graph = KnowledgeHypergraph(entities, edges)
-        with pytest.raises(TypeError):
-            graph.save_snapshot(str(tmp_path / "wrong.snap"))
-    graph = KnowledgeHypergraph({}, {edge.id: edge})
+    with pytest.raises(ValueError):
+        KnowledgeHypergraph({not_finite.id: not_finite}, {}).save_snapshot(str(tmp_path / "nan.snap"))
+    assert not (tmp_path / "nan.snap").exists()
+    edge = replace(_edge(), text_position=np.int64(2))
     with pytest.raises(TypeError):
-        graph.save_snapshot(str(tmp_path / "wrong.snap"), {"G": [(edge.id, edge.id, edge.id)]})
+        KnowledgeHypergraph({}, {edge.id: edge}).save_snapshot(str(tmp_path / "numpy.snap"))

@@ -6,7 +6,7 @@ import pytest
 
 from okh.corpus import generate_synthetic
 from okh.embedding import EmbeddingStore, LocalHashingEmbedder
-from okh.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss
+from okh.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, SchemaError
 from okh.hypergraph import merge_facts
 from okh.precedence import PrecedenceIndex
 from okh.transition import (
@@ -387,8 +387,9 @@ def test_one_epoch_checkpoint_bytes_are_pinned(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.okht"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(Exception):
+    with pytest.raises(SchemaError) as err:
         TransitionModel.load(str(path))
+    assert err.value.path == "checkpoint" and str(path) in err.value.message
 
 
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
@@ -406,7 +407,7 @@ def test_checkpoint_rejects_non_finite_parameters(tmp_path):
     ]:
         path = tmp_path / "broken.okht"
         path.write_bytes(blob[:offset] + word + blob[offset + 4 :])
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(SchemaError) as err:
             TransitionModel.load(str(path))
         assert str(path) in str(err.value)
         assert f"non-finite value in {name}" in str(err.value)
