@@ -152,8 +152,7 @@ def _load_graph(values: dict[str, Any]) -> tuple[KnowledgeHypergraph, Precedence
     return graph, PrecedenceIndex.build(graph)
 
 
-def _make_store(graph: KnowledgeHypergraph, values: dict[str, Any]) -> EmbeddingStore:
-    embedder = _make_embedder(values)
+def _make_store(graph: KnowledgeHypergraph, embedder, values: dict[str, Any]) -> EmbeddingStore:
     cache = None
     if values["cache"]:
         cache = EmbeddingCache(values["cache"], embedder.dim, embedder.identity)
@@ -164,15 +163,20 @@ def _make_store(graph: KnowledgeHypergraph, values: dict[str, Any]) -> Embedding
 
 
 def _load_retriever(values: dict[str, Any]) -> Retriever:
-    """Snapshot, embeddings and checkpoint, refusing a checkpoint of another dimension."""
-    graph, precedence = _load_graph(values)
-    store = _make_store(graph, values)
+    """Checkpoint, snapshot and embeddings.
+
+    The checkpoint is read and its dimension checked first, so a bad one
+    exits before the snapshot load and writes no ``--cache`` file.
+    """
     model = TransitionModel.load(values["checkpoint"])
-    if model.dim != store.dim:
+    embedder = _make_embedder(values)
+    if model.dim != embedder.dim:
         raise SchemaError(
-            "checkpoint", f"checkpoint is {model.dim}-d but embeddings are {store.dim}-d"
+            "checkpoint",
+            f"{values['checkpoint']} is {model.dim}-d but embeddings are {embedder.dim}-d",
         )
-    return Retriever(graph, store, precedence, model)
+    graph, precedence = _load_graph(values)
+    return Retriever(graph, _make_store(graph, embedder, values), precedence, model)
 
 
 def _retrieval_settings(
@@ -264,7 +268,7 @@ def _cmd_train(values: dict[str, Any]) -> int:
         seed=values["seed"],
     )
     graph, precedence = _load_graph(values)
-    store = _make_store(graph, values)
+    store = _make_store(graph, _make_embedder(values), values)
     rank = values["rank"] or _PROVIDER_RANKS[values["provider"]]
     model = TransitionModel.create(store.dim, rank, seed=values["seed"])
     pairs = build_pairs(graph, precedence, seed=values["seed"])
@@ -308,7 +312,7 @@ def _cmd_eval(values: dict[str, Any]) -> int:
     with open(values["qa"], encoding="utf-8") as handle:
         try:
             qa_raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError("qa", f"cannot parse QA file: {exc}") from exc
     if not isinstance(qa_raw, list):
         raise SchemaError("qa", "expected a JSON array of questions")

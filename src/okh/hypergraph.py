@@ -182,6 +182,10 @@ class Hyperedge:
         if self.horizon is not None and self.horizon <= 0:
             raise ValueError("horizon must be a positive lead time in hours")
 
+    def __hash__(self) -> int:
+        # Equal edges have equal ids; the attributes dict has no hash.
+        return hash(self.id)
+
     @classmethod
     def create(
         cls,

@@ -234,9 +234,6 @@ class PrecedenceIndex:
         for group, prec in groups.items():
             for edge_id in prec.edge_ids:
                 self.group_of[edge_id] = group
-        # The last reach matrix and its candidate list: a query asks for the
-        # same list twice on the heuristic path (transition matrix and search).
-        self._last_reach: tuple[tuple[str, ...], np.ndarray] | None = None
 
     @classmethod
     def build(
@@ -285,45 +282,55 @@ class PrecedenceIndex:
         """Boolean R over a candidate list: R[i, j] iff edge i must precede edge j.
 
         Edges of different groups, and edges outside the index, never reach.
-        The result is read-only; a repeated call with the same list returns it
-        again.
         """
-        key = tuple(edge_ids)
-        last = self._last_reach
-        if last is not None and last[0] == key:
-            return last[1]
-        where, table = self._closure_rows
-        n = len(edge_ids)
-        if n and where:
-            found = np.array(
-                [where.get(edge_id, (0, -1, 0)) for edge_id in edge_ids], dtype=np.intp
-            )
-            rows, group, local = found.T
-            bits = np.unpackbits(table[rows], axis=1, bitorder="little")
-            reach = (bits[:, local] == 1) & (group[:, None] == group) & (group[:, None] >= 0)
-        else:
-            reach = np.zeros((n, n), dtype=bool)
-        reach.flags.writeable = False
-        self._last_reach = (key, reach)
-        return reach
+        rows = self.closure_rows(edge_ids)
+        return self.reach_between(rows, rows)
+
+    def closure_rows(self, edge_ids: Sequence[str]) -> np.ndarray:
+        """The closure-table row of each edge, for ``reach_between``.
+
+        Edges outside the index get a row that reaches nothing.
+        """
+        row_of, table, _, _ = self._closure_table
+        outside = len(table) - 1
+        return np.array([row_of.get(edge_id, outside) for edge_id in edge_ids], dtype=np.intp)
+
+    def reach_between(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Boolean R[i, j]: the edge of closure row ``sources[i]`` must precede
+        the edge of closure row ``targets[j]``."""
+        _, table, group_of, local_of = self._closure_table
+        bits = np.unpackbits(table[sources], axis=1, bitorder="little")
+        same_group = group_of[sources, None] == group_of[targets]
+        return bits[:, local_of[targets]].view(bool) & same_group
 
     @cached_property
-    def _closure_rows(self) -> tuple[dict[str, tuple[int, int, int]], np.ndarray]:
+    def _closure_table(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
         """Each edge's closure bits as one row of a packed table, built on first use.
 
-        Maps an edge id to (table row, group number, index in its group);
-        row r holds the bits ``1 << j`` of the edges its edge must precede,
-        j indexing the same group.
+        Returns the table row of each edge id, the table, and the group number
+        and in-group index of each row. Row r holds the bits ``1 << j`` of the
+        edges its edge must precede, j indexing the same group. A last row of
+        zero bits in group -1 stands for edges outside the index.
         """
-        width = max(((len(prec.edge_ids) + 7) // 8 for prec in self.groups.values()), default=0)
-        where: dict[str, tuple[int, int, int]] = {}
+        width = max(((len(prec.edge_ids) + 7) // 8 for prec in self.groups.values()), default=1)
+        row_of: dict[str, int] = {}
+        group_of: list[int] = []
+        local_of: list[int] = []
         packed = bytearray()
         for code, prec in enumerate(self.groups.values()):
             for local, edge_id in enumerate(prec.edge_ids):
-                where[edge_id] = (len(where), code, local)
+                row_of[edge_id] = len(row_of)
+                group_of.append(code)
+                local_of.append(local)
             packed += b"".join(mask.to_bytes(width, "little") for mask in prec.closure)
-        table = np.frombuffer(bytes(packed), dtype=np.uint8).reshape(len(where), width)
-        return where, table
+        packed += bytes(width)
+        table = np.frombuffer(bytes(packed), dtype=np.uint8).reshape(len(row_of) + 1, width)
+        return (
+            row_of,
+            table,
+            np.array(group_of + [-1], dtype=np.intp),
+            np.array(local_of + [0], dtype=np.intp),
+        )
 
     def trajectory(self, group: str) -> list[str]:
         return list(self.groups[group].trajectory)

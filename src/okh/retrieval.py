@@ -273,25 +273,84 @@ class _CandidateContext:
             rows = np.array([index.row_of[eid] for eid in self.ids], dtype=np.intp)
         except KeyError as exc:
             raise UnknownEdge(f"hyperedge {exc.args[0]!r} is not in the graph") from None
+        # Row e of `members` marks the candidates that have the pool's e-th
+        # distinct entity; a last row of zeros pads each candidate's entity
+        # codes, `entities[i]`, to the largest degree.
         degree = index.entity_ptr[rows + 1] - index.entity_ptr[rows]
-        _, column = np.unique(
-            index.entity_of[spans(index.entity_ptr, rows)], return_inverse=True
-        )
-        incidence = np.zeros((n, int(column.max(initial=-1)) + 1), dtype=np.float64)
-        incidence[np.repeat(np.arange(n), degree), column] = 1.0
-        # Entity-set Jaccard of every candidate pair. Counts are small
-        # integers, so each quotient is correctly rounded like Python's int
-        # division; every hyperedge has at least two entities, so no union
-        # is empty.
-        inter = incidence @ incidence.T
-        sizes = incidence.sum(axis=1)
-        self.jaccard = inter / (sizes[:, None] + sizes[None, :] - inter)
+        codes = index.entity_of[spans(index.entity_ptr, rows)]
+        present = np.zeros(len(index.member_ptr) - 1, dtype=np.intp)
+        present[codes] = 1
+        column = np.cumsum(present) - 1
+        count = int(present.sum())
+        owner = np.repeat(np.arange(n), degree)
+        self.members = np.zeros((count + 1, n))
+        self.members[column[codes], owner] = 1.0
+        self.entities = np.full((n, int(degree.max(initial=0))), count, dtype=np.intp)
+        place = np.arange(len(codes)) - np.repeat(np.cumsum(degree) - degree, degree)
+        self.entities[owner, place] = column[codes]
+        self.size = degree.astype(np.float64)
         self.phase_index = index.phase[rows]
-        # 1.0 where the row's edge must precede the column's edge.
-        self.reach = precedence.reach_matrix(self.ids).astype(np.float64)
+        self.precedence = precedence
+        self.closure_rows = precedence.closure_rows(self.ids)
         # Candidates by higher relevance first, then id; a graph row is the
         # edge's rank in id order.
         self.by_relevance = np.lexsort((rows, -self.relevance))
+
+    def links(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Precedence and entity overlap from the candidates ``sources`` to all.
+
+        ``reach[i, j]`` is True where candidate ``sources[i]`` must precede
+        candidate j, and ``jaccard[i, j]`` is the Jaccard overlap of their
+        entity sets. Shared entities are counted exactly, as sums of 0/1
+        rows; the quotient of the exact float64 counts is correctly rounded
+        like Python's int division. Every hyperedge has at least two
+        entities, so no union is empty.
+        """
+        reach = self.precedence.reach_between(self.closure_rows[sources], self.closure_rows)
+        entities = self.entities[sources]
+        shared = self.members[entities[:, 0]]
+        for k in range(1, entities.shape[1]):
+            shared = shared + self.members[entities[:, k]]
+        jaccard = shared / (self.size[sources, None] + self.size - shared)
+        return reach, jaccard
+
+
+def _fsum_rows(parts: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row, with the bits fsum gives.
+
+    The columns are added one by one, and each addition's exact rounding
+    error (Knuth's TwoSum) is added to ``error`` in turn; the error of that
+    sum is itself taken exactly, and ``spill`` sums its magnitude. So a
+    row's exact sum is ``total + error`` plus less than ``2 * spill``. Where
+    spill is 0, the float addition ``total + error`` rounds the exact sum
+    itself, as fsum does. Elsewhere r = total + error, off the exact sum by
+    its own rounding error f (TwoSum again) plus less than 2 * spill, is
+    the correctly rounded sum when that is below half the gap from |r| to
+    the next float toward zero. Other rows, r = 0 and non-finite rows among
+    them, get fsum itself.
+    """
+    with np.errstate(all="ignore"):
+        total = parts[:, 0]
+        error = np.zeros(len(parts))
+        spill = np.zeros(len(parts))
+        for k in range(1, parts.shape[1]):
+            part = parts[:, k]
+            added = total + part
+            back = added - total
+            slip = (total - (added - back)) + (part - back)
+            total = added
+            added = error + slip
+            back = added - error
+            spill += np.abs((error - (added - back)) + (slip - back))
+            error = added
+        r = total + error
+        back = r - total
+        f = (total - (r - back)) + (error - back)
+        gap = np.abs(r) - np.nextafter(np.abs(r), 0.0)
+        sure = (r != 0) & ((spill == 0) | (np.abs(f) + 2 * spill < gap / 2))
+    for row in np.flatnonzero(~sure).tolist():
+        r[row] = math.fsum(parts[row])
+    return r
 
 
 def _select_diverse(
@@ -302,7 +361,7 @@ def _select_diverse(
     limit: int,
     threshold: float,
     penalty: float,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Keep the best ``limit`` entries, penalizing near-duplicates of kept ones.
 
     Entries arrive sorted by (-score, tie) with distinct integer ties; row i
@@ -313,64 +372,82 @@ def _select_diverse(
     replaces the worst kept entry by (-penalized, tie) if it beats it. The
     visit stops at the first entry whose score is below the worst kept
     penalized score. Returns the positions of the kept entries in
-    (-penalized, tie) order, and that worst score when the visit ended
-    (-inf while fewer than ``limit`` are kept): entries appended after the
-    last one, all scoring below it, would change nothing.
+    (-penalized, tie) order.
 
     The first ``limit`` entries are always kept. After that the kept set
     changes only when an entry is accepted, so each step judges every entry
     up to the stop against the same kept set in one array expression and
     jumps to the first acceptance.
+
+    Overlaps with all kept entries are counted at once, in lanes: row c of
+    ``lanes`` has one unsigned lane per kept slot, 1 where that slot's entry
+    has step c, and its lanes are read as 64-bit words. Summing the words of
+    an entry's steps counts, in lane k, the steps it shares with slot k. A
+    lane holds at most ``length``, below its top bit, so no sum carries into
+    the next lane, and adding ``top - too_many`` sets a lane's top bit
+    exactly when its count reaches ``too_many``. An acceptance changes one
+    lane, and the next step recounts the remaining entries in the same pass
+    over their steps that one lane would take.
     """
     m, length = steps.shape
     head = min(limit, m)
-    kept = np.arange(head)
     # Sharing `shared` of `length` steps is too much when shared / length >
     # threshold; as an integer bound, when shared >= too_many.
     too_many = next((s for s in range(length + 1) if s / length > threshold), length + 1)
-    if penalty == 0:
-        too_many = length + 1
-    # Column k marks the steps of the k-th kept entry.
-    kept_steps = np.zeros((n, head), dtype=np.int32)
-    kept_steps[steps[:head], kept[:, None]] = 1
+    judged = penalty > 0 and too_many <= length
+    size = next(size for size in (1, 2, 4) if length < 1 << (8 * size - 1))
+    per_word = 8 // size
+    lanes = np.zeros((n, -(-limit // per_word) * per_word), dtype=f"u{size}")
+    top = 1 << (8 * size - 1)
+    # Every lane's top bit (lanes past `limit` count 0 and never set it), and
+    # `top - too_many` in every lane, as words.
+    every, bias = (
+        np.full(per_word, value, dtype=lanes.dtype).view(np.uint64)[0]
+        for value in (top, top - too_many)
+    )
 
-    def overlapping(entries: slice) -> np.ndarray:
-        # shared[i, k]: steps entry i shares with kept entry k.
-        shared = kept_steps[steps[entries, 0]]
-        for t in range(1, length):
-            shared += kept_steps[steps[entries, t]]
-        return shared >= too_many
+    def too_close(entries: slice, tops: np.ndarray) -> np.ndarray:
+        # Whether each entry shares too many steps with a slot whose top bit
+        # is in `tops`.
+        shared = np.take(lanes.view(np.uint64), steps[entries].T, axis=0).sum(axis=0)
+        return ((shared + bias) & tops).any(axis=1)
 
-    # A head entry is judged against the head entries before it.
-    value = score[:head].copy()
-    if too_many <= length:
-        hit = np.tril(overlapping(slice(0, head)), -1).any(axis=1)
-        value[hit] -= penalty
+    slot = np.arange(head)
+    lanes[steps[:head], slot[:, None]] = 1
+    value = score[:head]
+    if judged:
+        # A head entry is judged against the head entries before it.
+        earlier = np.where(np.arange(lanes.shape[1]) < slot[:, None], top, 0)
+        earlier = earlier.astype(lanes.dtype).view(np.uint64)
+        value = np.where(too_close(slice(0, head), earlier), value - penalty, value)
+    kept = list(range(head))
+    values = value.tolist()
+    ties = tie[:head].tolist()
     descending = -score
     position = head
     while position < m:
-        worst = np.lexsort((tie[kept], -value))[-1]
-        stop = int(np.searchsorted(descending, -value[worst], side="right"))
+        worst = max(range(limit), key=lambda k: (-values[k], ties[k]))
+        floor, floor_tie = values[worst], ties[worst]
+        stop = int(np.searchsorted(descending, -floor, side="right"))
         if stop <= position:
             break
         entries = slice(position, stop)
         candidate = score[entries]
-        if too_many <= length:
-            candidate = np.where(overlapping(entries).any(axis=1), candidate - penalty, candidate)
-        beats = (candidate > value[worst]) | (
-            (candidate == value[worst]) & (tie[entries] < tie[kept[worst]])
-        )
+        if judged:
+            candidate = np.where(too_close(entries, every), candidate - penalty, candidate)
+        beats = (candidate > floor) | ((candidate == floor) & (tie[entries] < floor_tie))
         first = int(np.argmax(beats))
         if not beats[first]:
             break
         entry = position + first
         kept[worst] = entry
-        value[worst] = candidate[first]
-        kept_steps[:, worst] = 0
-        kept_steps[steps[entry], worst] = 1
+        values[worst] = float(candidate[first])
+        ties[worst] = int(tie[entry])
+        lanes[:, worst] = 0
+        lanes[steps[entry], worst] = 1
         position = entry + 1
-    floor = float(value.min()) if head == limit else -math.inf
-    return kept[np.lexsort((tie[kept], -value))], floor
+    order = sorted(range(head), key=lambda k: (-values[k], ties[k]))
+    return np.array([kept[k] for k in order], dtype=np.intp)
 
 
 def beam_search(
@@ -400,16 +477,14 @@ def beam_search(
     float sum and eps bounds the float-sum error. The shortlist is exact:
     once the diversity selection holds B beams, its worst penalized score
     is at least the B-th best exact score minus the penalty, and it stops
-    before any extension below that. Within the shortlist, exactly rounded
-    (fsum) scores are computed first down to S - eps, which covers the B
-    best, and further only if the selection runs past them: then down to
-    its worst penalized score, which no later entry can raise past.
+    before any extension below that. Every shortlisted extension gets its
+    exactly rounded (fsum) score.
 
     Ties break on the beams' step sequences, compared by (-relevance, id)
     per step. All beams of a round have the same length and no two
-    candidates tie on (-relevance, id), so extension (b, j) orders like the
-    integer ``tie_rank[b] * n + rank[j]``, where ``tie_rank`` ranks the
-    live beams and ``rank`` the candidates.
+    candidates tie on (-relevance, id), so with the live beams kept in that
+    order, a scan of each beam's extensions by candidate rank lists them in
+    tie-break order, and a stable sort by score keeps it among equal scores.
 
     ``log_transition[i, j]`` scores a step from candidate i to candidate j;
     ``Retriever.transition_matrix`` builds it.
@@ -421,34 +496,32 @@ def beam_search(
     if n == 0:
         return []
 
-    rank = np.empty(n, dtype=np.int64)
-    rank[ctx.by_relevance] = np.arange(n)
     has_phase = ctx.phase_index >= 0
     phase_shift = np.maximum(ctx.phase_index, 0)
     phase_bit = np.where(has_phase, 1 << phase_shift, 0)
     gain = np.where(has_phase, weights.rho_coverage / _N_PHASES, 0.0)
 
-    # The live beams, one row each: steps, covered phase bits, the rank of
-    # the tie-break key, and per-step score pieces whose exactly rounded sum
-    # is the run score, so beams over the same step multiset tie instead of
-    # diverging by ulps.
+    # The live beams in tie-break order, one row each: steps, covered phase
+    # bits, and per-step score pieces whose exactly rounded sum is the run
+    # score, so beams over the same step multiset tie instead of diverging
+    # by ulps.
     start = ctx.by_relevance[: 2 * config.beam_width]
     steps = start[:, None]
     covered = phase_bit[start]
-    tie_rank = np.arange(len(start))
     run = ctx.relevance[start] + gain[start]
-    pieces = [(piece,) for piece in run.tolist()]
+    pieces = run[:, None]
     keep = config.beam_width
 
     for _ in range(config.trajectory_length - 1):
         # Every extension's step score, one row per beam; the elementwise
         # expression is the one a single beam's row would use.
         last = steps[:, -1]
+        reach, jaccard = ctx.links(last)
         scores = (
             ctx.relevance
             + weights.lambda_coherence * ctx.log_transition[last]
-            + weights.mu_precedence * ctx.reach[last]
-            + weights.nu_continuity * ctx.jaccard[last]
+            + weights.mu_precedence * reach
+            + weights.nu_continuity * jaccard
         )
         if weights.rho_coverage:
             new_phase = has_phase & ((covered[:, None] >> phase_shift) & 1 == 0)
@@ -467,77 +540,99 @@ def beam_search(
             scale = float(np.abs(run).max() + np.abs(scores).max())
             slack = 1e-9 * (1.0 + abs(best) + scale)
             cut = best - config.diversity_penalty - 2 * slack
-        if math.isfinite(cut):
-            rows, cols = np.nonzero(approx >= cut)
-            bound = best - slack
-        else:
-            rows, cols = np.nonzero(~used)
-            bound, slack = -math.inf, 0.0
+        shortlist = approx >= cut if math.isfinite(cut) else ~used
+        rows, ranked = np.nonzero(shortlist[:, ctx.by_relevance])
         if not len(rows):
             break
+        cols = ctx.by_relevance[ranked]
 
-        # fsum scores are needed only down to where the selection stops.
-        # Every extension scoring at least `bound` gets one. The first bound
-        # admits the B best; if the selection runs past the last entry
-        # scored, its floor becomes the next bound. The floor only rises as
-        # entries are added, so a second pass is the last.
-        parents = rows.tolist()
-        added = scores[rows, cols].tolist()
-        estimate = approx[rows, cols]
-        ties = tie_rank[rows] * n + rank[cols]
-        exact = np.full(len(rows), -math.inf)
-        scored = np.zeros(len(rows), dtype=bool)
-        while True:
-            fresh = np.flatnonzero(~scored & (estimate >= bound - slack))
-            exact[fresh] = [math.fsum(pieces[parents[k]] + (added[k],)) for k in fresh.tolist()]
-            scored[fresh] = True
-            ready = np.flatnonzero(scored & (exact >= bound))
-            order = ready[np.lexsort((ties[ready], -exact[ready]))]
-            selected, floor = _select_diverse(
-                exact[order],
-                ties[order],
-                np.concatenate((steps[rows[order]], cols[order, None]), axis=1),
-                n,
-                keep,
-                config.diversity_overlap_threshold,
-                config.diversity_penalty,
-            )
-            if floor >= bound:
-                break
-            bound = floor
-        kept = order[selected]
+        # A one-piece run extends by one float addition, which is correctly
+        # rounded like fsum (fsum differs only in giving -0.0 + -0.0 as 0.0,
+        # which compares equal).
+        added = scores[rows, cols]
+        if pieces.shape[1] == 1:
+            exact = approx[rows, cols]
+        else:
+            exact = _fsum_rows(np.column_stack((pieces[rows], added)))
+        # The extensions are in tie-break order, so an entry's position there
+        # is its tie.
+        order = np.argsort(-exact, kind="stable")
+        selected = _select_diverse(
+            exact[order],
+            order,
+            np.concatenate((steps[rows[order]], cols[order, None]), axis=1),
+            n,
+            keep,
+            config.diversity_overlap_threshold,
+            config.diversity_penalty,
+        )
+        kept = np.sort(order[selected])
         steps = np.concatenate((steps[rows[kept]], cols[kept, None]), axis=1)
         covered = covered[rows[kept]] | phase_bit[cols[kept]]
-        tie_rank = np.argsort(np.argsort(ties[kept]))
         run = exact[kept]
-        pieces = [pieces[parents[k]] + (added[k],) for k in kept.tolist()]
+        pieces = np.column_stack((pieces[rows[kept]], added[kept]))
 
-    rel_of = {eid: float(ctx.relevance[i]) for i, eid in enumerate(ctx.ids)}
-    index_of = {eid: i for i, eid in enumerate(ctx.ids)}
-
-    def transition_of(prev: str, cur: str) -> float:
-        return float(ctx.log_transition[index_of[prev], index_of[cur]])
-
-    finals = []
-    for beam in steps.tolist():
-        trajectory_steps = [ctx.ids[i] for i in beam]
-        total, breakdown = trajectory_score(
-            trajectory_steps, rel_of.__getitem__, transition_of, precedence, hypergraph, weights
-        )
-        finals.append(Trajectory(trajectory_steps, total, breakdown))
+    finals = _rescore(ctx, steps, covered, weights)
     totals = np.array([trajectory.total_score for trajectory in finals])
-    order = np.lexsort((tie_rank, -totals))
-    selected, _ = _select_diverse(
+    order = np.argsort(-totals, kind="stable")
+    selected = _select_diverse(
         totals[order],
-        tie_rank[order],
+        order,
         steps[order],
         n,
         config.num_trajectories,
         config.diversity_overlap_threshold,
         config.diversity_penalty,
     )
-    chosen = order[selected]
-    return [finals[k] for k in chosen.tolist()]
+    return [finals[k] for k in order[selected].tolist()]
+
+
+def _rescore(
+    ctx: _CandidateContext, steps: np.ndarray, covered: np.ndarray, weights: RetrievalWeights
+) -> list[Trajectory]:
+    """``trajectory_score`` of each beam, read from the context's arrays.
+
+    Every term is summed in ``trajectory_score``'s order, so each total and
+    breakdown has its bits: ``links`` answers ``precedes`` and holds the
+    frozenset Jaccard, and ``covered`` has one bit per coverage phase.
+    """
+    beams, length = steps.shape
+    reach, jaccard = ctx.links(steps.ravel())
+    reach = reach.reshape(beams, length, -1)
+    beam = np.arange(beams)[:, None]
+    step = np.arange(length - 1)
+    first, second = steps[:, :-1], steps[:, 1:]
+    forward = reach[beam, step, second]
+    comparable = (forward | reach[beam, step + 1, first]).sum(axis=1).tolist()
+    overlaps = jaccard.reshape(beams, length, -1)[beam, step, second]
+    finals = []
+    for path, relevance, coherence, before, apart, overlap, phases in zip(
+        steps.tolist(),
+        ctx.relevance[steps].tolist(),
+        ctx.log_transition[first, second].tolist(),
+        forward.sum(axis=1).tolist(),
+        comparable,
+        overlaps.tolist(),
+        covered.tolist(),
+    ):
+        breakdown = {
+            "relevance": math.fsum(relevance),
+            "coherence": math.fsum(coherence),
+            "precedence": before / apart if apart else 0.0,
+            "continuity": float(sum(overlap) / len(overlap)) if overlap else 0.0,
+            "coverage": phases.bit_count() / _N_PHASES,
+        }
+        total = math.fsum(
+            (
+                breakdown["relevance"],
+                weights.lambda_coherence * breakdown["coherence"],
+                weights.mu_precedence * breakdown["precedence"],
+                weights.nu_continuity * breakdown["continuity"],
+                weights.rho_coverage * breakdown["coverage"],
+            )
+        )
+        finals.append(Trajectory([ctx.ids[i] for i in path], total, breakdown))
+    return finals
 
 
 def viterbi(

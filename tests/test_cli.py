@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from okh import cli
 from okh.cli import main
+from okh.corpus import QA_KINDS
 from okh.hypergraph import merge_facts
 
 
@@ -229,13 +230,31 @@ def test_dimension_mismatch_between_checkpoint_and_store(pipeline, capsys):
     assert "16-d" in capsys.readouterr().err
 
 
+def test_bad_checkpoint_exits_before_the_load_and_writes_no_cache(pipeline, tmp_path, capsys):
+    truncated = tmp_path / "trunc.okht"
+    truncated.write_bytes(pipeline["checkpoint"].read_bytes()[:100])
+    for checkpoint, dim, message in [
+        (truncated, "32", f"error: checkpoint: {truncated} has 100 bytes, expected "),
+        (pipeline["checkpoint"], "64",
+         f"error: checkpoint: {pipeline['checkpoint']} is 32-d but embeddings are 64-d\n"),
+    ]:
+        cache = tmp_path / "fresh.okhe"
+        assert main(["retrieve", "--snapshot", str(pipeline["snapshot"]),
+                     "--checkpoint", str(checkpoint), "--dim", dim,
+                     "--cache", str(cache), "--query", "q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message), captured.err
+        assert not cache.exists()
+
+
 def test_eval_refuses_checkpoint_of_another_dimension(pipeline, capsys):
     assert main(["eval", "--snapshot", str(pipeline["snapshot"]),
                  "--checkpoint", str(pipeline["checkpoint"]),
                  "--dim", "64", "--qa", str(pipeline["qa"]),
                  "--variant", "full"]) == 2
     err = capsys.readouterr().err
-    assert "checkpoint is 32-d but embeddings are 64-d" in err
+    assert f"checkpoint: {pipeline['checkpoint']} is 32-d but embeddings are 64-d" in err
     assert "matmul" not in err
 
 
@@ -338,6 +357,77 @@ def test_corrupted_checkpoint_exits_two_naming_the_file(pipeline, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: checkpoint: {broken} ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+_QA_TEXT_FIELDS = ("question", "group", "kind", "order_sensitivity", "attribute", "expected")
+_NOT_A_STRING = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def _corrupted_qa(draw, blob):
+    """A valid QA file corrupted, and the field its error must name.
+
+    Bytes: cut before the closing bracket, an undecodable byte inserted, or
+    data after the array. Fields: the document or one item replaced by
+    another JSON value, or one field of one item missing or invalid.
+    """
+    kind = draw(st.sampled_from(["truncate", "undecodable", "trailing", "top", "item", "field"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, blob.rindex(b"]") - 1))], "qa"
+    if kind == "undecodable":
+        at = draw(st.integers(0, len(blob)))
+        return blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:], "qa"
+    if kind == "trailing":
+        return blob + draw(st.sampled_from([b"x", b"]", b"{}", b"0", b'"'])), "qa"
+    document = json.loads(blob)
+    other = st.one_of(_NOT_A_STRING, st.text())
+    if kind == "top":
+        replacement = draw(other.filter(lambda value: not isinstance(value, list)))
+        return json.dumps(replacement).encode(), "qa"
+    index = draw(st.integers(0, len(document) - 1))
+    path = f"qa[{index}]"
+    if kind == "item":
+        document[index] = draw(other.filter(lambda value: not isinstance(value, dict)))
+        return json.dumps(document).encode(), path
+    item = document[index]
+    field = draw(st.sampled_from(_QA_TEXT_FIELDS + ("horizon", "numeric")))
+    if field in _QA_TEXT_FIELDS and draw(st.booleans()):
+        del item[field]
+    elif field == "kind":
+        item[field] = draw(st.one_of(_NOT_A_STRING, st.text().filter(lambda t: t not in QA_KINDS)))
+    elif field == "group":
+        groups = {other["group"] for other in document}
+        item[field] = draw(st.one_of(_NOT_A_STRING, st.text().filter(lambda t: t not in groups)))
+    elif field == "horizon":
+        item[field] = draw(st.one_of(
+            st.integers(max_value=0), st.booleans(), st.floats(), st.text(),
+            st.lists(st.integers(), max_size=2),
+        ))
+    elif field == "numeric":
+        item[field] = draw(_NOT_A_STRING.filter(lambda v: not isinstance(v, bool)) | st.text())
+    else:
+        item[field] = draw(_NOT_A_STRING)
+    return json.dumps(document).encode(), f"{path}.{field}"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_qa_file_exits_two_naming_the_field(pipeline, tmp_path, capsys, data):
+    blob, field = data.draw(_corrupted_qa(pipeline["qa"].read_bytes()))
+    broken = tmp_path / "corrupted.json"
+    broken.write_bytes(blob)
+    assert main(["eval", "--snapshot", str(pipeline["snapshot"]),
+                 "--checkpoint", str(pipeline["checkpoint"]), "--dim", "32",
+                 "--qa", str(broken), "--variant", "full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: "), (field, captured.err)
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 

@@ -145,6 +145,15 @@ def test_hyperedge_create_normalizes_relation_and_hashes_content():
     assert edge.id == dedup_id("forecasts_hazard_at_horizon", {"a", "b"}, "ev")
 
 
+def test_equal_hyperedges_hash_equal_and_fit_in_a_set():
+    edge = _edge("Forecasts Hazard At Horizon")
+    twin = _edge("forecasts_hazard_at_horizon")
+    other = _edge(ids=("a", "c"))
+    assert twin == edge and twin is not edge and hash(twin) == hash(edge)
+    assert {edge, twin, other} == {edge, other}
+    assert {edge: 1}[twin] == 1
+
+
 def test_hyperedge_needs_two_entities():
     with pytest.raises(ValueError):
         _edge(ids=("solo",))

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from okh.corpus import generate_synthetic
 from okh.embedding import EmbeddingStore, LocalHashingEmbedder
 from okh.errors import EmptyCorpus
+from okh.evaluation import AblationVariant, variant_transition, variant_weights
 from okh.hypergraph import merge_facts
 from okh.precedence import Order, PrecedenceIndex
 from okh.relations import COVERAGE_PHASES, phase_of_family
@@ -33,8 +36,8 @@ from okh.retrieval import (
     trajectory_score,
     viterbi,
 )
-from okh.retrieval import _select_diverse
-from okh.transition import TransitionModel, log_softmax_rows
+from okh.retrieval import _CandidateContext, _fsum_rows, _select_diverse
+from okh.transition import TrainingConfig, TransitionModel, build_pairs, log_softmax_rows, train
 
 
 def _fact(relation, state_kind, state_type, horizon, position):
@@ -1064,7 +1067,7 @@ def test_event_driven_selection_matches_reference_select(case, penalty, threshol
 
     order = sorted(range(len(entries)), key=lambda k: (-scores[k], ties[k]))
     length = len(steps[0]) if steps else 1
-    kept, _ = _select_diverse(
+    kept = _select_diverse(
         np.array([scores[k] for k in order], dtype=np.float64),
         np.array([ties[k] for k in order], dtype=np.int64),
         np.array([steps[k] for k in order], dtype=np.intp).reshape(len(order), length),
@@ -1112,7 +1115,155 @@ def test_heuristic_retrieval_builds_the_reach_matrix_once():
 
     precedence.reach_matrix = spy
     retriever.retrieve(corpus.qa[0].question, transition="heuristic")
-    # The transition matrix and the search context both ask; the second
-    # call gets the first call's matrix.
-    assert len(seen) == 2 and seen[0] is seen[1]
-    assert not seen[0].flags.writeable
+    # Only the transition matrix asks for the whole pool; the search reads
+    # the rows of the steps it extends.
+    assert len(seen) == 1
+
+
+# -- Context arrays and exact sums ---------------------------------------------
+
+
+def test_context_links_match_the_pairwise_definitions_on_tied_pools():
+    corpus = generate_synthetic(seed=4, n_groups=3, horizons_per_group=3)
+    graph = merge_facts([corpus.facts])
+    precedence = PrecedenceIndex.build(graph)
+    all_ids = sorted(graph.hyperedges)
+    rng = np.random.default_rng(8)
+    dim = 16
+    for _ in range(12):
+        n = int(rng.integers(2, 60))
+        ids = [all_ids[i] for i in rng.choice(len(all_ids), n, replace=False)]
+        # Rows drawn from three vectors, and transitions on a half-step grid:
+        # relevance and step scores tie everywhere.
+        store = EmbeddingStore(ids, rng.normal(size=(3, dim))[rng.integers(0, 3, n)],
+                               LocalHashingEmbedder(dim))
+        query = rng.normal(size=dim)
+        log_transition = rng.integers(-4, 1, (n, n)) * 0.5
+        ctx = _CandidateContext(query, ids, graph, store, precedence, log_transition)
+        sources = rng.integers(0, n, int(rng.integers(1, 2 * n)))
+        reach, overlap = ctx.links(sources)
+        for row, i in enumerate(sources.tolist()):
+            first = graph.hyperedges[ids[i]].entity_ids
+            for j, eid in enumerate(ids):
+                assert reach[row, j] == (precedence.precedes(ids[i], eid) is Order.BEFORE)
+                expected = jaccard(first, graph.hyperedges[eid].entity_ids)
+                assert overlap[row, j].hex() == expected.hex(), (ids[i], eid)
+
+        # Every returned trajectory is scored as trajectory_score scores it.
+        weights = RetrievalWeights(*rng.choice([0.0, 0.5, 1.2], 4))
+        config = SearchConfig(beam_width=int(rng.integers(1, 9)),
+                              trajectory_length=int(rng.integers(1, 6)))
+        relevance = np.stack([store.vector(eid) for eid in ids]) @ query
+        index_of = {eid: i for i, eid in enumerate(ids)}
+        for trajectory in beam_search(
+            query, ids, graph, store, precedence, log_transition, weights, config
+        ):
+            total, breakdown = trajectory_score(
+                trajectory.steps,
+                lambda eid: float(relevance[index_of[eid]]),
+                lambda a, b: float(log_transition[index_of[a], index_of[b]]),
+                precedence,
+                graph,
+                weights,
+            )
+            assert trajectory.total_score.hex() == total.hex()
+            assert {k: v.hex() for k, v in trajectory.breakdown.items()} == {
+                k: v.hex() for k, v in breakdown.items()
+            }
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _summands(draw):
+    # Rows of finite floats whose sums cancel, tie at half an ulp, or mix
+    # magnitudes; or any floats at all.
+    width = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["any", "cancel", "halfway", "grid"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if kind == "any":
+            row = draw(st.lists(st.floats(), min_size=width, max_size=width))
+        elif kind == "grid":
+            row = [k * 2.0 ** draw(st.integers(-60, 60))
+                   for k in draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width))]
+        else:
+            head = draw(st.lists(_FINITE.filter(lambda x: abs(x) < 1e300),
+                                 min_size=width - 1, max_size=width - 1))
+            base = math.fsum(head)
+            tail = -base if kind == "cancel" else math.ulp(base) / 2
+            row = head + [tail * draw(st.sampled_from([1.0, -1.0, 0.5, 1.5]))]
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_summands())
+@example(np.array([[1.0, 2.0**-53, 2.0**-105], [-0.0, -0.0, -0.0], [1e308, 1e308, -1e308]]))
+def test_row_sums_match_fsum_bit_for_bit(parts):
+    expected = []
+    for row in parts.tolist():
+        try:
+            expected.append(math.fsum(row).hex())
+        except (OverflowError, ValueError) as exc:
+            expected.append(type(exc))
+    try:
+        got = [value.hex() for value in _fsum_rows(parts.copy()).tolist()]
+    except (OverflowError, ValueError) as exc:
+        # fsum's own error, raised by the first row it is asked for.
+        assert type(exc) in expected
+        return
+    assert got == expected
+
+
+# -- Bench-scale outputs -------------------------------------------------------
+# sha256 of the JSON of every retrieve(...).to_dict() list, recorded before
+# the search was rewritten around arrays: the bench's query-wide corpus and
+# model (seed 1, 44 groups, one epoch on the first three groups), every
+# question under `full` and `heuristic_order`, and the first group's
+# questions, as `okh eval` asks them, under all eight variants.
+_BENCH_DIGESTS = {
+    "full": "4d249c7ee6b7a3476c0c52efb3f0ebcae1d242da490d7f9a3b2d48930dc91a45",
+    "heuristic_order": "2817e044880a66affe2f0ac38a1d0739089dc76359db175d921e846174780d10",
+    "eval": "34c78f0a4a8ddeda057ff72f4f4aa5ca3f839ded6ca2108b03c120c155416c7a",
+}
+
+
+def test_retrieval_outputs_match_digests_recorded_at_bench_scale():
+    corpus = generate_synthetic(seed=1, n_groups=44, horizons_per_group=3)
+    graph = merge_facts([corpus.facts])
+    embedder = LocalHashingEmbedder(256)
+    train_ids = {scenario.group_id for scenario in corpus.scenarios[:3]}
+    train_graph = merge_facts([[f for f in corpus.facts if f["group"] in train_ids]])
+    model = TransitionModel.create(256, 32)
+    train(
+        model,
+        build_pairs(train_graph, PrecedenceIndex.build(train_graph)),
+        EmbeddingStore.build(train_graph, embedder),
+        TrainingConfig(epochs=1),
+    )
+    retriever = Retriever(
+        graph, EmbeddingStore.build(graph, embedder), PrecedenceIndex.build(graph), model
+    )
+
+    def digest(variants, questions):
+        sha = hashlib.sha256()
+        for variant in variants:
+            for qa in questions:
+                trajectories = retriever.retrieve(
+                    qa.question,
+                    variant_weights(variant),
+                    query_group=qa.group_id,
+                    transition=variant_transition(variant),
+                )
+                sha.update(json.dumps([t.to_dict() for t in trajectories]).encode())
+        return sha.hexdigest()
+
+    first = [qa for qa in corpus.qa if qa.group_id == corpus.scenarios[0].group_id]
+    assert len(corpus.qa) == 264 and len(first) == 6
+    assert {
+        "full": digest([AblationVariant.FULL], corpus.qa),
+        "heuristic_order": digest([AblationVariant.HEURISTIC_ORDER], corpus.qa),
+        "eval": digest(list(AblationVariant), first),
+    } == _BENCH_DIGESTS
