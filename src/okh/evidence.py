@@ -39,6 +39,9 @@ def _horizon_set(edge: Hyperedge) -> frozenset[int]:
 
 
 def _reasoning_tags(prev: Hyperedge, cur: Hyperedge) -> tuple[str, ...]:
+    # Horizons and causal rules relate facts of one scenario only.
+    if prev.group_id != cur.group_id:
+        return ("cross_group",)
     tags: list[str] = []
     prev_h = _horizon_set(prev)
     cur_h = _horizon_set(cur)

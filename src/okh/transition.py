@@ -6,11 +6,13 @@ parameters. Training minimizes a sampled-softmax contrastive loss over
 ordered pairs mined from document order, entity overlap, and prior
 retrieval traces, using plain mini-batch gradient descent.
 
-Each batch runs in rank space: the embedding rows it touches are projected
-through U and V once, logits come from rank-r rows, and the gradients are
-scattered back onto those rows. The d-dimensional rows are read only by the
-projections and the two gradient products, so a batch of m pairs with k
-samples costs O(T d r + m T r + m k r) for T touched rows, not O(m k d).
+Each batch runs in rank space. The m sources are projected through U, and
+the T distinct candidate rows the batch touches through V, once. The logits
+are one (m, r) @ (r, T) product read back at each pair's candidates, and
+both gradients reuse the dense (m, T) scatter W of the logit gradients, so
+a batch of m pairs with k samples costs O(m d r + T d r + m T r) and builds
+no (m, k+1, r) block. Only a batch that touches more than 64 (k + 1) rows
+gathers that block instead, where it is cheaper than the product.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from okh.embedding import EmbeddingStore
 from okh.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, SchemaError
-from okh.hypergraph import KnowledgeHypergraph
+from okh.hypergraph import Hyperedge, KnowledgeHypergraph
 from okh.precedence import PrecedenceIndex
 
 CHECKPOINT_MAGIC = b"OKHT"
@@ -141,12 +143,97 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+SIGNALS = ("doc_order", "entity_overlap", "retrieval_induced", "cross_group")
+_DOC_ORDER, _ENTITY_OVERLAP, _RETRIEVAL_INDUCED, _CROSS_GROUP = range(len(SIGNALS))
+
+
+class PairList(Sequence[tuple[str, str, str]]):
+    """Ordered ``(source id, target id, signal)`` pairs held as integer codes.
+
+    ``codes`` is an (n, 3) int64 array whose first two columns index ``ids``
+    and whose last column indexes ``signals``. Indexing and iteration give
+    the tuples; training reads ``codes``.
+    """
+
+    __slots__ = ("ids", "signals", "codes")
+
+    def __init__(self, ids: Sequence[str], signals: Sequence[str], codes: np.ndarray):
+        self.ids = ids
+        self.signals = signals
+        self.codes = codes.reshape(-1, 3)
+
+    @classmethod
+    def from_tuples(cls, items: Iterable[tuple[str, str, str]]) -> "PairList":
+        ids: dict[str, int] = {}
+        signals: dict[str, int] = {}
+        codes = [
+            (
+                ids.setdefault(src, len(ids)),
+                ids.setdefault(dst, len(ids)),
+                signals.setdefault(signal, len(signals)),
+            )
+            for src, dst, signal in items
+        ]
+        return cls(list(ids), list(signals), np.array(codes, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return PairList(self.ids, self.signals, self.codes[key])
+        src, dst, signal = self.codes[key].tolist()
+        return self.ids[src], self.ids[dst], self.signals[signal]
+
+    def __iter__(self):
+        ids, signals = self.ids, self.signals
+        for src, dst, signal in self.codes.tolist():
+            yield ids[src], ids[dst], signals[signal]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass
 class TrainingPairs:
-    """Ordered pairs with their mining signal: (source id, target id, signal)."""
+    """Ordered pairs with their mining signal: (source id, target id, signal).
 
-    positives: list[tuple[str, str, str]] = field(default_factory=list)
-    negatives: list[tuple[str, str, str]] = field(default_factory=list)
+    Either side may be given as any iterable of such tuples; it is kept as
+    a ``PairList``.
+    """
+
+    positives: PairList = field(default_factory=lambda: PairList.from_tuples(()))
+    negatives: PairList = field(default_factory=lambda: PairList.from_tuples(()))
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.positives, PairList):
+            self.positives = PairList.from_tuples(self.positives)
+        if not isinstance(self.negatives, PairList):
+            self.negatives = PairList.from_tuples(self.negatives)
+
+
+def _triples(src: np.ndarray, dst: np.ndarray, signal: int) -> np.ndarray:
+    return np.stack([src, dst, np.full_like(src, signal)], axis=1)
+
+
+def _sharing_pairs(edges: list[Hyperedge]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j), i < j in row-major order, of edges sharing an entity."""
+    column: dict[str, int] = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    for row, edge in enumerate(edges):
+        for entity_id in edge.entity_ids:
+            rows.append(row)
+            cols.append(column.setdefault(entity_id, len(column)))
+    incidence = np.zeros((len(edges), len(column)))
+    incidence[np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)] = 1.0
+    first, second = np.triu_indices(len(edges), k=1)
+    keep = (incidence @ incidence.T)[first, second] > 0
+    return first[keep], second[keep]
 
 
 def build_pairs(
@@ -166,45 +253,79 @@ def build_pairs(
     Reversals outnumber cross-group negatives on purpose: suppressing
     backward transitions well below merely-unrelated ones is what lets the
     beam prefer neutral filler over stepping backward within a group.
+
+    Pairs come out group by group: each group's document-order positives
+    (source-major in text order), then its entity-overlap positives; each
+    source's reversals are followed by its cross-group negative.
     """
     import random
 
     rng = random.Random(seed)
-    pairs = TrainingPairs()
-    all_ids = sorted(hypergraph.hyperedges)
+    ids = sorted(hypergraph.hyperedges)
+    index = {edge_id: i for i, edge_id in enumerate(ids)}
+    edges = [hypergraph.hyperedges[edge_id] for edge_id in ids]
+    position = np.array([edge.text_position for edge in edges], dtype=np.int64)
+    group_names = sorted(hypergraph.groups)
+    number = {group: g for g, group in enumerate(group_names)}
+    group_of = np.array([number[edge.group_id] for edge in edges], dtype=np.int64)
+    rank = np.zeros(len(ids), dtype=np.int64)
+    positives: list[np.ndarray] = []
+    negatives: list[np.ndarray] = []
 
-    for group in sorted(hypergraph.groups):
-        edges = hypergraph.group_edges(group)
-        outside = [edge_id for edge_id in all_ids if hypergraph.hyperedges[edge_id].group_id != group]
-
-        by_text = sorted(edges, key=lambda edge: (edge.text_position, edge.id))
-        for i, src in enumerate(by_text):
-            for dst in by_text[i + 1 :]:
-                if src.text_position == dst.text_position:
-                    continue
-                pairs.positives.append((src.id, dst.id, "doc_order"))
-                pairs.negatives.append((dst.id, src.id, "doc_order"))
-            if outside:
-                pairs.negatives.append(
-                    (src.id, outside[rng.randrange(len(outside))], "cross_group")
-                )
+    for g, group in enumerate(group_names):
+        members = np.flatnonzero(group_of == g)
+        # Indices ascend with id, so this sorts by (text_position, id).
+        by_text = members[np.argsort(position[members], kind="stable")]
+        n = len(by_text)
+        rank[by_text] = np.arange(n)
+        first, second = np.triu_indices(n, k=1)
+        apart = position[by_text[first]] != position[by_text[second]]
+        first, second = first[apart], second[apart]
+        positives.append(_triples(by_text[first], by_text[second], _DOC_ORDER))
 
         canonical = precedence.trajectory(group)
-        edge_of = {edge.id: edge for edge in edges}
-        for i, src_id in enumerate(canonical):
-            src = edge_of[src_id]
-            for dst_id in canonical[i + 1 :]:
-                if src.entity_ids & edge_of[dst_id].entity_ids:
-                    pairs.positives.append((src_id, dst_id, "entity_overlap"))
+        order = np.array([index[edge_id] for edge_id in canonical], dtype=np.int64)
+        head, tail = _sharing_pairs([hypergraph.hyperedges[edge_id] for edge_id in canonical])
+        overlap = _triples(order[head], order[tail], _ENTITY_OVERLAP)
 
-    for trace in retrieval_traces or ():
-        for src_id, dst_id in zip(trace, trace[1:]):
-            if src_id in hypergraph.hyperedges and dst_id in hypergraph.hyperedges:
-                pairs.positives.append((src_id, dst_id, "retrieval_induced"))
+        # Only an entity-overlap pair can claim a reversal: a document-order
+        # pair runs forward in text, and a cross-group negative leaves the group.
+        claimed = np.zeros((n, n), dtype=bool)
+        claimed[rank[overlap[:, 0]], rank[overlap[:, 1]]] = True
+        kept = ~claimed[second, first]
+        first, second = first[kept], second[kept]
+        reversals = _triples(by_text[second], by_text[first], _DOC_ORDER)
+        outside = np.flatnonzero(group_of != g)
+        if len(outside):
+            draws = [rng.randrange(len(outside)) for _ in range(n)]
+            # Each source's cross-group negative follows its reversals.
+            slot = np.cumsum(np.bincount(first, minlength=n)) + np.arange(n)
+            merged = np.empty((len(reversals) + n, 3), dtype=np.int64)
+            cross = np.zeros(len(merged), dtype=bool)
+            cross[slot] = True
+            merged[cross] = _triples(by_text, outside[draws], _CROSS_GROUP)
+            merged[~cross] = reversals
+            reversals = merged
+        negatives.append(reversals)
+        positives.append(overlap)
 
-    forward = {(src, dst) for src, dst, _ in pairs.positives}
-    pairs.negatives = [item for item in pairs.negatives if (item[0], item[1]) not in forward]
-    return pairs
+    induced = np.array(
+        [
+            (index[src_id], index[dst_id], _RETRIEVAL_INDUCED)
+            for trace in retrieval_traces or ()
+            for src_id, dst_id in zip(trace, trace[1:])
+            if src_id in index and dst_id in index
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    positives.append(induced)
+    neg = np.concatenate(negatives) if negatives else induced[:0]
+    if len(induced):
+        key = len(ids)
+        neg = neg[~np.isin(neg[:, 0] * key + neg[:, 1], induced[:, 0] * key + induced[:, 1])]
+    return TrainingPairs(
+        PairList(ids, SIGNALS, np.concatenate(positives)), PairList(ids, SIGNALS, neg)
+    )
 
 
 @dataclass
@@ -231,50 +352,59 @@ class TrainingConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def _softmax_stats(
-    src_proj: np.ndarray,
-    cand_proj: np.ndarray,
-    src: np.ndarray,
-    cand: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Softmax weights and target log-probability of one term, in rank space.
+def _row_map(population: int, parts: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct rows ``parts`` index, ascending, and each part in their positions."""
+    seen = np.zeros(population, dtype=bool)
+    for part in parts:
+        seen[part] = True
+    position = np.cumsum(seen) - 1
+    return np.flatnonzero(seen), [position[part] for part in parts]
 
-    ``src`` (m,) and ``cand`` (m, k+1) index the rows of the projections
-    ``U h`` and ``V h`` of the touched embedding rows; column 0 of ``cand``
-    is the target.
+
+# A dense logit product costs m * T * r over T touched rows; gathering each
+# row's k + 1 candidates costs m * (k + 1) * r, but through a gather and an
+# einsum that run about 64 times slower per product than BLAS does (with
+# m = 128, the two meet near 4,400 touched rows at k = 64 and 1,800 at k = 16).
+_DENSE_ROWS_PER_CANDIDATE = 64
+
+
+def _term(
+    model: TransitionModel,
+    src_rows: np.ndarray,
+    cand_proj: np.ndarray,
+    cand: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Projected sources, gathered candidates, softmax weights and target log-probability.
+
+    ``src_rows`` (m, d) are the sources' embeddings; ``cand`` (m, k+1)
+    indexes the rows of ``cand_proj``, the T touched rows projected by V,
+    and its column 0 is the target. Up to 64 (k + 1) touched rows, the
+    logits are one (m, T) product read back at each row's candidates and
+    no block is gathered (``None``); past that they contract the gathered
+    (m, k+1, r) block.
     """
-    projected_src = src_proj[src]
-    projected_cand = np.take(cand_proj, cand, axis=0)
-    logits = np.einsum("mr,mkr->mk", projected_src, projected_cand)
+    projected_src = src_rows @ model.u.T
+    if cand_proj.shape[0] <= _DENSE_ROWS_PER_CANDIDATE * cand.shape[1]:
+        block = None
+        logits = np.take_along_axis(projected_src @ cand_proj.T, cand, axis=1)
+    else:
+        block = np.take(cand_proj, cand, axis=0)
+        logits = np.einsum("mr,mkr->mk", projected_src, block)
     shifted = logits - logits.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     weights /= weights.sum(axis=1, keepdims=True)
     log_target = shifted[:, 0] - np.log(np.exp(shifted).sum(axis=1))
-    return projected_src, projected_cand, weights, log_target
+    return projected_src, block, weights, log_target
 
 
-def _accumulate_grads(
-    rows: np.ndarray,
-    src: np.ndarray,
-    cand: np.ndarray,
-    projected_src: np.ndarray,
-    projected_cand: np.ndarray,
-    dz: np.ndarray,
-    grad_u: np.ndarray,
-) -> np.ndarray:
-    """Add one term's dL/dU to ``grad_u``; return its (rank, touched) factor of dL/dV.
+def _scatter(dz: np.ndarray, cand: np.ndarray, touched: int) -> np.ndarray:
+    """(m, touched) sums of each row's ``dz`` over the candidates sharing a touched row.
 
-    d logit / dU = outer(V h_cand, h_src); d logit / dV = outer(U h_src, h_cand).
-    dL/dV is P_src^T W rows, where W (m, touched) sums each row's dz over the
-    candidates that share a touched row; bincount adds repeats, where a
-    fancy-index ``+=`` would keep only the last.
+    bincount adds repeats, where a fancy-index ``+=`` would keep only the last.
     """
-    d_src = np.einsum("mk,mkr->mr", dz, projected_cand)
-    grad_u += d_src.T @ rows[src]
-    m, touched = dz.shape[0], rows.shape[0]
+    m = dz.shape[0]
     flat = (np.arange(m)[:, None] * touched + cand).ravel()
-    scattered = np.bincount(flat, weights=dz.ravel(), minlength=m * touched)
-    return projected_src.T @ scattered.reshape(m, touched)
+    return np.bincount(flat, weights=dz.ravel(), minlength=m * touched).reshape(m, touched)
 
 
 def contrastive_loss(
@@ -293,64 +423,63 @@ def contrastive_loss(
     mean log-probability of pairs that should be unlikely, clamped below so
     that already-suppressed pairs stop contributing gradient.
 
-    The batch runs in rank space. With T distinct rows touched, m pairs and
-    k samples per term, it costs O(T d r) for the projections and dL/dV,
-    O(m T r) for the scattered candidate weights and O(m k r) for the
-    logits, against O(m k d) for gathering d-dimensional candidate rows. T
-    is at most the store size, so the saving shrinks once a batch touches
-    most of a large store: at 13,200 edges a default batch (m = 128,
-    k = 64) touches about 70 % of the rows and takes 10-35 % longer than
-    the d-space gather did.
+    The batch runs in rank space over the T distinct candidate rows it
+    touches. Per term, the sources cost O(m d r), the logits one O(m T r)
+    product, and the gradients the dense (m, T) scatter W of the logit
+    gradients: dL/dU is (W V h)^T h_src and dL/dV is (U h_src)^T W h, so no
+    (m, k+1, r) or (m, k+1, d) block is gathered. The projection of the
+    touched rows and dL/dV add O(T d r). Past 64 (k + 1) touched rows the
+    logits and dL/dU contract a gathered (m, k+1, r) block, O(m k r), since
+    the product then costs more than the gather. A random batch of the
+    default shape (m = 128, k = 64) at d = 256, r = 32 takes, by the minimum
+    of 30 interleaved runs on a 2-vCPU VM with one BLAS thread: 1.2-1.3 ms
+    on a 180-edge store, 15.1-15.7 ms on 2,640 edges (all touched) and
+    25-27 ms on 13,200 edges (9,499 touched, gathered). A formulation that
+    gathered the block at every size and projected the sources over all
+    touched rows took 2.3-2.6, 16.5-17.6 and 32-34 ms.
     """
     if pos_pairs.shape[0] == 0:
         raise EmptyBatch("contrastive loss needs at least one positive pair")
     with_negatives = neg_pairs is not None and neg_pairs.shape[0] > 0 and alpha != 0.0
-    index = [pos_pairs[:, 0], np.concatenate([pos_pairs[:, 1:2], pos_samples], axis=1)]
+    terms = [(pos_pairs, pos_samples)]
     if with_negatives:
-        index += [neg_pairs[:, 0], np.concatenate([neg_pairs[:, 1:2], neg_samples], axis=1)]
-    touched, local = np.unique(
-        np.concatenate([part.ravel() for part in index]), return_inverse=True
+        terms.append((neg_pairs, neg_samples))
+    touched, cands = _row_map(
+        embeddings.shape[0],
+        [np.concatenate([pairs[:, 1:2], samples], axis=1) for pairs, samples in terms],
     )
-    splits = np.cumsum([part.size for part in index])[:-1]
-    pos_src, pos_cand, *neg_local = [
-        block.reshape(part.shape) for block, part in zip(np.split(local, splits), index)
-    ]
     rows = embeddings[touched]
-    src_proj = rows @ model.u.T
     cand_proj = rows @ model.v.T
 
     grad_u = np.zeros_like(model.u)
-    projected_src, projected_cand, weights, log_target = _softmax_stats(
-        src_proj, cand_proj, pos_src, pos_cand
-    )
-    m = pos_pairs.shape[0]
-    loss = float(-log_target.mean())
-    dz = weights.copy()
-    dz[:, 0] -= 1.0
-    dz /= m
-    v_factor = _accumulate_grads(
-        rows, pos_src, pos_cand, projected_src, projected_cand, dz, grad_u
-    )
-
-    # Free the (m, k+1, r) block first: the negative term's gather then
-    # reuses it instead of faulting in fresh pages.
-    del projected_cand
-    if with_negatives:
-        neg_src, neg_cand = neg_local
-        projected_src, projected_cand, weights, log_target = _softmax_stats(
-            src_proj, cand_proj, neg_src, neg_cand
-        )
-        m_neg = neg_pairs.shape[0]
-        loss += alpha * float(np.maximum(log_target, NEGATIVE_LOG_CLAMP).mean())
-        active = (log_target > NEGATIVE_LOG_CLAMP).astype(np.float64)
-        dz = -weights
-        dz[:, 0] += 1.0
-        dz *= (alpha / m_neg) * active[:, None]
-        v_factor += _accumulate_grads(
-            rows, neg_src, neg_cand, projected_src, projected_cand, dz, grad_u
-        )
-
-    return loss, grad_u, v_factor @ rows
+    v_factor = np.zeros((model.rank, len(touched)))
+    loss = 0.0
+    # A diverging model overflows the products; train() turns the
+    # resulting non-finite loss into NonFiniteLoss.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term, ((pairs, _), cand) in enumerate(zip(terms, cands)):
+            src_rows = embeddings[pairs[:, 0]]
+            projected_src, block, weights, log_target = _term(model, src_rows, cand_proj, cand)
+            m = pairs.shape[0]
+            if term == 0:
+                loss += float(-log_target.mean())
+                dz = weights
+                dz[:, 0] -= 1.0
+                dz /= m
+            else:
+                loss += alpha * float(np.maximum(log_target, NEGATIVE_LOG_CLAMP).mean())
+                active = (log_target > NEGATIVE_LOG_CLAMP).astype(np.float64)
+                dz = -weights
+                dz[:, 0] += 1.0
+                dz *= (alpha / m) * active[:, None]
+            scattered = _scatter(dz, cand, len(touched))
+            if block is None:
+                d_src = scattered @ cand_proj
+            else:
+                d_src = np.einsum("mk,mkr->mr", dz, block)
+            grad_u += d_src.T @ src_rows
+            v_factor += projected_src.T @ scattered
+        return loss, grad_u, v_factor @ rows
 
 
 def _sample_excluding(
@@ -363,18 +492,16 @@ def _sample_excluding(
     return draws + (draws >= targets[:, None])
 
 
-def _pairs_to_indices(
-    pairs: list[tuple[str, str, str]], store: EmbeddingStore
-) -> np.ndarray:
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    try:
-        return np.array(
-            [[store.row_of[src], store.row_of[dst]] for src, dst, _ in pairs],
-            dtype=np.int64,
-        )
-    except KeyError as exc:
-        raise ValueError(f"training pair references unknown edge {exc.args[0]!r}") from exc
+def _store_rows(pairs: PairList, store: EmbeddingStore) -> np.ndarray:
+    """(n, 2) store rows of each pair's source and target."""
+    table = np.array([store.row_of.get(edge_id, -1) for edge_id in pairs.ids], dtype=np.int64)
+    ends = pairs.codes[:, :2]
+    rows = table[ends]
+    unknown = np.flatnonzero(rows.ravel() < 0)
+    if len(unknown):
+        edge_id = pairs.ids[ends.ravel()[unknown[0]]]
+        raise ValueError(f"training pair references unknown edge {edge_id!r}")
+    return rows
 
 
 def train(
@@ -392,8 +519,8 @@ def train(
     if not pairs.positives:
         raise EmptyBatch("no positive training pairs")
     population = len(store.ids)
-    pos_idx = _pairs_to_indices(pairs.positives, store)
-    neg_idx = _pairs_to_indices(pairs.negatives, store)
+    pos_idx = _store_rows(pairs.positives, store)
+    neg_idx = _store_rows(pairs.negatives, store)
     rng = np.random.default_rng(config.seed)
     step = config.step_size
     history: list[float] = []

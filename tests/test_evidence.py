@@ -88,6 +88,31 @@ def test_cross_horizon_and_change_tags():
     assert steps[1].reasoning == ("cross_horizon", "family_to_change")
 
 
+def test_step_into_another_group_is_tagged_cross_group_only():
+    # The same facts for a second storm: a step between the storms would
+    # otherwise read within_horizon and advisory_to_hazard.
+    facts = []
+    for storm in ("IRMA", "KATRINA"):
+        for fact in (
+            _fact("has_watch_status", "advisory", "advisory_status", 48, 0),
+            _fact("forecasts_hazard_at_horizon", "wind_fcst", "hazard_forecast", 48, 1),
+        ):
+            state = fact["entities"][1]
+            state["id"] = state["id"].replace("IRMA", storm)
+            fact["group"] = f"{storm}:pa"
+            fact["evidence"] = f"{storm} {fact['evidence']}"
+            facts.append(fact)
+    graph = merge_facts([facts])
+    group_of = {edge.id: edge.group_id for edge in graph.hyperedges.values()}
+    adv = {group_of[e]: e for e in graph.hyperedges if graph.hyperedges[e].family == 4}
+    fc = {group_of[e]: e for e in graph.hyperedges if graph.hyperedges[e].family == 6}
+    steps = build_evidence_steps([adv["IRMA:pa"], fc["KATRINA:pa"], fc["IRMA:pa"]], graph)
+    assert steps[1].reasoning == ("cross_group",)
+    assert steps[2].reasoning == ("cross_group",)
+    same = build_evidence_steps([adv["KATRINA:pa"], fc["KATRINA:pa"]], graph)
+    assert same[1].reasoning == ("within_horizon", "advisory_to_hazard")
+
+
 def test_hazard_to_impact_tag_requires_same_horizon():
     graph = _story_graph()
     fc96 = _eid(graph, "forecasts_hazard_at_horizon", 96)

@@ -1,17 +1,24 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okh.corpus import generate_synthetic
 from okh.embedding import EmbeddingStore, LocalHashingEmbedder
 from okh.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, SchemaError
-from okh.hypergraph import merge_facts
+from okh.hypergraph import Hyperedge, KnowledgeHypergraph, merge_facts
 from okh.precedence import PrecedenceIndex
 from okh.transition import (
+    _DENSE_ROWS_PER_CANDIDATE,
     NEGATIVE_LOG_CLAMP,
+    SIGNALS,
+    PairList,
     TrainingConfig,
+    TrainingPairs,
     TransitionModel,
     build_pairs,
     contrastive_loss,
@@ -194,6 +201,151 @@ def test_rank_space_batch_matches_gather_reference():
         assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize(
+    "store_rows, m, k",
+    [
+        (300, 64, 16),  # every row touched, still the dense (m, T) product
+        (600, 128, 4),  # every row touched, past the dense limit: gathered block
+    ],
+)
+def test_rank_space_batch_matches_gather_reference_on_every_row(store_rows, m, k):
+    dense = store_rows <= _DENSE_ROWS_PER_CANDIDATE * (k + 1)
+    assert dense == (k == 16)
+    rng = np.random.default_rng(store_rows)
+    dim, rank = 256, 32
+    model = TransitionModel.create(dim=dim, rank=rank, seed=store_rows)
+    rows = _rng_rows(rng, store_rows, dim)
+    pos = rng.integers(0, store_rows, size=(m, 2))
+    neg = rng.integers(0, store_rows, size=(m, 2))
+    pos_samples = rng.integers(0, store_rows, size=(m, k))
+    neg_samples = rng.integers(0, store_rows, size=(m, k))
+    # Every store row is a candidate somewhere, and some rows repeat.
+    half = store_rows // 2
+    pos_samples.ravel()[:half] = np.arange(half)
+    neg_samples.ravel()[: store_rows - half] = np.arange(half, store_rows)
+    pos_samples[-8:, 0] = pos[-8:, 1]
+    neg_samples[-8:, 1] = neg_samples[-8:, 2]
+    candidates = np.concatenate([pos[:, 1], pos_samples.ravel(), neg[:, 1], neg_samples.ravel()])
+    assert len(np.unique(candidates)) == store_rows
+
+    loss, grad_u, grad_v = contrastive_loss(model, rows, pos, pos_samples, neg, neg_samples, 0.7)
+    ref_loss, ref_u, ref_v = _gather_reference_loss(
+        model, rows, pos, pos_samples, neg, neg_samples, 0.7
+    )
+    assert loss == ref_loss
+    for grad, ref in ((grad_u, ref_u), (grad_v, ref_v)):
+        assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _reference_pairs(hypergraph, precedence, retrieval_traces=None, seed=0):
+    """The tuple-at-a-time miner that ``build_pairs`` vectorizes."""
+    rng = random.Random(seed)
+    positives, negatives = [], []
+    all_ids = sorted(hypergraph.hyperedges)
+    for group in sorted(hypergraph.groups):
+        edges = hypergraph.group_edges(group)
+        outside = [edge_id for edge_id in all_ids if hypergraph.hyperedges[edge_id].group_id != group]
+        by_text = sorted(edges, key=lambda edge: (edge.text_position, edge.id))
+        for i, src in enumerate(by_text):
+            for dst in by_text[i + 1 :]:
+                if src.text_position == dst.text_position:
+                    continue
+                positives.append((src.id, dst.id, "doc_order"))
+                negatives.append((dst.id, src.id, "doc_order"))
+            if outside:
+                negatives.append((src.id, outside[rng.randrange(len(outside))], "cross_group"))
+        canonical = precedence.trajectory(group)
+        edge_of = {edge.id: edge for edge in edges}
+        for i, src_id in enumerate(canonical):
+            src = edge_of[src_id]
+            for dst_id in canonical[i + 1 :]:
+                if src.entity_ids & edge_of[dst_id].entity_ids:
+                    positives.append((src_id, dst_id, "entity_overlap"))
+    for trace in retrieval_traces or ():
+        for src_id, dst_id in zip(trace, trace[1:]):
+            if src_id in hypergraph.hyperedges and dst_id in hypergraph.hyperedges:
+                positives.append((src_id, dst_id, "retrieval_induced"))
+    forward = {(src, dst) for src, dst, _ in positives}
+    return positives, [item for item in negatives if (item[0], item[1]) not in forward]
+
+
+class _FixedOrder:
+    """A stand-in precedence index whose canonical orders are given."""
+
+    def __init__(self, orders):
+        self.orders = orders
+
+    def trajectory(self, group):
+        return list(self.orders[group])
+
+
+@st.composite
+def _small_graphs(draw):
+    """Few groups, tied text positions, shared entities, and traces with strays."""
+    groups = draw(st.integers(1, 3))
+    entities = [f"entity:{i}" for i in range(5)]
+    edges = {}
+    for i in range(draw(st.integers(1, 12))):
+        edge = Hyperedge.create(
+            "has_watch_status",
+            draw(st.sets(st.sampled_from(entities), min_size=2, max_size=3)),
+            f"fact {i}",
+            group_id=f"g{draw(st.integers(0, groups - 1))}",
+            text_position=draw(st.integers(0, 3)),
+        )
+        edges[edge.id] = edge
+    graph = KnowledgeHypergraph({}, edges)
+    orders = {group: draw(st.permutations(ids)) for group, ids in sorted(graph.groups.items())}
+    steps = st.sampled_from(sorted(edges) + ["ghost"])
+    traces = draw(st.lists(st.lists(steps, max_size=5), max_size=3))
+    return graph, _FixedOrder(orders), traces, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs())
+def test_build_pairs_matches_the_tuple_miner(case):
+    graph, order, traces, seed = case
+    positives, negatives = _reference_pairs(graph, order, traces, seed)
+    pairs = build_pairs(graph, order, traces, seed)
+    for mined, expected in ((pairs.positives, positives), (pairs.negatives, negatives)):
+        assert list(mined) == expected
+        assert len(mined) == len(expected)
+        assert list(mined[1::2]) == expected[1::2]
+        assert [mined[i] for i in range(-len(expected), len(expected))] == expected + expected
+        for item in expected[:3]:
+            assert item in mined
+    if len(graph.groups) == 1:
+        assert not [item for item in pairs.negatives if item[2] == "cross_group"]
+
+
+def test_build_pairs_matches_the_tuple_miner_on_a_generated_corpus():
+    graph = merge_facts([generate_synthetic(seed=3, n_groups=4, horizons_per_group=3).facts])
+    precedence = PrecedenceIndex.build(graph)
+    ids = sorted(graph.hyperedges)
+    traces = [ids[:6], ids[9:2:-1], ["ghost", ids[0], ids[1]]]
+    positives, negatives = _reference_pairs(graph, precedence, traces, seed=5)
+    pairs = build_pairs(graph, precedence, traces, seed=5)
+    assert list(pairs.positives) == positives
+    assert list(pairs.negatives) == negatives
+
+
+def test_training_pairs_read_as_tuples():
+    items = [("a", "b", "doc_order"), ("b", "c", "cross_group"), ("a", "c", "doc_order")]
+    pairs = TrainingPairs(positives=items)
+    positives = pairs.positives
+    assert isinstance(positives, PairList)
+    assert len(positives) == 3 and positives
+    assert list(positives) == items and positives == items
+    assert positives[1] == items[1] and positives[-1] == items[-1]
+    assert list(positives[1:]) == items[1:] and list(positives[::-1]) == items[::-1]
+    assert ("b", "c", "cross_group") in positives
+    assert ("c", "b", "cross_group") not in positives
+    with pytest.raises(IndexError):
+        positives[3]
+    assert len(pairs.negatives) == 0 and not pairs.negatives
+    assert TrainingPairs(items, ()) == pairs
+
+
 def _pair_corpus():
     facts = []
     for group, port in (("A:pa", "pa"), ("B:pb", "pb")):
@@ -330,6 +482,7 @@ def test_train_without_positives_raises():
         train(TransitionModel.zeros(store.dim, 4), TrainingPairs(), store, TrainingConfig())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_rolls_back_on_non_finite_loss():
     graph = _pair_corpus()
     pairs = build_pairs(graph, PrecedenceIndex.build(graph), seed=0)
@@ -351,6 +504,26 @@ def test_training_pairs_with_unknown_edge_fail_loudly():
     with pytest.raises(ValueError) as err:
         train(TransitionModel.zeros(store.dim, 4), pairs, store, TrainingConfig(epochs=1))
     assert "ghost" in str(err.value)
+
+
+def test_only_an_unknown_edge_that_a_pair_uses_fails():
+    graph = _pair_corpus()
+    store = _store_for(graph)
+    ids = sorted(graph.hyperedges) + ["ghost", "phantom"]
+    known = np.array([[0, 1, 0], [2, 3, 0], [1, 2, 0]])
+    pairs = TrainingPairs(PairList(ids, SIGNALS, known))
+    train(TransitionModel.zeros(store.dim, 4), pairs, store, TrainingConfig(epochs=1))
+
+    # The first unknown edge in pair order is named: positives before
+    # negatives, a pair's source before its target.
+    ghost, phantom = len(ids) - 2, len(ids) - 1
+    pairs = TrainingPairs(
+        PairList(ids, SIGNALS, np.vstack([known, [[ghost, phantom, 0], [phantom, 0, 0]]])),
+        PairList(ids, SIGNALS, np.array([[phantom, 0, 3]])),
+    )
+    with pytest.raises(ValueError) as err:
+        train(TransitionModel.zeros(store.dim, 4), pairs, store, TrainingConfig(epochs=1))
+    assert "'ghost'" in str(err.value)
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
