@@ -11,8 +11,7 @@ the T distinct candidate rows the batch touches through V, once. The logits
 are one (m, r) @ (r, T) product read back at each pair's candidates, and
 both gradients reuse the dense (m, T) scatter W of the logit gradients, so
 a batch of m pairs with k samples costs O(m d r + T d r + m T r) and builds
-no (m, k+1, r) block. Only a batch that touches more than 64 (k + 1) rows
-gathers that block instead, where it is cheaper than the product.
+no (m, k+1, r) block.
 """
 
 from __future__ import annotations
@@ -361,40 +360,26 @@ def _row_map(population: int, parts: list[np.ndarray]) -> tuple[np.ndarray, list
     return np.flatnonzero(seen), [position[part] for part in parts]
 
 
-# A dense logit product costs m * T * r over T touched rows; gathering each
-# row's k + 1 candidates costs m * (k + 1) * r, but through a gather and an
-# einsum that run about 64 times slower per product than BLAS does (with
-# m = 128, the two meet near 4,400 touched rows at k = 64 and 1,800 at k = 16).
-_DENSE_ROWS_PER_CANDIDATE = 64
-
-
 def _term(
     model: TransitionModel,
     src_rows: np.ndarray,
     cand_proj: np.ndarray,
     cand: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Projected sources, gathered candidates, softmax weights and target log-probability.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected sources, softmax weights and target log-probability.
 
     ``src_rows`` (m, d) are the sources' embeddings; ``cand`` (m, k+1)
     indexes the rows of ``cand_proj``, the T touched rows projected by V,
-    and its column 0 is the target. Up to 64 (k + 1) touched rows, the
-    logits are one (m, T) product read back at each row's candidates and
-    no block is gathered (``None``); past that they contract the gathered
-    (m, k+1, r) block.
+    and its column 0 is the target. The logits are one (m, T) product read
+    back at each row's candidates.
     """
     projected_src = src_rows @ model.u.T
-    if cand_proj.shape[0] <= _DENSE_ROWS_PER_CANDIDATE * cand.shape[1]:
-        block = None
-        logits = np.take_along_axis(projected_src @ cand_proj.T, cand, axis=1)
-    else:
-        block = np.take(cand_proj, cand, axis=0)
-        logits = np.einsum("mr,mkr->mk", projected_src, block)
+    logits = np.take_along_axis(projected_src @ cand_proj.T, cand, axis=1)
     shifted = logits - logits.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     weights /= weights.sum(axis=1, keepdims=True)
     log_target = shifted[:, 0] - np.log(np.exp(shifted).sum(axis=1))
-    return projected_src, block, weights, log_target
+    return projected_src, weights, log_target
 
 
 def _scatter(dz: np.ndarray, cand: np.ndarray, touched: int) -> np.ndarray:
@@ -428,15 +413,15 @@ def contrastive_loss(
     product, and the gradients the dense (m, T) scatter W of the logit
     gradients: dL/dU is (W V h)^T h_src and dL/dV is (U h_src)^T W h, so no
     (m, k+1, r) or (m, k+1, d) block is gathered. The projection of the
-    touched rows and dL/dV add O(T d r). Past 64 (k + 1) touched rows the
-    logits and dL/dU contract a gathered (m, k+1, r) block, O(m k r), since
-    the product then costs more than the gather. A random batch of the
-    default shape (m = 128, k = 64) at d = 256, r = 32 takes, by the minimum
-    of 30 interleaved runs on a 2-vCPU VM with one BLAS thread: 1.2-1.3 ms
-    on a 180-edge store, 15.1-15.7 ms on 2,640 edges (all touched) and
-    25-27 ms on 13,200 edges (9,499 touched, gathered). A formulation that
-    gathered the block at every size and projected the sources over all
-    touched rows took 2.3-2.6, 16.5-17.6 and 32-34 ms.
+    touched rows and dL/dV add O(T d r). A random batch of the default shape
+    (m = 128, k = 64) at d = 256, r = 32 takes, by the minimum of 30
+    interleaved runs on a 2-vCPU VM with one BLAS thread: 1.2-1.3 ms on a
+    180-edge store, 13.6-14.9 ms on 2,640 edges (all touched) and 34-36 ms
+    on 13,200 edges (9,499 touched). A formulation that gathered the
+    (m, k+1, r) block and projected the sources over all touched rows took
+    2.2-2.5, 14.8-16.7 and 31-33 ms: at 13,200 edges the three (m, T)
+    products cost more than the gather, but no benchmark workload trains on
+    a store that large.
     """
     if pos_pairs.shape[0] == 0:
         raise EmptyBatch("contrastive loss needs at least one positive pair")
@@ -459,7 +444,7 @@ def contrastive_loss(
     with np.errstate(over="ignore", invalid="ignore"):
         for term, ((pairs, _), cand) in enumerate(zip(terms, cands)):
             src_rows = embeddings[pairs[:, 0]]
-            projected_src, block, weights, log_target = _term(model, src_rows, cand_proj, cand)
+            projected_src, weights, log_target = _term(model, src_rows, cand_proj, cand)
             m = pairs.shape[0]
             if term == 0:
                 loss += float(-log_target.mean())
@@ -473,11 +458,7 @@ def contrastive_loss(
                 dz[:, 0] += 1.0
                 dz *= (alpha / m) * active[:, None]
             scattered = _scatter(dz, cand, len(touched))
-            if block is None:
-                d_src = scattered @ cand_proj
-            else:
-                d_src = np.einsum("mk,mkr->mr", dz, block)
-            grad_u += d_src.T @ src_rows
+            grad_u += (scattered @ cand_proj).T @ src_rows
             v_factor += projected_src.T @ scattered
         return loss, grad_u, v_factor @ rows
 

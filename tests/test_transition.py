@@ -13,7 +13,6 @@ from okh.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, SchemaError
 from okh.hypergraph import Hyperedge, KnowledgeHypergraph, merge_facts
 from okh.precedence import PrecedenceIndex
 from okh.transition import (
-    _DENSE_ROWS_PER_CANDIDATE,
     NEGATIVE_LOG_CLAMP,
     SIGNALS,
     PairList,
@@ -201,18 +200,9 @@ def test_rank_space_batch_matches_gather_reference():
         assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize(
-    "store_rows, m, k",
-    [
-        (300, 64, 16),  # every row touched, still the dense (m, T) product
-        (600, 128, 4),  # every row touched, past the dense limit: gathered block
-    ],
-)
-def test_rank_space_batch_matches_gather_reference_on_every_row(store_rows, m, k):
-    dense = store_rows <= _DENSE_ROWS_PER_CANDIDATE * (k + 1)
-    assert dense == (k == 16)
-    rng = np.random.default_rng(store_rows)
-    dim, rank = 256, 32
+def test_rank_space_batch_matches_gather_reference_on_every_row():
+    rng = np.random.default_rng(300)
+    dim, rank, store_rows, m, k = 256, 32, 300, 64, 16
     model = TransitionModel.create(dim=dim, rank=rank, seed=store_rows)
     rows = _rng_rows(rng, store_rows, dim)
     pos = rng.integers(0, store_rows, size=(m, 2))
