@@ -31,6 +31,7 @@ from okh.evaluation import (
     AblationReport,
     AblationVariant,
     extract_answer,
+    forward_margins,
     kendall_tau,
     run_ablation,
 )

@@ -323,13 +323,7 @@ def _cmd_eval(values: dict[str, Any]) -> int:
         if item.group_id not in retriever.hypergraph.groups:
             raise SchemaError(f"qa[{index}].group", f"unknown group {item.group_id!r}")
     scenarios = [
-        GroupScenario(
-            group_id=group,
-            storm="",
-            port="",
-            horizons=(),
-            ground_truth=tuple(retriever.precedence.trajectory(group)),
-        )
+        GroupScenario(group, tuple(retriever.precedence.trajectory(group)))
         for group in sorted(retriever.hypergraph.groups)
     ]
 

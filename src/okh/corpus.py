@@ -101,9 +101,6 @@ class GroupScenario:
     """Ground truth for one storm:port group."""
 
     group_id: str
-    storm: str
-    port: str
-    horizons: tuple[int, ...]
     ground_truth: tuple[str, ...]
 
 
@@ -477,13 +474,7 @@ def generate_synthetic(
 
         corpus.facts.extend(facts)
         corpus.scenarios.append(
-            GroupScenario(
-                group_id=group_id,
-                storm=storm,
-                port=port,
-                horizons=horizons,
-                ground_truth=tuple(_reference_order(group_edges)),
-            )
+            GroupScenario(group_id=group_id, ground_truth=tuple(_reference_order(group_edges)))
         )
         corpus.qa.extend(_group_qa(rng, storm, port, group_id, horizons))
     return corpus

@@ -1,21 +1,26 @@
-"""Ablation evaluation: ordering quality and attribute-oracle accuracy.
+"""Evaluation: ablation reports and the transition model's held-out order.
 
 Each ablation variant retrieves trajectories for the generated questions
 with some objective terms disabled (or with the learned transition model
 replaced by the precedence heuristic, or with retrieved steps shuffled) and
-reports mean score, Kendall tau against the canonical ordering, the
-structural term means, and the accuracy of a deterministic answer oracle
-that reads attribute values straight off the retrieved steps.
+reports mean score, Kendall tau against each group's ground-truth order
+(``okh eval`` uses the precedence order), the structural term means, and
+the accuracy of a deterministic answer oracle that reads attribute values
+straight off the retrieved steps. ``forward_margins`` measures how strongly
+the model prefers text order within groups it was not trained on.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from okh.corpus import GroupScenario, QAItem
+from okh.embedding import EmbeddingStore
 from okh.errors import ElementMismatch
 from okh.hypergraph import KnowledgeHypergraph
 from okh.retrieval import (
@@ -23,8 +28,10 @@ from okh.retrieval import (
     Retriever,
     ScopeConfig,
     SearchConfig,
+    scope_candidates,
     trajectory_score,
 )
+from okh.transition import TransitionModel
 
 
 def kendall_tau(first: Sequence[str], second: Sequence[str]) -> float:
@@ -136,17 +143,7 @@ class AblationReport:
     oracle_accuracy: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n_queries": self.n_queries,
-            "mean_score": self.mean_score,
-            "mean_tau": self.mean_tau,
-            "tau_samples": self.tau_samples,
-            "mean_precedence": self.mean_precedence,
-            "mean_continuity": self.mean_continuity,
-            "mean_coverage": self.mean_coverage,
-            "oracle_accuracy": self.oracle_accuracy,
-        }
+        return asdict(self)
 
 
 def format_report_table(reports: Sequence[AblationReport]) -> str:
@@ -186,7 +183,7 @@ def run_ablation(
     seed: int = 0,
 ) -> AblationReport:
     """Retrieve the top trajectory per question under one ablation variant."""
-    scenario_of = {scenario.group_id: scenario for scenario in scenarios}
+    truth_of = {scenario.group_id: scenario.ground_truth for scenario in scenarios}
     active = variant_weights(variant, weights)
     transition = variant_transition(variant)
 
@@ -197,8 +194,8 @@ def run_ablation(
     answered = 0
 
     for query_index, qa in enumerate(qa_items):
-        scenario = scenario_of.get(qa.group_id)
-        if scenario is None:
+        truth = truth_of.get(qa.group_id)
+        if truth is None:
             raise ValueError(f"no scenario recorded for group {qa.group_id!r}")
         query_vector = retriever.store.embed_query(qa.question)
         trajectories = retriever.retrieve(
@@ -211,7 +208,10 @@ def run_ablation(
         total, breakdown = best.total_score, best.breakdown
         if variant is AblationVariant.SHUFFLED:
             steps = _shuffled_steps(steps, seed, query_index)
-            candidates, matrix = retriever._scoped(query_vector, scope, qa.group_id, transition)
+            candidates = scope_candidates(
+                query_vector, retriever.hypergraph, retriever.store, scope, qa.group_id
+            )
+            matrix = retriever.transition_matrix(candidates, transition)
             index_of = {eid: i for i, eid in enumerate(candidates)}
             all_relevance = retriever.store.relevance(query_vector)
             relevance = {
@@ -231,12 +231,11 @@ def run_ablation(
         totals["continuity"] += breakdown["continuity"]
         totals["coverage"] += breakdown["coverage"]
 
-        canonical = [eid for eid in scenario.ground_truth]
-        in_truth = set(canonical)
+        in_truth = set(truth)
         predicted = [eid for eid in steps if eid in in_truth]
-        reference = [eid for eid in canonical if eid in set(predicted)]
         if len(predicted) >= 2:
-            tau_sum += kendall_tau(predicted, reference)
+            chosen = set(predicted)
+            tau_sum += kendall_tau(predicted, [eid for eid in truth if eid in chosen])
             tau_samples += 1
         if extract_answer(steps, retriever.hypergraph, qa) == qa.expected:
             correct += 1
@@ -253,3 +252,25 @@ def run_ablation(
         mean_coverage=totals["coverage"] / n,
         oracle_accuracy=correct / n,
     )
+
+
+def forward_margins(
+    model: TransitionModel,
+    store: EmbeddingStore,
+    hypergraph: KnowledgeHypergraph,
+    groups: Iterable[str],
+) -> np.ndarray:
+    """L[i, j] - L[j, i] over each group's edges in (text position, id) order.
+
+    L is one ``model.logits`` call per group. Every pair i < j whose text
+    positions differ contributes, group by group; a positive margin means
+    the model prefers the text's order.
+    """
+    margins = []
+    for group in groups:
+        edges = sorted(hypergraph.group_edges(group), key=lambda e: (e.text_position, e.id))
+        logits = model.logits(store.matrix[[store.row_of[edge.id] for edge in edges]])
+        position = np.array([edge.text_position for edge in edges])
+        i, j = np.nonzero(np.triu(position[:, None] != position[None, :], k=1))
+        margins.append(logits[i, j] - logits[j, i])
+    return np.concatenate([np.empty(0), *margins])

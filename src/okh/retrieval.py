@@ -767,17 +767,6 @@ class Retriever:
             )
         raise ValueError(f"unknown transition kind {kind!r}; expected 'learned' or 'heuristic'")
 
-    def _scoped(
-        self,
-        query_vector: np.ndarray,
-        scope: ScopeConfig,
-        query_group: str | None,
-        transition: str,
-    ) -> tuple[list[str], np.ndarray]:
-        """Candidate pool for a query and its log-transition matrix."""
-        candidates = scope_candidates(query_vector, self.hypergraph, self.store, scope, query_group)
-        return candidates, self.transition_matrix(candidates, transition)
-
     def retrieve(
         self,
         query: str | np.ndarray,
@@ -791,14 +780,14 @@ class Retriever:
         query_vector = (
             self.store.embed_query(query) if isinstance(query, str) else np.asarray(query)
         )
-        candidates, log_transition = self._scoped(query_vector, scope, query_group, transition)
+        candidates = scope_candidates(query_vector, self.hypergraph, self.store, scope, query_group)
         return beam_search(
             query_vector,
             candidates,
             self.hypergraph,
             self.store,
             self.precedence,
-            log_transition,
+            self.transition_matrix(candidates, transition),
             weights,
             search,
         )

@@ -15,7 +15,7 @@ import numpy as np
 from okh.cli import main
 from okh.corpus import generate_synthetic
 from okh.embedding import EmbeddingStore, LocalHashingEmbedder
-from okh.evaluation import AblationVariant, run_ablation
+from okh.evaluation import AblationVariant, forward_margins, run_ablation
 from okh.evidence import format_trajectory
 from okh.hypergraph import KnowledgeHypergraph, merge_facts
 from okh.precedence import PrecedenceIndex
@@ -281,21 +281,8 @@ def test_transition_model_prefers_forward_order_on_heldout_groups():
     model = TransitionModel.create(256, 32, seed=7)
     train(model, pairs, train_store, TrainingConfig())
 
-    wins = total = 0
-    for scenario in corpus.scenarios[16:]:
-        edges = sorted(
-            full_graph.group_edges(scenario.group_id),
-            key=lambda e: (e.text_position, e.id),
-        )
-        vectors = np.stack([full_store.vector(e.id) for e in edges])
-        logits = model.logits(vectors)
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                if edges[i].text_position == edges[j].text_position:
-                    continue
-                total += 1
-                if logits[i, j] > logits[j, i]:
-                    wins += 1
+    margins = forward_margins(model, full_store, full_graph, sorted(held_out))
+    wins, total = int((margins > 0).sum()), margins.size
     preference = wins / total
 
     sample = np.stack(

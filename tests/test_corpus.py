@@ -37,9 +37,8 @@ def test_generate_synthetic_fact_counts_for_two_horizons():
     for fact in change:
         assert set(fact["attributes"]) == {"from_horizon", "to_horizon"}
         assert DEFAULT_VOCABULARY.family(fact["relation"]) == 13
-    scenario = corpus.scenarios[0]
-    assert len(scenario.horizons) == 2
-    assert len(scenario.ground_truth) == 36
+    assert len({fact["horizon"] for fact in corpus.facts} - {None}) == 2
+    assert len(corpus.scenarios[0].ground_truth) == 36
 
 
 def test_generate_synthetic_is_byte_reproducible():
@@ -103,6 +102,7 @@ def test_qa_items_per_group_cover_all_kinds():
     corpus = generate_synthetic(seed=0, n_groups=2, horizons_per_group=2)
     for scenario in corpus.scenarios:
         items = [item for item in corpus.qa if item.group_id == scenario.group_id]
+        horizons = {f["horizon"] for f in corpus.facts if f["group"] == scenario.group_id}
         assert len(items) == 6
         kinds = sorted(item.kind for item in items)
         assert kinds == [
@@ -118,7 +118,7 @@ def test_qa_items_per_group_cover_all_kinds():
         assert numeric[0].attribute == "peak_gust_kt"
         for item in items:
             if item.kind == "at_horizon":
-                assert item.horizon in scenario.horizons
+                assert item.horizon in horizons - {None}
             else:
                 assert item.horizon is None
 
@@ -163,8 +163,7 @@ def test_at_horizon_answers_match_the_facts():
 
 def test_final_value_answers_match_the_last_horizon_facts():
     corpus = generate_synthetic(seed=9, n_groups=1, horizons_per_group=3)
-    scenario = corpus.scenarios[0]
-    last_horizon = scenario.horizons[-1]
+    last_horizon = min(fact["horizon"] for fact in corpus.facts if fact["horizon"] is not None)
     by_kind = {item.attribute: item for item in corpus.qa if item.kind == "final_value"}
     ops = [
         fact

@@ -69,23 +69,23 @@ def test_variant_transition_kind():
 def _answer_fixture():
     corpus = generate_synthetic(seed=0, n_groups=1, horizons_per_group=2)
     graph = merge_facts([corpus.facts])
-    scenario = corpus.scenarios[0]
+    group = corpus.scenarios[0].group_id
+    horizons = sorted({f["horizon"] for f in corpus.facts if f["horizon"] is not None}, reverse=True)
 
     def edge_id(relation, horizon):
         matches = [
             edge.id
-            for edge in graph.group_edges(scenario.group_id)
+            for edge in graph.group_edges(group)
             if edge.relation == relation and edge.horizon == horizon
         ]
         assert len(matches) == 1
         return matches[0]
 
-    return corpus, graph, scenario, edge_id
+    return corpus, graph, horizons, edge_id
 
 
 def test_extract_final_value_reads_last_occurrence():
-    corpus, graph, scenario, edge_id = _answer_fixture()
-    early, late = scenario.horizons
+    corpus, graph, (early, late), edge_id = _answer_fixture()
     steps = [edge_id("has_category_state", early), edge_id("has_category_state", late)]
     qa = next(
         item
@@ -99,8 +99,7 @@ def test_extract_final_value_reads_last_occurrence():
 
 
 def test_extract_escalation_compares_first_and_last_readings():
-    corpus, graph, scenario, edge_id = _answer_fixture()
-    early, late = scenario.horizons
+    corpus, graph, (early, late), edge_id = _answer_fixture()
     steps = [
         edge_id("has_leadtime_probability", early),
         edge_id("has_leadtime_probability", late),
@@ -117,13 +116,13 @@ def test_extract_escalation_compares_first_and_last_readings():
 
 
 def test_extract_at_horizon_needs_the_matching_lead_time():
-    corpus, graph, scenario, edge_id = _answer_fixture()
+    corpus, graph, horizons, edge_id = _answer_fixture()
     qa = next(
         item
         for item in corpus.qa
         if item.kind == "at_horizon" and item.attribute == "operation_status"
     )
-    other = next(h for h in scenario.horizons if h != qa.horizon)
+    other = next(h for h in horizons if h != qa.horizon)
     good = edge_id("has_operation_status", qa.horizon)
     wrong_horizon = edge_id("has_operation_status", other)
     assert extract_answer([wrong_horizon, good], graph, qa) == qa.expected
