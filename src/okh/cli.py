@@ -267,10 +267,13 @@ def _cmd_train(values: dict[str, Any]) -> int:
         batch_size=values["batch"],
         seed=values["seed"],
     )
-    graph, precedence = _load_graph(values)
-    store = _make_store(graph, _make_embedder(values), values)
+    # The model is made first, so a rank the dimension cannot hold exits
+    # before the snapshot load.
+    embedder = _make_embedder(values)
     rank = values["rank"] or _PROVIDER_RANKS[values["provider"]]
-    model = TransitionModel.create(store.dim, rank, seed=values["seed"])
+    model = TransitionModel.create(embedder.dim, rank, seed=values["seed"])
+    graph, precedence = _load_graph(values)
+    store = _make_store(graph, embedder, values)
     pairs = build_pairs(graph, precedence, seed=values["seed"])
     history = train(model, pairs, store, config)
     model.save(values["checkpoint"])

@@ -349,8 +349,19 @@ class EmbeddingCache:
             os.replace(tmp, self.path)
 
 
+def _non_finite(cache: EmbeddingCache, text: str) -> SchemaError:
+    """The error for a cached vector of ``text`` that holds NaN or infinity."""
+    return SchemaError(
+        "cache", f"{cache.path}: the vector recorded for text {content_key(text).hex()} is not finite"
+    )
+
+
 class EmbeddingStore:
-    """Edge embeddings for one hypergraph plus query embedding support."""
+    """Edge embeddings for one hypergraph plus query embedding support.
+
+    A non-finite vector read from the cache is refused with SchemaError at
+    ``cache``; the cache itself stores and saves any float.
+    """
 
     def __init__(
         self,
@@ -385,6 +396,9 @@ class EmbeddingStore:
             matrix = np.asarray(embedder.embed(texts), dtype=np.float64)
         else:
             matrix, misses = cache.lookup_many(texts)
+            bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+            if bad.size:
+                raise _non_finite(cache, texts[bad[0]])
             if misses:
                 fresh = embedder.embed([texts[i] for i in misses])
                 for slot, i in enumerate(misses):
@@ -399,6 +413,8 @@ class EmbeddingStore:
         if self.cache is not None:
             hit = self.cache.lookup(text)
             if hit is not None:
+                if not np.isfinite(hit).all():
+                    raise _non_finite(self.cache, text)
                 return hit
         vector = self.embedder.embed([text])[0]
         if self.cache is not None:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from okh.errors import CycleDetected
+from okh.errors import CycleDetected, SchemaError
 from okh.hypergraph import Hyperedge, KnowledgeHypergraph
 from okh.relations import CAUSAL_RULES, CROSS_HORIZON_FAMILY, DEFAULT_VOCABULARY
 
@@ -254,7 +254,11 @@ class PrecedenceIndex:
         hypergraph: KnowledgeHypergraph,
         direct: Mapping[str, Sequence[tuple[str, str]]],
     ) -> "PrecedenceIndex":
-        """Rebuild closure and trajectories from persisted direct DAG edges."""
+        """Rebuild closure and trajectories from persisted direct DAG edges.
+
+        A cycle among them is a malformed snapshot: SchemaError at
+        ``precedence.<group>``.
+        """
         groups = {}
         for group in sorted(hypergraph.groups):
             edges = hypergraph.group_edges(group)
@@ -263,7 +267,10 @@ class PrecedenceIndex:
             for src, dst in direct.get(group, ()):  # stale pairs are dropped
                 if src in known and dst in known:
                     successors.setdefault(src, set()).add(dst)
-            groups[group] = _build_group(edges, successors)
+            try:
+                groups[group] = _build_group(edges, successors)
+            except CycleDetected as exc:
+                raise SchemaError(f"precedence.{group}", str(exc)) from None
         return cls(groups)
 
     def precedes(self, first: str, second: str) -> Order:

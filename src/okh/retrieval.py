@@ -55,12 +55,17 @@ class SearchConfig:
     diversity_penalty: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.beam_width < 1 or self.trajectory_length < 1 or self.num_trajectories < 1:
-            raise ValueError("beam width, trajectory length, and path count must be >= 1")
+        for name in ("beam_width", "trajectory_length", "num_trajectories"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 <= self.diversity_overlap_threshold <= 1.0:
-            raise ValueError("diversity overlap threshold must be in [0, 1]")
+            raise ValueError(
+                "diversity_overlap_threshold must be in [0, 1],"
+                f" got {self.diversity_overlap_threshold}"
+            )
         if self.diversity_penalty < 0:
-            raise ValueError("diversity penalty must be non-negative")
+            raise ValueError(f"diversity_penalty must be non-negative, got {self.diversity_penalty}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,14 @@ class ScopeConfig:
     group_reserve_fraction: float = 0.40
 
     def __post_init__(self) -> None:
-        if self.top_k < 1 or self.pool_cap < 1:
-            raise ValueError("top_k and pool_cap must be >= 1")
+        for name in ("top_k", "pool_cap"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 <= self.group_reserve_fraction <= 1.0:
-            raise ValueError("group reserve fraction must be in [0, 1]")
+            raise ValueError(
+                f"group_reserve_fraction must be in [0, 1], got {self.group_reserve_fraction}"
+            )
 
 
 @dataclass

@@ -56,6 +56,8 @@ class TransitionModel:
         """Seeded i.i.d. uniform init on [-1/sqrt(dim), 1/sqrt(dim)]."""
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
+        if rank > dim:
+            raise ValueError(f"rank must be <= dim ({dim}), got {rank}")
         rng = np.random.default_rng(seed)
         scale = 1.0 / float(np.sqrt(dim))
         u = _quantize(rng.uniform(-scale, scale, size=(rank, dim)))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import struct
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
@@ -540,6 +541,71 @@ def test_train_rejects_non_finite_step_and_alpha_before_loading(tmp_path, capsys
             assert f"{field} must be finite" in err
             assert "missing.snap" not in err
             assert not checkpoint.exists()
+
+
+def test_train_refuses_a_rank_above_the_dimension_before_loading(pipeline, tmp_path, capsys):
+    missing = tmp_path / "missing.snap"
+    checkpoint = tmp_path / "bad.okht"
+    assert main(["train", "--snapshot", str(missing), "--checkpoint", str(checkpoint),
+                 "--dim", "32", "--rank", "33"]) == 2
+    assert capsys.readouterr().err == "error: rank must be <= dim (32), got 33\n"
+    assert not checkpoint.exists()
+    # A rank equal to the dimension is accepted.
+    assert main(["train", "--snapshot", str(pipeline["snapshot"]), "--checkpoint", str(checkpoint),
+                 "--dim", "32", "--rank", "32", "--epochs", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_search_and_scope_refusals_name_their_field_and_value(pipeline, capsys):
+    for flags, message in [
+        (["--beam", "0"], "beam_width must be >= 1, got 0"),
+        (["--length", "0"], "trajectory_length must be >= 1, got 0"),
+        (["--paths", "-2"], "num_trajectories must be >= 1, got -2"),
+        (["--topk", "0"], "top_k must be >= 1, got 0"),
+        (["--cap", "0"], "pool_cap must be >= 1, got 0"),
+        (["--reserve", "1.5"], "group_reserve_fraction must be in [0, 1], got 1.5"),
+    ]:
+        for command in (["retrieve", "--query", "q"], ["eval", "--qa", str(pipeline["qa"])]):
+            assert main([*command, "--snapshot", str(pipeline["snapshot"]),
+                         "--checkpoint", str(pipeline["checkpoint"]), "--dim", "32",
+                         *flags]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cyclic_precedence_in_a_snapshot_exits_two_naming_the_group(pipeline, tmp_path, capsys):
+    snapshot = json.loads(pipeline["snapshot"].read_text(encoding="utf-8"))
+    group = sorted(snapshot["precedence"])[0]
+    src, dst = snapshot["precedence"][group][0]
+    snapshot["precedence"][group].append([dst, src])
+    path = tmp_path / "cyclic.snap"
+    path.write_text(json.dumps(snapshot), encoding="utf-8")
+    assert main(["retrieve", "--snapshot", str(path),
+                 "--checkpoint", str(pipeline["checkpoint"]),
+                 "--dim", "32", "--query", "q"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: precedence.{group}: precedence cycle: ")
+    # Any cycle runs through the reversed pair.
+    assert f"{dst} -> {src}" in err
+
+
+def test_non_finite_cached_vector_exits_two_naming_the_cache(pipeline, tmp_path, capsys):
+    cache = tmp_path / "emb.okhe"
+    retrieve = ["retrieve", "--snapshot", str(pipeline["snapshot"]),
+                "--checkpoint", str(pipeline["checkpoint"]),
+                "--dim", "32", "--cache", str(cache), "--query", "q"]
+    assert main(retrieve) == 0
+    capsys.readouterr()
+    blob = bytearray(cache.read_bytes())
+    (identity_length,) = struct.unpack_from("<I", blob, 12)
+    header, size = 16 + identity_length, 16 + 4 * 32
+    for start in range(header, len(blob), size):
+        blob[start + 16 : start + 20] = struct.pack("<f", math.nan)
+    cache.write_bytes(bytes(blob))
+    assert main(retrieve) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cache: {cache}: the vector recorded for text ")
+    assert err.endswith(" is not finite\n")
+    assert cache.read_bytes() == bytes(blob)
 
 
 def test_invalid_synth_shape_exits_two(tmp_path, capsys):

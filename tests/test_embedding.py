@@ -19,7 +19,7 @@ from okh.embedding import (
     compose_text,
     post_json_with_retries,
 )
-from okh.errors import DimensionMismatch, ProviderError
+from okh.errors import DimensionMismatch, ProviderError, SchemaError
 from okh.hashutil import content_key, fnv1a64
 from okh.hypergraph import Entity, Hyperedge
 from okh.relations import EntityType
@@ -372,3 +372,16 @@ def test_embed_query_caches_and_relevance_checks_dimension(tmp_path):
     assert scores.shape == (2,)
     with pytest.raises(DimensionMismatch):
         store.relevance(np.zeros(8))
+
+
+def test_embed_query_refuses_a_non_finite_cached_vector(tmp_path):
+    path = tmp_path / "c.okhe"
+    cache = EmbeddingCache(str(path), dim=16)
+    cache.store("what happened", np.full(16, np.inf))
+    store = EmbeddingStore.build(_tiny_graph(), LocalHashingEmbedder(16), cache)
+    with pytest.raises(SchemaError) as info:
+        store.embed_query("what happened")
+    assert info.value.path == "cache"
+    assert info.value.message == (
+        f"{path}: the vector recorded for text {content_key('what happened').hex()} is not finite"
+    )

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from okh.corpus import QAItem, generate_synthetic
@@ -9,6 +10,7 @@ from okh.evaluation import (
     _shuffled_steps,
     extract_answer,
     format_report_table,
+    forward_margins,
     kendall_tau,
     run_ablation,
     variant_transition,
@@ -17,7 +19,7 @@ from okh.evaluation import (
 from okh.hypergraph import merge_facts
 from okh.precedence import PrecedenceIndex
 from okh.retrieval import RetrievalWeights, Retriever, ScopeConfig, SearchConfig
-from okh.transition import TransitionModel
+from okh.transition import TrainingConfig, TransitionModel, build_pairs, train
 
 
 def test_kendall_tau_frozen_values():
@@ -300,3 +302,38 @@ def test_run_ablation_requires_known_scenarios():
             search=search,
             scope=scope,
         )
+
+
+def test_heldout_order_measurement_stays_above_its_floors():
+    # Train on 8 groups, then score the 4 held-out groups' 24 questions and
+    # their in-group text-order pairs. The floors are what the current model
+    # passes; a model that carries order would raise no_mu's tau, and full's
+    # oracle above no_lambda's.
+    corpus = generate_synthetic(seed=1, n_groups=12, horizons_per_group=3)
+    train_ids = {scenario.group_id for scenario in corpus.scenarios[:8]}
+    held_out = corpus.scenarios[8:]
+    train_graph = merge_facts([[fact for fact in corpus.facts if fact["group"] in train_ids]])
+    embedder = LocalHashingEmbedder(256)
+    model = TransitionModel.create(256, 32)
+    pairs = build_pairs(train_graph, PrecedenceIndex.build(train_graph))
+    train(model, pairs, EmbeddingStore.build(train_graph, embedder), TrainingConfig(epochs=5))
+
+    graph = merge_facts([corpus.facts])
+    store = EmbeddingStore.build(graph, embedder)
+    retriever = Retriever(graph, store, PrecedenceIndex.build(graph), model)
+    questions = [qa for qa in corpus.qa if qa.group_id not in train_ids]
+    assert len(questions) == 24
+    full, no_lambda, no_mu = (
+        run_ablation(retriever, questions, held_out, variant)
+        for variant in (AblationVariant.FULL, AblationVariant.NO_LAMBDA, AblationVariant.NO_MU)
+    )
+    margins = forward_margins(model, store, graph, [scenario.group_id for scenario in held_out])
+    median = float(np.median(margins))
+    print(
+        f"held-out: no_mu tau {no_mu.mean_tau:.3f}, full - no_lambda oracle"
+        f" {full.oracle_accuracy - no_lambda.oracle_accuracy:+.3f}, median margin"
+        f" {median:.4f} nats, forward accuracy {(margins > 0).mean():.3f} of {margins.size}"
+    )
+    assert no_mu.mean_tau >= 0.25
+    assert full.oracle_accuracy >= no_lambda.oracle_accuracy - 0.05
+    assert median > 0

@@ -258,6 +258,22 @@ def test_merge_facts_deduplicates_identical_facts_across_batches():
     assert len(graph.hyperedges) == 1
 
 
+def test_duplicate_edges_at_one_position_resolve_by_content_in_either_order():
+    # Same relation, entities, evidence and text position, so the same id;
+    # only the attributes differ.
+    first = _state_fact("wind_fcst", 48, 3)
+    second = {**first, "attributes": {"wind_kt": "40"}}
+    candidates = [
+        next(iter(merge_facts([[fact]], synthesize=False).hyperedges.values()))
+        for fact in (first, second)
+    ]
+    assert candidates[0].id == candidates[1].id and candidates[0] != candidates[1]
+    expected = min(candidates, key=lambda edge: json.dumps(edge.to_dict(), sort_keys=True))
+    for batches in ([[first], [second]], [[second], [first]]):
+        graph = merge_facts(batches, synthesize=False)
+        assert list(graph.hyperedges.values()) == [expected]
+
+
 def test_merge_facts_is_idempotent_on_roundtrip():
     facts = [_state_fact("wind_fcst", 72, 0), _state_fact("wind_fcst", 48, 1)]
     graph = merge_facts([facts])
