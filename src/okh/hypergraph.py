@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
@@ -490,27 +491,20 @@ class KnowledgeHypergraph:
         for key in ("entities", "hyperedges"):
             if not isinstance(snapshot.get(key, []), list):
                 raise SchemaError(key, "expected a list")
-        # An entry whose fields hold exactly the types a saved snapshot writes,
-        # and that its constructor accepts, is built directly; any other goes
-        # through the checks that name the bad field, and is accepted or
-        # refused just as they decide.
         entities: dict[str, Entity] = {}
         for index, raw in enumerate(snapshot.get("entities", [])):
-            entity = _plain_entity(raw) or _entity_from_dict(raw, f"entities[{index}]")
+            entity = _entity_from_dict(raw, f"entities[{index}]")
             entities[entity.id] = entity
         parsed: list[Hyperedge] = []
         malformed: SchemaError | ValueError | None = None
         for index, raw in enumerate(snapshot.get("hyperedges", [])):
-            edge = _plain_edge(raw)
-            if edge is None:
-                try:
-                    edge = _edge_from_dict(raw, f"hyperedges[{index}]")
-                except (SchemaError, ValueError) as exc:
-                    # Raised after the edges before it are checked, so the
-                    # first bad edge in index order is the one reported.
-                    malformed = exc
-                    break
-            parsed.append(edge)
+            try:
+                parsed.append(_edge_from_dict(raw, f"hyperedges[{index}]"))
+            except (SchemaError, ValueError) as exc:
+                # Raised after the edges before it are checked, so the first
+                # bad edge in index order is the one reported.
+                malformed = exc
+                break
         expected_ids = _dedup_ids((edge.relation, edge.entity_ids, edge.evidence) for edge in parsed)
         hyperedges: dict[str, Hyperedge] = {}
         for index, (edge, expected) in enumerate(zip(parsed, expected_ids)):
@@ -552,96 +546,48 @@ def _require(fact: Mapping[str, Any], key: str, kind: type | tuple, path: str) -
     if key not in fact:
         raise SchemaError(f"{path}.{key}", "missing required field")
     value = fact[key]
-    if not isinstance(value, kind):
+    if value.__class__ is not kind and not isinstance(value, kind):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise SchemaError(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
     return value
 
 
+_TYPE_OF_VALUE = {member.value: member for member in EntityType}
+
+
+# The snapshot parsers. Each field is first tested for the exact type the
+# writer puts there; any other value goes to `_require`, which accepts a
+# subclass or names the bad field. The fields are checked in one fixed order,
+# so an entry with several bad fields always reports the same one.
 def _entity_from_dict(raw: Any, path: str) -> Entity:
-    if not isinstance(raw, Mapping):
+    if raw.__class__ is not dict and not isinstance(raw, Mapping):
         raise SchemaError(path, "entity must be an object")
-    entity_id = _require(raw, "id", str, path)
+    entity_id = raw.get("id")
+    if entity_id.__class__ is not str:
+        entity_id = _require(raw, "id", str, path)
     if not entity_id:
         raise SchemaError(f"{path}.id", "entity id must be non-empty")
-    name = _require(raw, "name", str, path)
-    type_raw = _require(raw, "type", str, path)
-    entity_type = EntityType.parse(type_raw)
-    if HORIZON_ANCHOR_RE.match(entity_id):
+    name, type_raw = raw.get("name"), raw.get("type")
+    if name.__class__ is not str or type_raw.__class__ is not str:
+        name, type_raw = _require(raw, "name", str, path), _require(raw, "type", str, path)
+    entity_type = _TYPE_OF_VALUE.get(type_raw) or EntityType.parse(type_raw)
+    if entity_id.startswith("horizon:T-") and HORIZON_ANCHOR_RE.match(entity_id):
         entity_type = EntityType.HORIZON_TIME
     elif entity_type is EntityType.HORIZON_TIME:
         raise SchemaError(f"{path}.id", "horizon_time entity id must match horizon:T-<int>")
     description = raw.get("description", "")
-    if not isinstance(description, str):
+    if description.__class__ is not str and not isinstance(description, str):
         raise SchemaError(f"{path}.description", "expected str")
     confidence = raw.get("confidence", 1.0)
-    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+    if confidence.__class__ is not float and (
+        not isinstance(confidence, (int, float)) or isinstance(confidence, bool)
+    ):
         raise SchemaError(f"{path}.confidence", "expected number")
-    if not 0.0 < float(confidence) <= 1.0:
+    number = float(confidence)
+    if not 0.0 < number <= 1.0:
+        # The value as written: `got 0`, not `got 0.0`.
         raise SchemaError(f"{path}.confidence", f"must be in (0, 1], got {confidence}")
-    return Entity(entity_id, name, entity_type, description, float(confidence))
-
-
-_TYPE_OF_VALUE = {member.value: member for member in EntityType}
-
-
-def _plain_entity(raw: Any) -> Entity | None:
-    """The entity of a snapshot entry whose fields all hold exactly the types
-    `Entity.to_dict` writes, else None; what it builds, `_entity_from_dict` would."""
-    if raw.__class__ is not dict:
-        return None
-    entity_id, name, type_raw = raw.get("id"), raw.get("name"), raw.get("type")
-    description, confidence = raw.get("description", ""), raw.get("confidence", 1.0)
-    if not (
-        entity_id.__class__ is str
-        and name.__class__ is str
-        and type_raw.__class__ is str
-        and type_raw in _TYPE_OF_VALUE
-        and description.__class__ is str
-        and confidence.__class__ is float
-    ):
-        return None
-    entity_type = _TYPE_OF_VALUE[type_raw]
-    if entity_id.startswith("horizon:T-") and HORIZON_ANCHOR_RE.match(entity_id):
-        entity_type = EntityType.HORIZON_TIME
-    try:
-        return Entity(entity_id, name, entity_type, description, confidence)
-    except ValueError:
-        return None  # `_entity_from_dict` names the bad field
-
-
-def _plain_edge(raw: Any) -> Hyperedge | None:
-    """The hyperedge of a snapshot entry whose fields all hold exactly the types
-    `Hyperedge.to_dict` writes, else None; what it builds, `_edge_from_dict` would."""
-    if raw.__class__ is not dict:
-        return None
-    entity_ids, relation, family = raw.get("entities"), raw.get("relation"), raw.get("family")
-    edge_id, evidence, group = raw.get("id"), raw.get("evidence"), raw.get("group")
-    confidence, horizon, position = raw.get("confidence"), raw.get("horizon"), raw.get("text_position")
-    attributes = raw.get("attributes", {})
-    if not (
-        entity_ids.__class__ is list
-        and all(entity_id.__class__ is str for entity_id in entity_ids)
-        and attributes.__class__ is dict
-        and all(key.__class__ is str and value.__class__ is str for key, value in attributes.items())
-        and relation.__class__ is str
-        and family.__class__ is int
-        and FAMILY_OF.get(relation) == family
-        and edge_id.__class__ is str
-        and evidence.__class__ is str
-        and group.__class__ is str
-        and confidence.__class__ is float
-        and (horizon is None or horizon.__class__ is int)
-        and position.__class__ is int
-    ):
-        return None
-    try:
-        return Hyperedge(
-            edge_id, relation, family, frozenset(entity_ids), evidence, dict(attributes),
-            confidence, group, horizon, position,
-        )
-    except ValueError:
-        return None  # `_edge_from_dict` names the bad field
+    return Entity(entity_id, name, entity_type, description, number)
 
 
 def _optional_horizon(raw: Mapping[str, Any], path: str) -> int | None:
@@ -652,34 +598,50 @@ def _optional_horizon(raw: Mapping[str, Any], path: str) -> int | None:
 
 
 def _edge_from_dict(raw: Any, path: str) -> Hyperedge:
-    if not isinstance(raw, Mapping):
+    if raw.__class__ is not dict and not isinstance(raw, Mapping):
         raise SchemaError(path, "hyperedge must be an object")
-    entity_ids = _require(raw, "entities", list, path)
-    if not all(isinstance(entity_id, str) for entity_id in entity_ids):
+    entity_ids = raw.get("entities")
+    if entity_ids.__class__ is not list:
+        entity_ids = _require(raw, "entities", list, path)
+    if not all(map(isinstance, entity_ids, repeat(str))):
         raise SchemaError(f"{path}.entities", "entity ids must be strings")
     attributes = raw.get("attributes", {})
-    if not isinstance(attributes, Mapping):
+    if attributes.__class__ is not dict and not isinstance(attributes, Mapping):
         raise SchemaError(f"{path}.attributes", "expected object")
-    relation = _require(raw, "relation", str, path)
-    if not DEFAULT_VOCABULARY.is_canonical(relation):
+    relation = raw.get("relation")
+    if relation.__class__ is not str:
+        relation = _require(raw, "relation", str, path)
+    expected_family = FAMILY_OF.get(relation)
+    if expected_family is None:
         raise SchemaError(f"{path}.relation", f"{relation!r} is not a canonical relation")
-    family = _require(raw, "family", int, path)
-    expected_family = DEFAULT_VOCABULARY.family(relation)
+    family = raw.get("family")
+    if family.__class__ is not int:
+        family = _require(raw, "family", int, path)
     if isinstance(family, bool) or family != expected_family:
         raise SchemaError(
             f"{path}.family", f"relation {relation!r} is in family {expected_family}, got {family!r}"
         )
+    edge_id, evidence = raw.get("id"), raw.get("evidence")
+    if edge_id.__class__ is not str or evidence.__class__ is not str:
+        edge_id, evidence = _require(raw, "id", str, path), _require(raw, "evidence", str, path)
+    converted = {}  # a loop: a comprehension would build a function per edge
+    for key, value in attributes.items():
+        converted[str(key)] = str(value)
+    confidence = raw.get("confidence")
+    if confidence.__class__ is not float:
+        confidence = float(_require(raw, "confidence", (int, float), path))
+    group = raw.get("group")
+    if group.__class__ is not str:
+        group = _require(raw, "group", str, path)
+    horizon = raw.get("horizon")
+    if horizon.__class__ is not int or horizon <= 0:
+        horizon = _optional_horizon(raw, path)
+    position = raw.get("text_position")
+    if position.__class__ is not int:
+        position = int(_require(raw, "text_position", int, path))
     return Hyperedge(
-        id=_require(raw, "id", str, path),
-        relation=relation,
-        family=family,
-        entity_ids=frozenset(entity_ids),
-        evidence=_require(raw, "evidence", str, path),
-        attributes={str(k): str(v) for k, v in attributes.items()},
-        confidence=float(_require(raw, "confidence", (int, float), path)),
-        group_id=_require(raw, "group", str, path),
-        horizon=_optional_horizon(raw, path),
-        text_position=int(_require(raw, "text_position", int, path)),
+        edge_id, relation, family, frozenset(entity_ids), evidence, converted,
+        confidence, group, horizon, position,
     )
 
 

@@ -64,8 +64,10 @@ class SearchConfig:
                 "diversity_overlap_threshold must be in [0, 1],"
                 f" got {self.diversity_overlap_threshold}"
             )
-        if self.diversity_penalty < 0:
-            raise ValueError(f"diversity_penalty must be non-negative, got {self.diversity_penalty}")
+        if not math.isfinite(self.diversity_penalty) or self.diversity_penalty < 0:
+            raise ValueError(
+                f"diversity_penalty must be finite and non-negative, got {self.diversity_penalty}"
+            )
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,11 @@ class TransitionModel:
             raise SchemaError("checkpoint", f"{path} has magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         if version != CHECKPOINT_VERSION:
             raise SchemaError("checkpoint", f"{path} has unsupported version {version}")
+        # The bounds `create` puts on a new model.
+        if rank < 1:
+            raise SchemaError("checkpoint", f"{path} has rank {rank} below 1")
+        if rank > dim:
+            raise SchemaError("checkpoint", f"{path} has rank {rank} above its dimension {dim}")
         expected = header + 2 * 4 * dim * rank + 8
         if len(blob) != expected:
             raise SchemaError("checkpoint", f"{path} has {len(blob)} bytes, expected {expected}")

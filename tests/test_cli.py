@@ -3,6 +3,7 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from okh import cli
 from okh.cli import main
 from okh.corpus import QA_KINDS
 from okh.hypergraph import merge_facts
+from okh.transition import TransitionModel
 
 
 @pytest.fixture(scope="module")
@@ -234,10 +236,16 @@ def test_dimension_mismatch_between_checkpoint_and_store(pipeline, capsys):
 def test_bad_checkpoint_exits_before_the_load_and_writes_no_cache(pipeline, tmp_path, capsys):
     truncated = tmp_path / "trunc.okht"
     truncated.write_bytes(pipeline["checkpoint"].read_bytes()[:100])
+    # Ranks that `TransitionModel.create` refuses, saved all the same.
+    too_wide, empty = tmp_path / "rank40.okht", tmp_path / "rank0.okht"
+    TransitionModel(np.zeros((40, 32)), np.zeros((40, 32))).save(str(too_wide))
+    TransitionModel(np.zeros((0, 32)), np.zeros((0, 32))).save(str(empty))
     for checkpoint, dim, message in [
         (truncated, "32", f"error: checkpoint: {truncated} has 100 bytes, expected "),
         (pipeline["checkpoint"], "64",
          f"error: checkpoint: {pipeline['checkpoint']} is 32-d but embeddings are 64-d\n"),
+        (too_wide, "32", f"error: checkpoint: {too_wide} has rank 40 above its dimension 32\n"),
+        (empty, "32", f"error: checkpoint: {empty} has rank 0 below 1\n"),
     ]:
         cache = tmp_path / "fresh.okhe"
         assert main(["retrieve", "--snapshot", str(pipeline["snapshot"]),

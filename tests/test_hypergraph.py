@@ -2,13 +2,16 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import OrderedDict
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from okh.corpus import generate_synthetic
 from okh.errors import ConflictingHorizon, SchemaError
 from okh.hashutil import content_key, fnv1a64, fnv1a64_many
 from okh.hypergraph import (
@@ -24,7 +27,9 @@ from okh.hypergraph import (
     synthesize_cross_horizon,
     validate_fact,
 )
+from okh.precedence import PrecedenceIndex
 from okh.relations import FAMILY_OF, EntityType
+from test_load_path import _reference_from_snapshot
 
 
 def reference_fnv1a64(data: bytes) -> int:
@@ -597,6 +602,46 @@ def test_snapshot_in_the_indented_layout_with_groups_loads_to_the_same_graph(tmp
     assert old_graph.entities == new_graph.entities == graph.entities
     assert old_graph.hyperedges == new_graph.hyperedges == graph.hyperedges
     assert old_precedence == new_precedence == direct
+
+
+def _same_objects(parsed, expected):
+    """Two (graph, precedence) loads hold equal objects, attribute for attribute."""
+    (graph, precedence), (reference, reference_precedence) = parsed, expected
+    assert precedence == reference_precedence
+    assert list(graph.entities) == list(reference.entities)
+    assert list(graph.hyperedges) == list(reference.hyperedges)
+    for built, wanted in [
+        *zip(graph.entities.values(), reference.entities.values()),
+        *zip(graph.hyperedges.values(), reference.hyperedges.values()),
+    ]:
+        assert list(vars(built).items()) == list(vars(wanted).items())
+    for built, wanted in zip(graph.hyperedges.values(), reference.hyperedges.values()):
+        assert list(built.attributes.items()) == list(wanted.attributes.items())
+        assert type(built.attributes) is dict
+
+
+def test_snapshot_of_read_only_mappings_loads_as_the_reference_does():
+    graph = merge_facts([generate_synthetic(seed=3, n_groups=1, horizons_per_group=2).facts])
+    document = json.loads(json.dumps(graph.to_snapshot(PrecedenceIndex.build(graph).direct_edges())))
+    assert any(edge["attributes"] for edge in document["hyperedges"])
+    for edge in document["hyperedges"]:
+        # Reversed, so the parsed dict's order is the mapping's, not the file's.
+        edge["attributes"] = OrderedDict(reversed(edge["attributes"].items()))
+    # A JSON integer where the writer puts a string is converted, not refused.
+    document["hyperedges"][0]["attributes"]["count"] = 1
+    document["entities"] = [MappingProxyType(entity) for entity in document["entities"]]
+    document["hyperedges"] = [MappingProxyType(edge) for edge in document["hyperedges"]]
+    _same_objects(KnowledgeHypergraph.from_snapshot(document), _reference_from_snapshot(document))
+
+
+def test_bench_sized_snapshot_loads_as_the_reference_does(tmp_path):
+    # The seed-1, 20-group corpus of the refresh workload: 1,200 edges.
+    graph = merge_facts([generate_synthetic(seed=1, n_groups=20).facts])
+    path = tmp_path / "graph.snap"
+    graph.save_snapshot(str(path), PrecedenceIndex.build(graph).direct_edges())
+    document = json.loads(path.read_text("utf-8"))
+    assert len(document["hyperedges"]) == 1200
+    _same_objects(KnowledgeHypergraph.from_snapshot(document), _reference_from_snapshot(document))
 
 
 def test_snapshot_writer_rejects_values_outside_their_declared_types(tmp_path):

@@ -609,6 +609,13 @@ def test_retrieval_weights_and_configs_reject_bad_values():
         ScopeConfig(group_reserve_fraction=1.2)
 
 
+@pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf])
+def test_search_config_refuses_a_non_finite_diversity_penalty(penalty):
+    message = f"^diversity_penalty must be finite and non-negative, got {penalty}$"
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(diversity_penalty=penalty)
+
+
 def test_trajectory_to_dict_sorts_breakdown_keys():
     trajectory = Trajectory(["b", "a"], 1.5, {"coverage": 0.5, "coherence": -1.0})
     payload = trajectory.to_dict()
