@@ -9,6 +9,7 @@ so that freshly computed and cache-loaded vectors are bit-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import threading
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from okh.errors import DimensionMismatch, ProviderError, SchemaError
-from okh.hashutil import content_key, fnv1a64_many
+from okh.hashutil import content_key, fnv1a64, fnv1a64_many
 from okh.hypergraph import Entity, Hyperedge, KnowledgeHypergraph
 from okh.relations import EntityType
 
@@ -96,11 +97,41 @@ class LocalHashingEmbedder:
         if dim < 8:
             raise ValueError("local embedder dimension must be at least 8")
         self.dim = dim
+        # Token -> (bucket, sign) of every token a single text has brought.
+        self._hashed: dict[str, tuple[int, float]] = {}
 
     def embed_one(self, text: str) -> np.ndarray:
-        return self.embed([text])[0]
+        """The row ``embed`` gives ``text`` in a batch, without the batch hash.
+
+        Each token is hashed once per embedder with the scalar `fnv1a64`. The
+        bucket sums and the squared norm are small integers, exact in any
+        order, and the division and f32 rounding are the batch's elementwise
+        ones, so the bits are the batch row's.
+        """
+        counts: dict[int, float] = {}
+        hashed = self._hashed
+        for token in text.split():
+            bucket_sign = hashed.get(token)
+            if bucket_sign is None:
+                digest = fnv1a64(token.encode("utf-8"))
+                bucket_sign = hashed[token] = (
+                    digest % self.dim,
+                    1.0 if digest >> 63 == 0 else -1.0,
+                )
+            bucket, sign = bucket_sign
+            counts[bucket] = counts.get(bucket, 0.0) + sign
+        vector = np.zeros(self.dim, dtype=np.float64)
+        norm = math.sqrt(sum(count * count for count in counts.values()))
+        if norm == 0.0:
+            vector[0] = 1.0
+            return vector
+        vector[list(counts)] = np.array(list(counts.values())) / norm
+        vector[...] = vector.astype(np.float32)  # `_quantize`, in place
+        return vector
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
+        if len(texts) == 1:
+            return self.embed_one(texts[0])[None, :]
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float64)
         # Each distinct token is hashed once. The bucket sums are small
@@ -359,8 +390,9 @@ def _non_finite(cache: EmbeddingCache, text: str) -> SchemaError:
 class EmbeddingStore:
     """Edge embeddings for one hypergraph plus query embedding support.
 
-    A non-finite vector read from the cache is refused with SchemaError at
-    ``cache``; the cache itself stores and saves any float.
+    ``matrix`` is made read-only, since relevance reads it through cached
+    column slices. A non-finite vector read from the cache is refused with
+    SchemaError at ``cache``; the cache itself stores and saves any float.
     """
 
     def __init__(
@@ -371,10 +403,15 @@ class EmbeddingStore:
         cache: EmbeddingCache | None = None,
     ):
         self.ids = ids
-        self.matrix = matrix
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.matrix.flags.writeable = False
         self.row_of = {edge_id: row for row, edge_id in enumerate(ids)}
         self.embedder = embedder
         self.cache = cache
+        # Bucket -> (rows where that column is nonzero, their values), each
+        # built the first time a query after the first reads the bucket.
+        self.columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._asked = False
 
     @property
     def dim(self) -> int:
@@ -422,10 +459,55 @@ class EmbeddingStore:
         return vector
 
     def relevance(self, query_vector: np.ndarray) -> np.ndarray:
-        """Cosine of every edge against a unit query vector (plain dot)."""
+        """Cosine of every edge against a unit query vector (plain dot).
+
+        The result has the bits of the dense product ``matrix @ q``. A store's
+        first query reads that product and builds nothing, so a process that
+        asks once reads what it always did. Later queries read only their
+        nonzero buckets, each as a column slice (see ``columns``), and add
+        each row's products in bucket order. That gives the dense product's
+        bits wherever every partial sum is exact, in any order; otherwise the
+        dense product itself is returned. The sums are exact when the values
+        are f32 numbers, as every embedder's are: a product of two then has a
+        48-bit significand, so all products are multiples of 2 ** (e - 48), e
+        being the frexp exponent of the smallest, and a row whose absolute
+        products sum below 2 ** (e + 5) has every partial sum within 53 bits.
+        """
         query_vector = np.asarray(query_vector, dtype=np.float64)
         if query_vector.shape != (self.dim,):
             raise DimensionMismatch(
                 f"query vector has shape {query_vector.shape}, store is {self.dim}-d"
             )
+        buckets = np.flatnonzero(query_vector)
+        if not self._asked or not buckets.size:
+            self._asked = True
+            return self.matrix @ query_vector
+        columns = self.columns
+        keys = buckets.tolist()
+        missing = [bucket for bucket in keys if bucket not in columns]
+        if missing:
+            # One gather of the missing columns reads the rows in order,
+            # where a column at a time would stride across all of them.
+            block = np.take(self.matrix, missing, axis=1).T.ravel()
+            found = np.flatnonzero(block != 0.0)
+            values = block[found]
+            rows = (found % len(self.ids)).astype(np.int32)
+            ends = np.searchsorted(found, np.arange(1, len(missing) + 1) * len(self.ids)).tolist()
+            for bucket, start, end in zip(missing, [0] + ends, ends):
+                columns[bucket] = (rows[start:end], values[start:end])
+        slices = [columns[bucket] for bucket in keys]
+        rows = np.concatenate([rows for rows, _ in slices])
+        values = np.concatenate([values for _, values in slices])
+        weights = query_vector[buckets]
+        if rows.size and _f32(values) and _f32(weights):
+            products = values * np.repeat(weights, [len(rows) for rows, _ in slices])
+            size = np.abs(products)
+            limit = 2.0 ** (math.frexp(float(size.min()))[1] + 5)
+            if np.bincount(rows, weights=size, minlength=len(self.ids)).max() < limit:
+                return np.bincount(rows, weights=products, minlength=len(self.ids))
         return self.matrix @ query_vector
+
+
+def _f32(values: np.ndarray) -> bool:
+    """Whether every value is an f32 number (NaN is not)."""
+    return bool((values.astype(np.float32) == values).all())

@@ -9,6 +9,7 @@ gives the exact optimum of the two-term relaxation for oracle checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -212,14 +213,18 @@ def scope_candidates(
 
     The pool is one boolean mask over the rows of the graph's ``edge_index``.
     A row number is the edge's rank in id order, so (-relevance, row) orders
-    exactly like (-relevance, id).
+    exactly like (-relevance, id). The ids come back as a read-only list that
+    also holds their graph rows and store vectors (``_Pool``).
     """
     if not hypergraph.hyperedges:
         raise EmptyCorpus("candidate scoping needs a non-empty hypergraph")
     index = hypergraph.edge_index
     relevance = store.relevance(query_vector)
+    # The store row of each graph row, where the two orders differ.
+    store_row = None
     if store.ids != index.ids:
-        relevance = relevance[[store.row_of[edge_id] for edge_id in index.ids]]
+        store_row = np.array([store.row_of[edge_id] for edge_id in index.ids], dtype=np.intp)
+        relevance = relevance[store_row]
 
     def best(rows: np.ndarray, k: int) -> np.ndarray:
         """The first k of ``rows`` in (-relevance, id) order."""
@@ -256,7 +261,50 @@ def scope_candidates(
         pool[chosen] = False
         rest = best(np.flatnonzero(pool), max(config.pool_cap - len(chosen), 0))
         rows = best(np.concatenate((chosen, rest)), len(chosen) + len(rest))
-    return [index.ids[row] for row in rows.tolist()]
+    vectors = store.matrix[rows if store_row is None else store_row[rows]]
+    return _Pool([index.ids[row] for row in rows.tolist()], index, rows, store, vectors)
+
+
+class _Pool(list):
+    """The ids ``scope_candidates`` returns, with the rows it read them from.
+
+    ``rows`` are the candidates' rows in the graph's ``edge_index`` and
+    ``vectors`` their store vectors, so the transition matrix and the search
+    context reuse them instead of looking every id up again. The list and
+    the arrays are read-only, so they stay aligned.
+    """
+
+    def __init__(self, ids: list[str], index, rows: np.ndarray, store, vectors: np.ndarray):
+        super().__init__(ids)
+        self.index = index
+        self.rows = rows
+        self.store = store
+        self.vectors = vectors
+        rows.flags.writeable = vectors.flags.writeable = False
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a candidate pool is read-only; copy it with list(pool)")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+
+def _store_vectors(candidate_ids: Sequence[str], store: EmbeddingStore) -> np.ndarray:
+    """The candidates' store vectors as the rows of one array."""
+    if isinstance(candidate_ids, _Pool) and candidate_ids.store is store:
+        return candidate_ids.vectors
+    return store.matrix[[store.row_of[eid] for eid in candidate_ids]]
+
+
+def _graph_rows(candidate_ids: Sequence[str], hypergraph: KnowledgeHypergraph) -> np.ndarray:
+    """The candidates' rows in the graph's ``edge_index``."""
+    index = hypergraph.edge_index
+    if isinstance(candidate_ids, _Pool) and candidate_ids.index is index:
+        return candidate_ids.rows
+    try:
+        return np.array([index.row_of[eid] for eid in candidate_ids], dtype=np.intp)
+    except KeyError as exc:
+        raise UnknownEdge(f"hyperedge {exc.args[0]!r} is not in the graph") from None
 
 
 class _CandidateContext:
@@ -276,14 +324,11 @@ class _CandidateContext:
         if log_transition.shape != (n, n):
             raise ValueError("transition matrix must align with the candidate list")
         self.log_transition = log_transition
-        vectors = store.matrix[[store.row_of[eid] for eid in self.ids]]
+        vectors = _store_vectors(candidate_ids, store)
         self.relevance = vectors @ np.asarray(query_vector, dtype=np.float64)
 
         index = hypergraph.edge_index
-        try:
-            rows = np.array([index.row_of[eid] for eid in self.ids], dtype=np.intp)
-        except KeyError as exc:
-            raise UnknownEdge(f"hyperedge {exc.args[0]!r} is not in the graph") from None
+        rows = _graph_rows(candidate_ids, hypergraph)
         # Row e of `members` marks the candidates that have the pool's e-th
         # distinct entity; a last row of zeros pads each candidate's entity
         # codes, `entities[i]`, to the largest degree.
@@ -294,15 +339,17 @@ class _CandidateContext:
         column = np.cumsum(present) - 1
         count = int(present.sum())
         owner = np.repeat(np.arange(n), degree)
-        self.members = np.zeros((count + 1, n))
-        self.members[column[codes], owner] = 1.0
-        self.entities = np.full((n, int(degree.max(initial=0))), count, dtype=np.intp)
+        # (Counts of shared entities fit the dtype of the largest degree.)
+        most = int(degree.max(initial=0))
+        self.members = np.zeros((count + 1, n), dtype=np.min_scalar_type(most))
+        self.members[column[codes], owner] = 1
+        self.entities = np.full((n, most), count, dtype=np.intp)
         place = np.arange(len(codes)) - np.repeat(np.cumsum(degree) - degree, degree)
         self.entities[owner, place] = column[codes]
         self.size = degree.astype(np.float64)
         self.phase_index = index.phase[rows]
         self.precedence = precedence
-        self.closure_rows = precedence.closure_rows(self.ids)
+        self.closure_rows = precedence.graph_closure_rows(index)[rows]
         # Candidates by higher relevance first, then id; a graph row is the
         # edge's rank in id order.
         self.by_relevance = np.lexsort((rows, -self.relevance))
@@ -321,7 +368,8 @@ class _CandidateContext:
         entities = self.entities[sources]
         shared = self.members[entities[:, 0]]
         for k in range(1, entities.shape[1]):
-            shared = shared + self.members[entities[:, k]]
+            shared += self.members[entities[:, k]]
+        shared = shared.astype(np.float64)
         jaccard = shared / (self.size[sources, None] + self.size - shared)
         return reach, jaccard
 
@@ -364,6 +412,32 @@ def _fsum_rows(parts: np.ndarray) -> np.ndarray:
     return r
 
 
+@functools.lru_cache(maxsize=64)
+def _lane_layout(length: int, limit: int, threshold: float) -> tuple:
+    """The lanes ``_select_diverse`` counts shared steps in, for one shape.
+
+    Returns ``too_many``, the lane dtype, the lanes per row, every lane's top
+    bit as a word, ``top - too_many`` in every lane as a word, and row s of
+    ``earlier``: the top bits of the lanes of slots before s, as words.
+    """
+    # Sharing `shared` of `length` steps is too much when shared / length >
+    # threshold; as an integer bound, when shared >= too_many.
+    too_many = next((s for s in range(length + 1) if s / length > threshold), length + 1)
+    size = next(size for size in (1, 2, 4) if length < 1 << (8 * size - 1))
+    dtype = np.dtype(f"u{size}")
+    per_word = 8 // size
+    width = -(-limit // per_word) * per_word
+    top = 1 << (8 * size - 1)
+    # (Lanes past `limit` count 0 and never set their top bit.)
+    every, bias = (
+        np.full(per_word, value, dtype=dtype).view(np.uint64)[0] for value in (top, top - too_many)
+    )
+    earlier = np.where(np.arange(width) < np.arange(limit)[:, None], top, 0)
+    earlier = earlier.astype(dtype).view(np.uint64)
+    earlier.flags.writeable = False
+    return too_many, dtype, width, every, bias, earlier
+
+
 def _select_diverse(
     score: np.ndarray,
     tie: np.ndarray,
@@ -372,7 +446,8 @@ def _select_diverse(
     limit: int,
     threshold: float,
     penalty: float,
-) -> np.ndarray:
+    bound: float = -math.inf,
+) -> np.ndarray | None:
     """Keep the best ``limit`` entries, penalizing near-duplicates of kept ones.
 
     Entries arrive sorted by (-score, tie) with distinct integer ties; row i
@@ -384,6 +459,10 @@ def _select_diverse(
     visit stops at the first entry whose score is below the worst kept
     penalized score. Returns the positions of the kept entries in
     (-penalized, tie) order.
+
+    The entries may be the first of a longer list: ``bound`` is then at least
+    the score of every entry left out, and below every score given. Where
+    the visit could reach a left-out entry, None is returned.
 
     The first ``limit`` entries are always kept. After that the kept set
     changes only when an entry is accepted, so each step judges every entry
@@ -402,61 +481,52 @@ def _select_diverse(
     """
     m, length = steps.shape
     head = min(limit, m)
-    # Sharing `shared` of `length` steps is too much when shared / length >
-    # threshold; as an integer bound, when shared >= too_many.
-    too_many = next((s for s in range(length + 1) if s / length > threshold), length + 1)
+    if head < limit and bound > -math.inf:
+        return None
+    too_many, dtype, width, every, bias, earlier = _lane_layout(length, limit, threshold)
     judged = penalty > 0 and too_many <= length
-    size = next(size for size in (1, 2, 4) if length < 1 << (8 * size - 1))
-    per_word = 8 // size
-    lanes = np.zeros((n, -(-limit // per_word) * per_word), dtype=f"u{size}")
-    top = 1 << (8 * size - 1)
-    # Every lane's top bit (lanes past `limit` count 0 and never set it), and
-    # `top - too_many` in every lane, as words.
-    every, bias = (
-        np.full(per_word, value, dtype=lanes.dtype).view(np.uint64)[0]
-        for value in (top, top - too_many)
-    )
+    lanes = np.zeros((n, width), dtype=dtype)
+    words = lanes.view(np.uint64)
 
     def too_close(entries: slice, tops: np.ndarray) -> np.ndarray:
         # Whether each entry shares too many steps with a slot whose top bit
         # is in `tops`.
-        shared = np.take(lanes.view(np.uint64), steps[entries].T, axis=0).sum(axis=0)
+        shared = np.take(words, steps[entries].T, axis=0).sum(axis=0)
         return ((shared + bias) & tops).any(axis=1)
 
-    slot = np.arange(head)
-    lanes[steps[:head], slot[:, None]] = 1
+    lanes[steps[:head], np.arange(head)[:, None]] = 1
     value = score[:head]
     if judged:
         # A head entry is judged against the head entries before it.
-        earlier = np.where(np.arange(lanes.shape[1]) < slot[:, None], top, 0)
-        earlier = earlier.astype(lanes.dtype).view(np.uint64)
-        value = np.where(too_close(slice(0, head), earlier), value - penalty, value)
+        value = np.where(too_close(slice(0, head), earlier[:head]), value - penalty, value)
     kept = list(range(head))
     values = value.tolist()
     ties = tie[:head].tolist()
     descending = -score
     position = head
-    while position < m:
+    while head == limit:
         worst = max(range(limit), key=lambda k: (-values[k], ties[k]))
         floor, floor_tie = values[worst], ties[worst]
         stop = int(np.searchsorted(descending, -floor, side="right"))
-        if stop <= position:
-            break
-        entries = slice(position, stop)
-        candidate = score[entries]
-        if judged:
-            candidate = np.where(too_close(entries, every), candidate - penalty, candidate)
-        beats = (candidate > floor) | ((candidate == floor) & (tie[entries] < floor_tie))
-        first = int(np.argmax(beats))
-        if not beats[first]:
-            break
-        entry = position + first
-        kept[worst] = entry
-        values[worst] = float(candidate[first])
-        ties[worst] = int(tie[entry])
-        lanes[:, worst] = 0
-        lanes[steps[entry], worst] = 1
-        position = entry + 1
+        if stop > position:
+            entries = slice(position, stop)
+            candidate = score[entries]
+            if judged:
+                candidate = np.where(too_close(entries, every), candidate - penalty, candidate)
+            beats = (candidate > floor) | ((candidate == floor) & (tie[entries] < floor_tie))
+            first = int(np.argmax(beats))
+            if beats[first]:
+                entry = position + first
+                kept[worst] = entry
+                values[worst] = float(candidate[first])
+                ties[worst] = int(tie[entry])
+                lanes[:, worst] = 0
+                lanes[steps[entry], worst] = 1
+                position = entry + 1
+                continue
+        if bound >= floor:
+            return None
+        break
     order = sorted(range(head), key=lambda k: (-values[k], ties[k]))
     return np.array([kept[k] for k in order], dtype=np.intp)
 
@@ -557,27 +627,51 @@ def beam_search(
             break
         cols = ctx.by_relevance[ranked]
 
-        # A one-piece run extends by one float addition, which is correctly
-        # rounded like fsum (fsum differs only in giving -0.0 + -0.0 as 0.0,
-        # which compares equal).
-        added = scores[rows, cols]
-        if pieces.shape[1] == 1:
-            exact = approx[rows, cols]
-        else:
-            exact = _fsum_rows(np.column_stack((pieces[rows], added)))
-        # The extensions are in tie-break order, so an entry's position there
-        # is its tie.
-        order = np.argsort(-exact, kind="stable")
-        selected = _select_diverse(
-            exact[order],
-            order,
-            np.concatenate((steps[rows[order]], cols[order, None]), axis=1),
-            n,
-            keep,
-            config.diversity_overlap_threshold,
-            config.diversity_penalty,
-        )
+        # In the first round two extensions are too close only when they hold
+        # the same two steps, so the selection mostly stops within the first
+        # few, and their exact sums are their float sums. It is first given
+        # the best ones down to a fall in score past four beam widths, with
+        # the next score as its bound, and runs again on all of them where it
+        # could reach one left out. (In later rounds the extensions of one
+        # beam share all but one step, the penalized ones keep the worst kept
+        # score low, and the visit reaches most of the shortlist.)
+        floats = approx[rows, cols]
+        ends = [len(rows)]
+        if pieces.shape[1] == 1 and math.isfinite(cut):
+            by_float = np.argsort(-floats, kind="stable")
+            ranked_floats = floats[by_float]
+            falls = np.flatnonzero(ranked_floats[:-1] > ranked_floats[1:]) + 1
+            ends = falls[falls >= 4 * keep][:1].tolist() + ends
+        for end in ends:
+            part, bound = np.arange(end), -math.inf
+            if end < len(rows):
+                part, bound = np.sort(by_float[:end]), float(ranked_floats[end])
+            part_rows, part_cols = rows[part], cols[part]
+            # A one-piece run extends by one float addition, which is correctly
+            # rounded like fsum (fsum differs only in giving -0.0 + -0.0 as
+            # 0.0, which compares equal).
+            added = scores[part_rows, part_cols]
+            if pieces.shape[1] == 1:
+                exact = floats[part]
+            else:
+                exact = _fsum_rows(np.column_stack((pieces[part_rows], added)))
+            # The extensions are in tie-break order, so an entry's position
+            # there is its tie.
+            order = np.argsort(-exact, kind="stable")
+            selected = _select_diverse(
+                exact[order],
+                order,
+                np.concatenate((steps[part_rows[order]], part_cols[order, None]), axis=1),
+                n,
+                keep,
+                config.diversity_overlap_threshold,
+                config.diversity_penalty,
+                bound,
+            )
+            if selected is not None:
+                break
         kept = np.sort(order[selected])
+        rows, cols = part_rows, part_cols
         steps = np.concatenate((steps[rows[kept]], cols[kept, None]), axis=1)
         covered = covered[rows[kept]] | phase_bit[cols[kept]]
         run = exact[kept]
@@ -767,8 +861,7 @@ class Retriever:
         forward 0, unrelated -1, backward -5.
         """
         if kind == "learned":
-            rows = self.store.matrix[[self.store.row_of[eid] for eid in candidate_ids]]
-            return self.model.log_transition_matrix(rows)
+            return self.model.log_transition_matrix(_store_vectors(candidate_ids, self.store))
         if kind == "heuristic":
             reach = self.precedence.reach_matrix(candidate_ids)
             return np.where(

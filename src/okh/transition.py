@@ -146,7 +146,8 @@ class TransitionModel:
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
 
 
 SIGNALS = ("doc_order", "entity_overlap", "retrieval_induced", "cross_group")

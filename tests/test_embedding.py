@@ -1,15 +1,20 @@
 import json
 import os
 import struct
+import random
 import subprocess
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import okh
+from okh.corpus import generate_synthetic
 from okh.embedding import (
     CACHE_MAGIC,
     EmbeddingCache,
@@ -21,7 +26,7 @@ from okh.embedding import (
 )
 from okh.errors import DimensionMismatch, ProviderError, SchemaError
 from okh.hashutil import content_key, fnv1a64
-from okh.hypergraph import Entity, Hyperedge
+from okh.hypergraph import Entity, Hyperedge, merge_facts
 from okh.relations import EntityType
 
 
@@ -385,3 +390,80 @@ def test_embed_query_refuses_a_non_finite_cached_vector(tmp_path):
     assert info.value.message == (
         f"{path}: the vector recorded for text {content_key('what happened').hex()} is not finite"
     )
+
+
+def _corpus_texts(graph, corpus):
+    labels = {edge_id: compose_text(edge, graph.entities) for edge_id, edge in graph.hyperedges.items()}
+    return list(labels.values()) + [qa.question for qa in corpus.qa]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**16),
+    dim=st.sampled_from([8, 16, 32, 64, 256]),
+    cached=st.booleans(),
+    data=st.data(),
+)
+def test_relevance_is_the_dense_product_bit_for_bit(seed, dim, cached, data):
+    # Stores over generated corpora, built without a cache or from a saved
+    # one; queries from the corpus vocabulary with repeated tokens, and the
+    # empty text, asked in random order so that column slices are read both
+    # cold and cached.
+    corpus = generate_synthetic(seed=seed, n_groups=2, horizons_per_group=2)
+    graph = merge_facts([corpus.facts])
+    embedder = LocalHashingEmbedder(dim)
+    if cached:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.okhe")
+            cold = EmbeddingCache(path, dim)
+            EmbeddingStore.build(graph, embedder, cold)
+            cold.save()
+            store = EmbeddingStore.build(graph, embedder, EmbeddingCache(path, dim))
+    else:
+        store = EmbeddingStore.build(graph, embedder)
+    texts = _corpus_texts(graph, corpus)
+    vocabulary = sorted({token for text in texts for token in text.split()})
+    tokens = st.lists(st.sampled_from(vocabulary), max_size=24)
+    queries = data.draw(st.lists(tokens.map(" ".join), min_size=1, max_size=12))
+    queries += ["", " ".join([vocabulary[0]] * 5 + [vocabulary[-1]] * 3)]
+    queries += data.draw(st.lists(st.sampled_from(texts), max_size=6))
+    random.Random(data.draw(st.integers(0, 2**16))).shuffle(queries)
+    for text in queries:
+        query = store.embed_query(text)
+        assert store.relevance(query).tobytes() == (store.matrix @ query).tobytes(), text
+    assert set(store.columns) <= set(range(dim))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dim=st.sampled_from([8, 16, 32, 64, 256]),
+    words=st.lists(st.sampled_from(["storm", "port", "T-48", "|", "surge", "", "é"]), max_size=30),
+    other=st.text(max_size=20),
+)
+def test_single_text_embedding_is_the_batch_row_bit_for_bit(dim, words, other):
+    embedder = LocalHashingEmbedder(dim)
+    text = " ".join(words)
+    batch = LocalHashingEmbedder(dim).embed([text, other])
+    single = embedder.embed_one(text)
+    assert single.tobytes() == batch[0].tobytes()
+    assert embedder.embed([text])[0].tobytes() == batch[0].tobytes()
+    # A second call reads the memo and gives the same bits.
+    assert embedder.embed_one(text).tobytes() == single.tobytes()
+
+
+def test_relevance_reads_only_the_query_buckets_and_the_matrix_is_read_only():
+    graph = _tiny_graph()
+    store = EmbeddingStore.build(graph, LocalHashingEmbedder(dim=16))
+    first = store.embed_query("port status")
+    query = store.embed_query("wind at T-48")
+    assert store.relevance(first).tobytes() == (store.matrix @ first).tobytes()
+    assert store.columns == {}
+    assert store.relevance(query).tobytes() == (store.matrix @ query).tobytes()
+    assert set(store.columns) == set(np.flatnonzero(query).tolist())
+    with pytest.raises(ValueError):
+        store.matrix[0, 0] = 1.0
+    # A non-finite query reaches every row, as the dense product does.
+    query = np.zeros(16)
+    query[3] = np.nan
+    assert np.isnan(store.relevance(query)).all()
+    assert not store.relevance(np.zeros(16)).any()

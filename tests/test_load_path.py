@@ -274,8 +274,10 @@ def _corrupt(draw, doc: dict) -> str:
     elif kind == "precedence" and isinstance(doc.get("precedence"), dict) and doc["precedence"]:
         group = draw(st.sampled_from(sorted(doc["precedence"])))
         pairs = doc["precedence"][group]
-        if pairs:
-            first = pairs[0][0]
+        # An earlier corruption may have replaced a pair with a non-list.
+        whole = [pair for pair in pairs if isinstance(pair, list) and pair]
+        if whole:
+            first = whole[0][0]
             pairs[draw(st.integers(0, len(pairs) - 1))] = draw(st.sampled_from(
                 [[first], [first, first, first], [first, 7], ["no-such-edge", first], 5]
             ))

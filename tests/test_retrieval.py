@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from okh.corpus import generate_synthetic
@@ -1084,6 +1084,86 @@ def test_event_driven_selection_matches_reference_select(case, penalty, threshol
         penalty,
     )
     assert [entries[order[k]][2] for k in kept.tolist()] == [beam for _, beam in expected]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    _selection_cases(),
+    st.sampled_from([0.0, 0.5, 3.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_selection_over_leading_entries_is_the_full_selection_or_none(case, penalty, threshold):
+    # Given the leading entries down to a fall in score, and the next score
+    # as the bound, the selection either answers as over every entry or
+    # says that it needs the rest.
+    n, steps, scores, ties, limit = case
+    order = sorted(range(len(scores)), key=lambda k: (-scores[k], ties[k]))
+    length = len(steps[0]) if steps else 1
+    score = np.array([scores[k] for k in order], dtype=np.float64)
+    tie = np.array([ties[k] for k in order], dtype=np.int64)
+    rows = np.array([steps[k] for k in order], dtype=np.intp).reshape(len(order), length)
+    full = _select_diverse(score, tie, rows, n, limit, threshold, penalty)
+    answered = 0
+    for end in range(len(order)):
+        if end and score[end - 1] == score[end]:
+            continue
+        part = _select_diverse(
+            score[:end], tie[:end], rows[:end], n, limit, threshold, penalty, float(score[end])
+        )
+        if part is not None:
+            answered += 1
+            assert part.tolist() == full.tolist(), end
+    event(f"answered from leading entries: {answered > 0}")
+
+
+def test_retrieve_builds_no_whole_store_index():
+    # A fresh store's first question reads the dense product and builds no
+    # column slice; a later one builds the slices of its own buckets only.
+    corpus = generate_synthetic(seed=2, n_groups=3, horizons_per_group=2)
+    graph = merge_facts([corpus.facts])
+    store = EmbeddingStore.build(graph, LocalHashingEmbedder(64))
+    retriever = Retriever(graph, store, PrecedenceIndex.build(graph), TransitionModel.create(64, 8))
+    first, second = corpus.qa[0], corpus.qa[5]
+    assert retriever.retrieve(first.question, query_group=first.group_id)
+    assert store.columns == {}
+    assert retriever.retrieve(second.question, query_group=second.group_id)
+    assert set(store.columns) == set(np.flatnonzero(store.embed_query(second.question)).tolist())
+    with pytest.raises(ValueError):
+        store.matrix[0, 0] = 1.0
+
+
+def test_scoped_pool_is_a_read_only_list_searched_as_its_copy():
+    corpus = generate_synthetic(seed=5, n_groups=4, horizons_per_group=2)
+    graph = merge_facts([corpus.facts])
+    store = EmbeddingStore.build(graph, LocalHashingEmbedder(64))
+    precedence = PrecedenceIndex.build(graph)
+    retriever = Retriever(graph, store, precedence, TransitionModel.create(64, 8))
+    qa = corpus.qa[3]
+    query = store.embed_query(qa.question)
+    pool = scope_candidates(query, graph, store, ScopeConfig(top_k=10, pool_cap=40), qa.group_id)
+    plain = list(pool)
+    assert pool == plain and type(plain) is list
+    for mutate in (
+        lambda: pool.append("x"),
+        lambda: pool.__setitem__(0, "x"),
+        lambda: pool.__iadd__(["x"]),
+        lambda: pool.sort(),
+    ):
+        with pytest.raises(TypeError):
+            mutate()
+    assert pool == plain
+    for kind in ("learned", "heuristic"):
+        matrix = retriever.transition_matrix(pool, kind)
+        assert matrix.tobytes() == retriever.transition_matrix(plain, kind).tobytes()
+        searched = [
+            [trajectory.to_dict() for trajectory in beam_search(
+                query, candidates, graph, store, precedence, matrix
+            )]
+            for candidates in (pool, plain)
+        ]
+        assert searched[0] == searched[1]
+    index = graph.edge_index
+    assert precedence.graph_closure_rows(index).tolist() == precedence.closure_rows(index.ids).tolist()
 
 
 def test_import_and_retrieve_load_no_optional_packages():
