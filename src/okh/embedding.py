@@ -28,6 +28,8 @@ API_KEY_ENV = "OKH_EMBED_API_KEY"
 CACHE_MAGIC = b"OKHE"
 CACHE_VERSION = 2
 DEFAULT_LOCAL_DIM = 256
+# Tokens a local embedder remembers the hash of (about 200 bytes each).
+MEMO_TOKENS = 1 << 16
 
 
 def compose_text(edge: Hyperedge, entities: Mapping[str, Entity]) -> str:
@@ -97,7 +99,8 @@ class LocalHashingEmbedder:
         if dim < 8:
             raise ValueError("local embedder dimension must be at least 8")
         self.dim = dim
-        # Token -> (bucket, sign) of every token a single text has brought.
+        # Token -> (bucket, sign) of the tokens single texts have brought,
+        # emptied when it reaches MEMO_TOKENS.
         self._hashed: dict[str, tuple[int, float]] = {}
 
     def embed_one(self, text: str) -> np.ndarray:
@@ -113,6 +116,8 @@ class LocalHashingEmbedder:
         for token in text.split():
             bucket_sign = hashed.get(token)
             if bucket_sign is None:
+                if len(hashed) >= MEMO_TOKENS:
+                    hashed.clear()
                 digest = fnv1a64(token.encode("utf-8"))
                 bucket_sign = hashed[token] = (
                     digest % self.dim,

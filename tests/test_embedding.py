@@ -451,6 +451,16 @@ def test_single_text_embedding_is_the_batch_row_bit_for_bit(dim, words, other):
     assert embedder.embed_one(text).tobytes() == single.tobytes()
 
 
+def test_single_text_memo_stays_bounded(monkeypatch):
+    import okh.embedding
+
+    monkeypatch.setattr(okh.embedding, "MEMO_TOKENS", 4)
+    embedder = LocalHashingEmbedder(dim=16)
+    text = " ".join(f"token{i}" for i in range(10))
+    assert embedder.embed_one(text).tobytes() == embedder.embed([text, "x"])[0].tobytes()
+    assert len(embedder._hashed) <= 4
+
+
 def test_relevance_reads_only_the_query_buckets_and_the_matrix_is_read_only():
     graph = _tiny_graph()
     store = EmbeddingStore.build(graph, LocalHashingEmbedder(dim=16))
