@@ -285,6 +285,10 @@ class _Pool(list):
     def _read_only(self, *args, **kwargs):
         raise TypeError("a candidate pool is read-only; copy it with list(pool)")
 
+    def __reduce__(self):
+        # A copy or a pickle is a plain list of the ids.
+        return list, (list(self),)
+
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
     append = extend = insert = pop = remove = clear = sort = reverse = _read_only
 
@@ -339,11 +343,9 @@ class _CandidateContext:
         column = np.cumsum(present) - 1
         count = int(present.sum())
         owner = np.repeat(np.arange(n), degree)
-        # (Counts of shared entities fit the dtype of the largest degree.)
-        most = int(degree.max(initial=0))
-        self.members = np.zeros((count + 1, n), dtype=np.min_scalar_type(most))
-        self.members[column[codes], owner] = 1
-        self.entities = np.full((n, most), count, dtype=np.intp)
+        self.members = np.zeros((count + 1, n))
+        self.members[column[codes], owner] = 1.0
+        self.entities = np.full((n, int(degree.max(initial=0))), count, dtype=np.intp)
         place = np.arange(len(codes)) - np.repeat(np.cumsum(degree) - degree, degree)
         self.entities[owner, place] = column[codes]
         self.size = degree.astype(np.float64)
@@ -368,8 +370,7 @@ class _CandidateContext:
         entities = self.entities[sources]
         shared = self.members[entities[:, 0]]
         for k in range(1, entities.shape[1]):
-            shared += self.members[entities[:, k]]
-        shared = shared.astype(np.float64)
+            shared = shared + self.members[entities[:, k]]
         jaccard = shared / (self.size[sources, None] + self.size - shared)
         return reach, jaccard
 
@@ -446,8 +447,7 @@ def _select_diverse(
     limit: int,
     threshold: float,
     penalty: float,
-    bound: float = -math.inf,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Keep the best ``limit`` entries, penalizing near-duplicates of kept ones.
 
     Entries arrive sorted by (-score, tie) with distinct integer ties; row i
@@ -459,10 +459,6 @@ def _select_diverse(
     visit stops at the first entry whose score is below the worst kept
     penalized score. Returns the positions of the kept entries in
     (-penalized, tie) order.
-
-    The entries may be the first of a longer list: ``bound`` is then at least
-    the score of every entry left out, and below every score given. Where
-    the visit could reach a left-out entry, None is returned.
 
     The first ``limit`` entries are always kept. After that the kept set
     changes only when an entry is accepted, so each step judges every entry
@@ -481,8 +477,6 @@ def _select_diverse(
     """
     m, length = steps.shape
     head = min(limit, m)
-    if head < limit and bound > -math.inf:
-        return None
     too_many, dtype, width, every, bias, earlier = _lane_layout(length, limit, threshold)
     judged = penalty > 0 and too_many <= length
     lanes = np.zeros((n, width), dtype=dtype)
@@ -504,29 +498,27 @@ def _select_diverse(
     ties = tie[:head].tolist()
     descending = -score
     position = head
-    while head == limit:
+    while position < m:
         worst = max(range(limit), key=lambda k: (-values[k], ties[k]))
         floor, floor_tie = values[worst], ties[worst]
         stop = int(np.searchsorted(descending, -floor, side="right"))
-        if stop > position:
-            entries = slice(position, stop)
-            candidate = score[entries]
-            if judged:
-                candidate = np.where(too_close(entries, every), candidate - penalty, candidate)
-            beats = (candidate > floor) | ((candidate == floor) & (tie[entries] < floor_tie))
-            first = int(np.argmax(beats))
-            if beats[first]:
-                entry = position + first
-                kept[worst] = entry
-                values[worst] = float(candidate[first])
-                ties[worst] = int(tie[entry])
-                lanes[:, worst] = 0
-                lanes[steps[entry], worst] = 1
-                position = entry + 1
-                continue
-        if bound >= floor:
-            return None
-        break
+        if stop <= position:
+            break
+        entries = slice(position, stop)
+        candidate = score[entries]
+        if judged:
+            candidate = np.where(too_close(entries, every), candidate - penalty, candidate)
+        beats = (candidate > floor) | ((candidate == floor) & (tie[entries] < floor_tie))
+        first = int(np.argmax(beats))
+        if not beats[first]:
+            break
+        entry = position + first
+        kept[worst] = entry
+        values[worst] = float(candidate[first])
+        ties[worst] = int(tie[entry])
+        lanes[:, worst] = 0
+        lanes[steps[entry], worst] = 1
+        position = entry + 1
     order = sorted(range(head), key=lambda k: (-values[k], ties[k]))
     return np.array([kept[k] for k in order], dtype=np.intp)
 
@@ -627,51 +619,27 @@ def beam_search(
             break
         cols = ctx.by_relevance[ranked]
 
-        # In the first round two extensions are too close only when they hold
-        # the same two steps, so the selection mostly stops within the first
-        # few, and their exact sums are their float sums. It is first given
-        # the best ones down to a fall in score past four beam widths, with
-        # the next score as its bound, and runs again on all of them where it
-        # could reach one left out. (In later rounds the extensions of one
-        # beam share all but one step, the penalized ones keep the worst kept
-        # score low, and the visit reaches most of the shortlist.)
-        floats = approx[rows, cols]
-        ends = [len(rows)]
-        if pieces.shape[1] == 1 and math.isfinite(cut):
-            by_float = np.argsort(-floats, kind="stable")
-            ranked_floats = floats[by_float]
-            falls = np.flatnonzero(ranked_floats[:-1] > ranked_floats[1:]) + 1
-            ends = falls[falls >= 4 * keep][:1].tolist() + ends
-        for end in ends:
-            part, bound = np.arange(end), -math.inf
-            if end < len(rows):
-                part, bound = np.sort(by_float[:end]), float(ranked_floats[end])
-            part_rows, part_cols = rows[part], cols[part]
-            # A one-piece run extends by one float addition, which is correctly
-            # rounded like fsum (fsum differs only in giving -0.0 + -0.0 as
-            # 0.0, which compares equal).
-            added = scores[part_rows, part_cols]
-            if pieces.shape[1] == 1:
-                exact = floats[part]
-            else:
-                exact = _fsum_rows(np.column_stack((pieces[part_rows], added)))
-            # The extensions are in tie-break order, so an entry's position
-            # there is its tie.
-            order = np.argsort(-exact, kind="stable")
-            selected = _select_diverse(
-                exact[order],
-                order,
-                np.concatenate((steps[part_rows[order]], part_cols[order, None]), axis=1),
-                n,
-                keep,
-                config.diversity_overlap_threshold,
-                config.diversity_penalty,
-                bound,
-            )
-            if selected is not None:
-                break
+        # A one-piece run extends by one float addition, which is correctly
+        # rounded like fsum (fsum differs only in giving -0.0 + -0.0 as 0.0,
+        # which compares equal).
+        added = scores[rows, cols]
+        if pieces.shape[1] == 1:
+            exact = approx[rows, cols]
+        else:
+            exact = _fsum_rows(np.column_stack((pieces[rows], added)))
+        # The extensions are in tie-break order, so an entry's position there
+        # is its tie.
+        order = np.argsort(-exact, kind="stable")
+        selected = _select_diverse(
+            exact[order],
+            order,
+            np.concatenate((steps[rows[order]], cols[order, None]), axis=1),
+            n,
+            keep,
+            config.diversity_overlap_threshold,
+            config.diversity_penalty,
+        )
         kept = np.sort(order[selected])
-        rows, cols = part_rows, part_cols
         steps = np.concatenate((steps[rows[kept]], cols[kept, None]), axis=1)
         covered = covered[rows[kept]] | phase_bit[cols[kept]]
         run = exact[kept]

@@ -146,8 +146,7 @@ class TransitionModel:
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 SIGNALS = ("doc_order", "entity_overlap", "retrieval_induced", "cross_group")

@@ -1,14 +1,16 @@
+import copy
 import hashlib
 import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okh.corpus import generate_synthetic
@@ -1086,36 +1088,6 @@ def test_event_driven_selection_matches_reference_select(case, penalty, threshol
     assert [entries[order[k]][2] for k in kept.tolist()] == [beam for _, beam in expected]
 
 
-@settings(deadline=None, max_examples=150)
-@given(
-    _selection_cases(),
-    st.sampled_from([0.0, 0.5, 3.0]),
-    st.sampled_from([0.0, 0.5, 1.0]),
-)
-def test_selection_over_leading_entries_is_the_full_selection_or_none(case, penalty, threshold):
-    # Given the leading entries down to a fall in score, and the next score
-    # as the bound, the selection either answers as over every entry or
-    # says that it needs the rest.
-    n, steps, scores, ties, limit = case
-    order = sorted(range(len(scores)), key=lambda k: (-scores[k], ties[k]))
-    length = len(steps[0]) if steps else 1
-    score = np.array([scores[k] for k in order], dtype=np.float64)
-    tie = np.array([ties[k] for k in order], dtype=np.int64)
-    rows = np.array([steps[k] for k in order], dtype=np.intp).reshape(len(order), length)
-    full = _select_diverse(score, tie, rows, n, limit, threshold, penalty)
-    answered = 0
-    for end in range(len(order)):
-        if end and score[end - 1] == score[end]:
-            continue
-        part = _select_diverse(
-            score[:end], tie[:end], rows[:end], n, limit, threshold, penalty, float(score[end])
-        )
-        if part is not None:
-            answered += 1
-            assert part.tolist() == full.tolist(), end
-    event(f"answered from leading entries: {answered > 0}")
-
-
 def test_retrieve_builds_no_whole_store_index():
     # A fresh store's first question reads the dense product and builds no
     # column slice; a later one builds the slices of its own buckets only.
@@ -1152,6 +1124,8 @@ def test_scoped_pool_is_a_read_only_list_searched_as_its_copy():
         with pytest.raises(TypeError):
             mutate()
     assert pool == plain
+    for copied in (copy.copy(pool), copy.deepcopy(pool), pickle.loads(pickle.dumps(pool))):
+        assert copied == plain and type(copied) is list
     for kind in ("learned", "heuristic"):
         matrix = retriever.transition_matrix(pool, kind)
         assert matrix.tobytes() == retriever.transition_matrix(plain, kind).tobytes()
