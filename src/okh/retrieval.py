@@ -18,7 +18,7 @@ import numpy as np
 
 from okh.embedding import EmbeddingStore
 from okh.errors import EmptyCorpus, UnknownEdge
-from okh.hypergraph import Hyperedge, KnowledgeHypergraph, spans
+from okh.hypergraph import EdgeIndex, Hyperedge, KnowledgeHypergraph, spans
 from okh.precedence import Order, PrecedenceIndex
 from okh.relations import COVERAGE_PHASES, phase_of_family
 from okh.transition import TransitionModel
@@ -274,7 +274,14 @@ class _Pool(list):
     the arrays are read-only, so they stay aligned.
     """
 
-    def __init__(self, ids: list[str], index, rows: np.ndarray, store, vectors: np.ndarray):
+    def __init__(
+        self,
+        ids: list[str],
+        index: EdgeIndex,
+        rows: np.ndarray,
+        store: EmbeddingStore,
+        vectors: np.ndarray,
+    ):
         super().__init__(ids)
         self.index = index
         self.rows = rows
@@ -300,9 +307,8 @@ def _store_vectors(candidate_ids: Sequence[str], store: EmbeddingStore) -> np.nd
     return store.matrix[[store.row_of[eid] for eid in candidate_ids]]
 
 
-def _graph_rows(candidate_ids: Sequence[str], hypergraph: KnowledgeHypergraph) -> np.ndarray:
-    """The candidates' rows in the graph's ``edge_index``."""
-    index = hypergraph.edge_index
+def _graph_rows(candidate_ids: Sequence[str], index: EdgeIndex) -> np.ndarray:
+    """The candidates' rows in a graph's ``edge_index``."""
     if isinstance(candidate_ids, _Pool) and candidate_ids.index is index:
         return candidate_ids.rows
     try:
@@ -332,7 +338,7 @@ class _CandidateContext:
         self.relevance = vectors @ np.asarray(query_vector, dtype=np.float64)
 
         index = hypergraph.edge_index
-        rows = _graph_rows(candidate_ids, hypergraph)
+        rows = _graph_rows(candidate_ids, index)
         # Row e of `members` marks the candidates that have the pool's e-th
         # distinct entity; a last row of zeros pads each candidate's entity
         # codes, `entities[i]`, to the largest degree.
