@@ -28,8 +28,10 @@ API_KEY_ENV = "OKH_EMBED_API_KEY"
 CACHE_MAGIC = b"OKHE"
 CACHE_VERSION = 2
 DEFAULT_LOCAL_DIM = 256
-# Tokens a local embedder remembers the hash of (about 200 bytes each).
-MEMO_TOKENS = 1 << 16
+# A query reads column slices (`EmbeddingStore.relevance`) only when at most
+# this share of its buckets are nonzero, as a feature-hashed text's are; a
+# denser one, such as a remote embedder's, reads the dense product.
+SPARSE_QUERY_SHARE = 1 / 8
 
 
 def compose_text(edge: Hyperedge, entities: Mapping[str, Entity]) -> str:
@@ -99,32 +101,20 @@ class LocalHashingEmbedder:
         if dim < 8:
             raise ValueError("local embedder dimension must be at least 8")
         self.dim = dim
-        # Token -> (bucket, sign) of the tokens single texts have brought,
-        # emptied when it reaches MEMO_TOKENS.
-        self._hashed: dict[str, tuple[int, float]] = {}
 
     def embed_one(self, text: str) -> np.ndarray:
         """The row ``embed`` gives ``text`` in a batch, without the batch hash.
 
-        Each token is hashed once per embedder with the scalar `fnv1a64`. The
-        bucket sums and the squared norm are small integers, exact in any
-        order, and the division and f32 rounding are the batch's elementwise
-        ones, so the bits are the batch row's.
+        Each token is hashed with the scalar `fnv1a64`. The bucket sums and
+        the squared norm are small integers, exact in any order, and the
+        division and f32 rounding are the batch's elementwise ones, so the
+        bits are the batch row's.
         """
         counts: dict[int, float] = {}
-        hashed = self._hashed
         for token in text.split():
-            bucket_sign = hashed.get(token)
-            if bucket_sign is None:
-                if len(hashed) >= MEMO_TOKENS:
-                    hashed.clear()
-                digest = fnv1a64(token.encode("utf-8"))
-                bucket_sign = hashed[token] = (
-                    digest % self.dim,
-                    1.0 if digest >> 63 == 0 else -1.0,
-                )
-            bucket, sign = bucket_sign
-            counts[bucket] = counts.get(bucket, 0.0) + sign
+            digest = fnv1a64(token.encode("utf-8"))
+            bucket = digest % self.dim
+            counts[bucket] = counts.get(bucket, 0.0) + (1.0 if digest >> 63 == 0 else -1.0)
         vector = np.zeros(self.dim, dtype=np.float64)
         norm = math.sqrt(sum(count * count for count in counts.values()))
         if norm == 0.0:
@@ -414,9 +404,8 @@ class EmbeddingStore:
         self.embedder = embedder
         self.cache = cache
         # Bucket -> (rows where that column is nonzero, their values), each
-        # built the first time a query after the first reads the bucket.
+        # built the first time a sparse query reads the bucket.
         self.columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._asked = False
 
     @property
     def dim(self) -> int:
@@ -466,12 +455,12 @@ class EmbeddingStore:
     def relevance(self, query_vector: np.ndarray) -> np.ndarray:
         """Cosine of every edge against a unit query vector (plain dot).
 
-        The result has the bits of the dense product ``matrix @ q``. A store's
-        first query reads that product and builds nothing, so a process that
-        asks once reads what it always did. Later queries read only their
-        nonzero buckets, each as a column slice (see ``columns``), and add
-        each row's products in bucket order. That gives the dense product's
-        bits wherever every partial sum is exact, in any order; otherwise the
+        The result has the bits of the dense product ``matrix @ q``. A sparse
+        query (see ``SPARSE_QUERY_SHARE``) reads only its nonzero buckets,
+        each as a column slice (see ``columns``), and adds each row's
+        products in bucket order; any other query reads the dense product and
+        builds nothing. The bucket-order sums give the dense product's bits
+        wherever every partial sum is exact, in any order; otherwise the
         dense product itself is returned. The sums are exact when the values
         are f32 numbers, as every embedder's are: a product of two then has a
         48-bit significand, so all products are multiples of 2 ** (e - 48), e
@@ -484,8 +473,7 @@ class EmbeddingStore:
                 f"query vector has shape {query_vector.shape}, store is {self.dim}-d"
             )
         buckets = np.flatnonzero(query_vector)
-        if not self._asked or not buckets.size:
-            self._asked = True
+        if not buckets.size or len(buckets) > SPARSE_QUERY_SHARE * self.dim:
             return self.matrix @ query_vector
         columns = self.columns
         keys = buckets.tolist()

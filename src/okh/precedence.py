@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from okh.errors import CycleDetected, SchemaError
-from okh.hypergraph import EdgeIndex, Hyperedge, KnowledgeHypergraph
+from okh.hypergraph import Hyperedge, KnowledgeHypergraph
 from okh.relations import CAUSAL_RULES, CROSS_HORIZON_FAMILY, DEFAULT_VOCABULARY
 
 
@@ -234,8 +234,6 @@ class PrecedenceIndex:
         for group, prec in groups.items():
             for edge_id in prec.edge_ids:
                 self.group_of[edge_id] = group
-        # The edge index of the last `graph_closure_rows` call, and its answer.
-        self._graph_rows: tuple[EdgeIndex, np.ndarray] | None = None
 
     @classmethod
     def build(
@@ -303,13 +301,6 @@ class PrecedenceIndex:
         row_of, table, _, _ = self._closure_table
         outside = len(table) - 1
         return np.array([row_of.get(edge_id, outside) for edge_id in edge_ids], dtype=np.intp)
-
-    def graph_closure_rows(self, index: EdgeIndex) -> np.ndarray:
-        """``closure_rows(index.ids)``: the closure row of each row of a graph's
-        edge index, kept for the last index asked about."""
-        if self._graph_rows is None or self._graph_rows[0] is not index:
-            self._graph_rows = (index, self.closure_rows(index.ids))
-        return self._graph_rows[1]
 
     def reach_between(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Boolean R[i, j]: the edge of closure row ``sources[i]`` must precede

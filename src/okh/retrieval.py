@@ -18,7 +18,7 @@ import numpy as np
 
 from okh.embedding import EmbeddingStore
 from okh.errors import EmptyCorpus, UnknownEdge
-from okh.hypergraph import EdgeIndex, Hyperedge, KnowledgeHypergraph, spans
+from okh.hypergraph import Hyperedge, KnowledgeHypergraph, spans
 from okh.precedence import Order, PrecedenceIndex
 from okh.relations import COVERAGE_PHASES, phase_of_family
 from okh.transition import TransitionModel
@@ -213,9 +213,21 @@ def scope_candidates(
 
     The pool is one boolean mask over the rows of the graph's ``edge_index``.
     A row number is the edge's rank in id order, so (-relevance, row) orders
-    exactly like (-relevance, id). The ids come back as a read-only list that
-    also holds their graph rows and store vectors (``_Pool``).
+    exactly like (-relevance, id).
     """
+    rows, _ = _scope_rows(query_vector, hypergraph, store, config, query_group)
+    return [hypergraph.edge_index.ids[row] for row in rows.tolist()]
+
+
+def _scope_rows(
+    query_vector: np.ndarray,
+    hypergraph: KnowledgeHypergraph,
+    store: EmbeddingStore,
+    config: ScopeConfig,
+    query_group: str | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``scope_candidates``'s pool as rows of the graph's ``edge_index``, and
+    the same edges' rows of the store."""
     if not hypergraph.hyperedges:
         raise EmptyCorpus("candidate scoping needs a non-empty hypergraph")
     index = hypergraph.edge_index
@@ -261,64 +273,15 @@ def scope_candidates(
         pool[chosen] = False
         rest = best(np.flatnonzero(pool), max(config.pool_cap - len(chosen), 0))
         rows = best(np.concatenate((chosen, rest)), len(chosen) + len(rest))
-    vectors = store.matrix[rows if store_row is None else store_row[rows]]
-    return _Pool([index.ids[row] for row in rows.tolist()], index, rows, store, vectors)
-
-
-class _Pool(list):
-    """The ids ``scope_candidates`` returns, with the rows it read them from.
-
-    ``rows`` are the candidates' rows in the graph's ``edge_index`` and
-    ``vectors`` their store vectors, so the transition matrix and the search
-    context reuse them instead of looking every id up again. The list and
-    the arrays are read-only, so they stay aligned.
-    """
-
-    def __init__(
-        self,
-        ids: list[str],
-        index: EdgeIndex,
-        rows: np.ndarray,
-        store: EmbeddingStore,
-        vectors: np.ndarray,
-    ):
-        super().__init__(ids)
-        self.index = index
-        self.rows = rows
-        self.store = store
-        self.vectors = vectors
-        rows.flags.writeable = vectors.flags.writeable = False
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a candidate pool is read-only; copy it with list(pool)")
-
-    def __reduce__(self):
-        # A copy or a pickle is a plain list of the ids.
-        return list, (list(self),)
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
-
-
-def _store_vectors(candidate_ids: Sequence[str], store: EmbeddingStore) -> np.ndarray:
-    """The candidates' store vectors as the rows of one array."""
-    if isinstance(candidate_ids, _Pool) and candidate_ids.store is store:
-        return candidate_ids.vectors
-    return store.matrix[[store.row_of[eid] for eid in candidate_ids]]
-
-
-def _graph_rows(candidate_ids: Sequence[str], index: EdgeIndex) -> np.ndarray:
-    """The candidates' rows in a graph's ``edge_index``."""
-    if isinstance(candidate_ids, _Pool) and candidate_ids.index is index:
-        return candidate_ids.rows
-    try:
-        return np.array([index.row_of[eid] for eid in candidate_ids], dtype=np.intp)
-    except KeyError as exc:
-        raise UnknownEdge(f"hyperedge {exc.args[0]!r} is not in the graph") from None
+    return rows, rows if store_row is None else store_row[rows]
 
 
 class _CandidateContext:
-    """Per-query precomputation shared by the search loops."""
+    """Per-query precomputation shared by the search loops.
+
+    ``rows``, the candidates' rows in the graph's ``edge_index``, and
+    ``vectors``, their store vectors, are looked up by id when not given.
+    """
 
     def __init__(
         self,
@@ -328,17 +291,24 @@ class _CandidateContext:
         store: EmbeddingStore,
         precedence: PrecedenceIndex,
         log_transition: np.ndarray,
+        rows: np.ndarray | None = None,
+        vectors: np.ndarray | None = None,
     ):
         self.ids = list(candidate_ids)
         n = len(self.ids)
         if log_transition.shape != (n, n):
             raise ValueError("transition matrix must align with the candidate list")
         self.log_transition = log_transition
-        vectors = _store_vectors(candidate_ids, store)
+        if vectors is None:
+            vectors = store.matrix[[store.row_of[eid] for eid in self.ids]]
         self.relevance = vectors @ np.asarray(query_vector, dtype=np.float64)
 
         index = hypergraph.edge_index
-        rows = _graph_rows(candidate_ids, index)
+        if rows is None:
+            try:
+                rows = np.array([index.row_of[eid] for eid in self.ids], dtype=np.intp)
+            except KeyError as exc:
+                raise UnknownEdge(f"hyperedge {exc.args[0]!r} is not in the graph") from None
         # Row e of `members` marks the candidates that have the pool's e-th
         # distinct entity; a last row of zeros pads each candidate's entity
         # codes, `entities[i]`, to the largest degree.
@@ -357,7 +327,7 @@ class _CandidateContext:
         self.size = degree.astype(np.float64)
         self.phase_index = index.phase[rows]
         self.precedence = precedence
-        self.closure_rows = precedence.graph_closure_rows(index)[rows]
+        self.closure_rows = precedence.closure_rows(self.ids)
         # Candidates by higher relevance first, then id; a graph row is the
         # edge's rank in id order.
         self.by_relevance = np.lexsort((rows, -self.relevance))
@@ -571,6 +541,13 @@ def beam_search(
     ctx = _CandidateContext(
         query_vector, candidate_ids, hypergraph, store, precedence, log_transition
     )
+    return _search(ctx, weights, config)
+
+
+def _search(
+    ctx: _CandidateContext, weights: RetrievalWeights, config: SearchConfig
+) -> list[Trajectory]:
+    """``beam_search`` over a built candidate context."""
     n = len(ctx.ids)
     if n == 0:
         return []
@@ -835,7 +812,8 @@ class Retriever:
         forward 0, unrelated -1, backward -5.
         """
         if kind == "learned":
-            return self.model.log_transition_matrix(_store_vectors(candidate_ids, self.store))
+            rows = self.store.matrix[[self.store.row_of[eid] for eid in candidate_ids]]
+            return self.model.log_transition_matrix(rows)
         if kind == "heuristic":
             reach = self.precedence.reach_matrix(candidate_ids)
             return np.where(
@@ -854,21 +832,28 @@ class Retriever:
         query_group: str | None = None,
         transition: str = "learned",
     ) -> list[Trajectory]:
-        """Scope the candidates, build their transition matrix, and beam-search them."""
+        """Scope the candidates, build their transition matrix, and beam-search them.
+
+        The pool's graph rows and store vectors are read once, for the
+        learned matrix and the search context alike.
+        """
         query_vector = (
             self.store.embed_query(query) if isinstance(query, str) else np.asarray(query)
         )
-        candidates = scope_candidates(query_vector, self.hypergraph, self.store, scope, query_group)
-        return beam_search(
-            query_vector,
-            candidates,
-            self.hypergraph,
-            self.store,
-            self.precedence,
-            self.transition_matrix(candidates, transition),
-            weights,
-            search,
+        rows, store_rows = _scope_rows(
+            query_vector, self.hypergraph, self.store, scope, query_group
         )
+        candidates = [self.hypergraph.edge_index.ids[row] for row in rows.tolist()]
+        vectors = self.store.matrix[store_rows]
+        if transition == "learned":
+            matrix = self.model.log_transition_matrix(vectors)
+        else:
+            matrix = self.transition_matrix(candidates, transition)
+        ctx = _CandidateContext(
+            query_vector, candidates, self.hypergraph, self.store, self.precedence, matrix,
+            rows, vectors,
+        )
+        return _search(ctx, weights, search)
 
     def result_dict(self, query_text: str, trajectories: Sequence[Trajectory]) -> dict:
         return {

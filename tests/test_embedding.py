@@ -447,33 +447,55 @@ def test_single_text_embedding_is_the_batch_row_bit_for_bit(dim, words, other):
     single = embedder.embed_one(text)
     assert single.tobytes() == batch[0].tobytes()
     assert embedder.embed([text])[0].tobytes() == batch[0].tobytes()
-    # A second call reads the memo and gives the same bits.
-    assert embedder.embed_one(text).tobytes() == single.tobytes()
-
-
-def test_single_text_memo_stays_bounded(monkeypatch):
-    import okh.embedding
-
-    monkeypatch.setattr(okh.embedding, "MEMO_TOKENS", 4)
-    embedder = LocalHashingEmbedder(dim=16)
-    text = " ".join(f"token{i}" for i in range(10))
-    assert embedder.embed_one(text).tobytes() == embedder.embed([text, "x"])[0].tobytes()
-    assert len(embedder._hashed) <= 4
 
 
 def test_relevance_reads_only_the_query_buckets_and_the_matrix_is_read_only():
     graph = _tiny_graph()
-    store = EmbeddingStore.build(graph, LocalHashingEmbedder(dim=16))
+    store = EmbeddingStore.build(graph, LocalHashingEmbedder(dim=64))
     first = store.embed_query("port status")
     query = store.embed_query("wind at T-48")
     assert store.relevance(first).tobytes() == (store.matrix @ first).tobytes()
-    assert store.columns == {}
+    assert set(store.columns) == set(np.flatnonzero(first).tolist())
     assert store.relevance(query).tobytes() == (store.matrix @ query).tobytes()
-    assert set(store.columns) == set(np.flatnonzero(query).tolist())
+    assert set(store.columns) == set(np.flatnonzero(first).tolist() + np.flatnonzero(query).tolist())
     with pytest.raises(ValueError):
         store.matrix[0, 0] = 1.0
     # A non-finite query reaches every row, as the dense product does.
-    query = np.zeros(16)
+    query = np.zeros(64)
     query[3] = np.nan
     assert np.isnan(store.relevance(query)).all()
-    assert not store.relevance(np.zeros(16)).any()
+    assert not store.relevance(np.zeros(64)).any()
+
+
+def test_dense_store_and_queries_build_no_column_slices():
+    # A remote embedder's vectors are dense f32 numbers; their queries read
+    # the dense product, however many are asked.
+    rng = np.random.default_rng(4)
+    dim = 64
+
+    def units(count):
+        vectors = rng.standard_normal((count, dim))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        return vectors.astype(np.float32).astype(np.float64)
+
+    store = EmbeddingStore([f"e{i}" for i in range(300)], units(300), LocalHashingEmbedder(dim))
+    for query in units(6):
+        assert store.relevance(query).tobytes() == (store.matrix @ query).tobytes()
+    assert store.columns == {}
+
+
+def test_sparse_query_over_wide_ranging_values_is_the_dense_product():
+    # Products whose exponents span 40 bits need more than 53 bits to add
+    # exactly, so the bucket-order sums differ from the dense product's in
+    # some rows; relevance must see that and return the dense product.
+    rng = np.random.default_rng(7)
+    dim = 32
+    matrix = np.zeros((2000, dim))
+    matrix[:, :4] = rng.standard_normal((2000, 4)) * 2.0 ** rng.integers(-40, 1, (2000, 4))
+    matrix = matrix.astype(np.float32).astype(np.float64)
+    store = EmbeddingStore([f"e{i}" for i in range(2000)], matrix, LocalHashingEmbedder(dim))
+    for _ in range(5):
+        query = np.zeros(dim)
+        query[:4] = (rng.standard_normal(4) * 2.0 ** rng.integers(-40, 1, 4)).astype(np.float32)
+        assert store.relevance(query).tobytes() == (store.matrix @ query).tobytes()
+    assert set(store.columns) == {0, 1, 2, 3}

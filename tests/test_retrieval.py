@@ -1,10 +1,8 @@
-import copy
 import hashlib
 import itertools
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
 
@@ -1089,55 +1087,45 @@ def test_event_driven_selection_matches_reference_select(case, penalty, threshol
 
 
 def test_retrieve_builds_no_whole_store_index():
-    # A fresh store's first question reads the dense product and builds no
-    # column slice; a later one builds the slices of its own buckets only.
+    # A fresh store's column slices after one question are that question's
+    # buckets only.
     corpus = generate_synthetic(seed=2, n_groups=3, horizons_per_group=2)
     graph = merge_facts([corpus.facts])
-    store = EmbeddingStore.build(graph, LocalHashingEmbedder(64))
-    retriever = Retriever(graph, store, PrecedenceIndex.build(graph), TransitionModel.create(64, 8))
-    first, second = corpus.qa[0], corpus.qa[5]
-    assert retriever.retrieve(first.question, query_group=first.group_id)
-    assert store.columns == {}
-    assert retriever.retrieve(second.question, query_group=second.group_id)
-    assert set(store.columns) == set(np.flatnonzero(store.embed_query(second.question)).tolist())
+    store = EmbeddingStore.build(graph, LocalHashingEmbedder(256))
+    retriever = Retriever(graph, store, PrecedenceIndex.build(graph), TransitionModel.create(256, 8))
+    qa = corpus.qa[0]
+    assert retriever.retrieve(qa.question, query_group=qa.group_id)
+    assert set(store.columns) == set(np.flatnonzero(store.embed_query(qa.question)).tolist())
     with pytest.raises(ValueError):
         store.matrix[0, 0] = 1.0
 
 
-def test_scoped_pool_is_a_read_only_list_searched_as_its_copy():
+def test_retrieve_is_the_search_over_the_scoped_ids():
+    # `retrieve` reuses scope's rows for the learned matrix and the search
+    # context; the public steps, which look every id up, give the same bits,
+    # also from a store in another row order.
     corpus = generate_synthetic(seed=5, n_groups=4, horizons_per_group=2)
     graph = merge_facts([corpus.facts])
     store = EmbeddingStore.build(graph, LocalHashingEmbedder(64))
+    order = np.random.default_rng(1).permutation(len(store.ids))
+    shuffled = EmbeddingStore([store.ids[i] for i in order], store.matrix[order], store.embedder)
     precedence = PrecedenceIndex.build(graph)
-    retriever = Retriever(graph, store, precedence, TransitionModel.create(64, 8))
-    qa = corpus.qa[3]
-    query = store.embed_query(qa.question)
-    pool = scope_candidates(query, graph, store, ScopeConfig(top_k=10, pool_cap=40), qa.group_id)
-    plain = list(pool)
-    assert pool == plain and type(plain) is list
-    for mutate in (
-        lambda: pool.append("x"),
-        lambda: pool.__setitem__(0, "x"),
-        lambda: pool.__iadd__(["x"]),
-        lambda: pool.sort(),
-    ):
-        with pytest.raises(TypeError):
-            mutate()
-    assert pool == plain
-    for copied in (copy.copy(pool), copy.deepcopy(pool), pickle.loads(pickle.dumps(pool))):
-        assert copied == plain and type(copied) is list
-    for kind in ("learned", "heuristic"):
-        matrix = retriever.transition_matrix(pool, kind)
-        assert matrix.tobytes() == retriever.transition_matrix(plain, kind).tobytes()
-        searched = [
-            [trajectory.to_dict() for trajectory in beam_search(
-                query, candidates, graph, store, precedence, matrix
-            )]
-            for candidates in (pool, plain)
-        ]
-        assert searched[0] == searched[1]
-    index = graph.edge_index
-    assert precedence.graph_closure_rows(index).tolist() == precedence.closure_rows(index.ids).tolist()
+    model = TransitionModel.create(64, 8)
+    scope = ScopeConfig(top_k=10, pool_cap=40)
+    for qa in corpus.qa[::7]:
+        query = store.embed_query(qa.question)
+        for current in (store, shuffled):
+            retriever = Retriever(graph, current, precedence, model)
+            pool = scope_candidates(query, graph, current, scope, qa.group_id)
+            assert type(pool) is list
+            for kind in ("learned", "heuristic"):
+                expected = beam_search(
+                    query, pool, graph, current, precedence, retriever.transition_matrix(pool, kind)
+                )
+                found = retriever.retrieve(
+                    query, scope=scope, query_group=qa.group_id, transition=kind
+                )
+                assert [t.to_dict() for t in found] == [t.to_dict() for t in expected]
 
 
 def test_import_and_retrieve_load_no_optional_packages():
