@@ -215,28 +215,12 @@ def scope_candidates(
     A row number is the edge's rank in id order, so (-relevance, row) orders
     exactly like (-relevance, id).
     """
-    rows, _ = _scope_rows(query_vector, hypergraph, store, config, query_group)
-    return [hypergraph.edge_index.ids[row] for row in rows.tolist()]
-
-
-def _scope_rows(
-    query_vector: np.ndarray,
-    hypergraph: KnowledgeHypergraph,
-    store: EmbeddingStore,
-    config: ScopeConfig,
-    query_group: str | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``scope_candidates``'s pool as rows of the graph's ``edge_index``, and
-    the same edges' rows of the store."""
     if not hypergraph.hyperedges:
         raise EmptyCorpus("candidate scoping needs a non-empty hypergraph")
     index = hypergraph.edge_index
     relevance = store.relevance(query_vector)
-    # The store row of each graph row, where the two orders differ.
-    store_row = None
     if store.ids != index.ids:
-        store_row = np.array([store.row_of[edge_id] for edge_id in index.ids], dtype=np.intp)
-        relevance = relevance[store_row]
+        relevance = relevance[[store.row_of[edge_id] for edge_id in index.ids]]
 
     def best(rows: np.ndarray, k: int) -> np.ndarray:
         """The first k of ``rows`` in (-relevance, id) order."""
@@ -273,15 +257,11 @@ def _scope_rows(
         pool[chosen] = False
         rest = best(np.flatnonzero(pool), max(config.pool_cap - len(chosen), 0))
         rows = best(np.concatenate((chosen, rest)), len(chosen) + len(rest))
-    return rows, rows if store_row is None else store_row[rows]
+    return [index.ids[row] for row in rows.tolist()]
 
 
 class _CandidateContext:
-    """Per-query precomputation shared by the search loops.
-
-    ``rows``, the candidates' rows in the graph's ``edge_index``, and
-    ``vectors``, their store vectors, are looked up by id when not given.
-    """
+    """Per-query precomputation shared by the search loops."""
 
     def __init__(
         self,
@@ -291,24 +271,20 @@ class _CandidateContext:
         store: EmbeddingStore,
         precedence: PrecedenceIndex,
         log_transition: np.ndarray,
-        rows: np.ndarray | None = None,
-        vectors: np.ndarray | None = None,
     ):
         self.ids = list(candidate_ids)
         n = len(self.ids)
         if log_transition.shape != (n, n):
             raise ValueError("transition matrix must align with the candidate list")
         self.log_transition = log_transition
-        if vectors is None:
-            vectors = store.matrix[[store.row_of[eid] for eid in self.ids]]
+        vectors = store.matrix[[store.row_of[eid] for eid in self.ids]]
         self.relevance = vectors @ np.asarray(query_vector, dtype=np.float64)
 
         index = hypergraph.edge_index
-        if rows is None:
-            try:
-                rows = np.array([index.row_of[eid] for eid in self.ids], dtype=np.intp)
-            except KeyError as exc:
-                raise UnknownEdge(f"hyperedge {exc.args[0]!r} is not in the graph") from None
+        try:
+            rows = np.array([index.row_of[eid] for eid in self.ids], dtype=np.intp)
+        except KeyError as exc:
+            raise UnknownEdge(f"hyperedge {exc.args[0]!r} is not in the graph") from None
         # Row e of `members` marks the candidates that have the pool's e-th
         # distinct entity; a last row of zeros pads each candidate's entity
         # codes, `entities[i]`, to the largest degree.
@@ -541,13 +517,6 @@ def beam_search(
     ctx = _CandidateContext(
         query_vector, candidate_ids, hypergraph, store, precedence, log_transition
     )
-    return _search(ctx, weights, config)
-
-
-def _search(
-    ctx: _CandidateContext, weights: RetrievalWeights, config: SearchConfig
-) -> list[Trajectory]:
-    """``beam_search`` over a built candidate context."""
     n = len(ctx.ids)
     if n == 0:
         return []
@@ -832,28 +801,21 @@ class Retriever:
         query_group: str | None = None,
         transition: str = "learned",
     ) -> list[Trajectory]:
-        """Scope the candidates, build their transition matrix, and beam-search them.
-
-        The pool's graph rows and store vectors are read once, for the
-        learned matrix and the search context alike.
-        """
+        """Scope the candidates, build their transition matrix, and beam-search them."""
         query_vector = (
             self.store.embed_query(query) if isinstance(query, str) else np.asarray(query)
         )
-        rows, store_rows = _scope_rows(
-            query_vector, self.hypergraph, self.store, scope, query_group
+        candidates = scope_candidates(query_vector, self.hypergraph, self.store, scope, query_group)
+        return beam_search(
+            query_vector,
+            candidates,
+            self.hypergraph,
+            self.store,
+            self.precedence,
+            self.transition_matrix(candidates, transition),
+            weights,
+            search,
         )
-        candidates = [self.hypergraph.edge_index.ids[row] for row in rows.tolist()]
-        vectors = self.store.matrix[store_rows]
-        if transition == "learned":
-            matrix = self.model.log_transition_matrix(vectors)
-        else:
-            matrix = self.transition_matrix(candidates, transition)
-        ctx = _CandidateContext(
-            query_vector, candidates, self.hypergraph, self.store, self.precedence, matrix,
-            rows, vectors,
-        )
-        return _search(ctx, weights, search)
 
     def result_dict(self, query_text: str, trajectories: Sequence[Trajectory]) -> dict:
         return {

@@ -1100,34 +1100,6 @@ def test_retrieve_builds_no_whole_store_index():
         store.matrix[0, 0] = 1.0
 
 
-def test_retrieve_is_the_search_over_the_scoped_ids():
-    # `retrieve` reuses scope's rows for the learned matrix and the search
-    # context; the public steps, which look every id up, give the same bits,
-    # also from a store in another row order.
-    corpus = generate_synthetic(seed=5, n_groups=4, horizons_per_group=2)
-    graph = merge_facts([corpus.facts])
-    store = EmbeddingStore.build(graph, LocalHashingEmbedder(64))
-    order = np.random.default_rng(1).permutation(len(store.ids))
-    shuffled = EmbeddingStore([store.ids[i] for i in order], store.matrix[order], store.embedder)
-    precedence = PrecedenceIndex.build(graph)
-    model = TransitionModel.create(64, 8)
-    scope = ScopeConfig(top_k=10, pool_cap=40)
-    for qa in corpus.qa[::7]:
-        query = store.embed_query(qa.question)
-        for current in (store, shuffled):
-            retriever = Retriever(graph, current, precedence, model)
-            pool = scope_candidates(query, graph, current, scope, qa.group_id)
-            assert type(pool) is list
-            for kind in ("learned", "heuristic"):
-                expected = beam_search(
-                    query, pool, graph, current, precedence, retriever.transition_matrix(pool, kind)
-                )
-                found = retriever.retrieve(
-                    query, scope=scope, query_group=qa.group_id, transition=kind
-                )
-                assert [t.to_dict() for t in found] == [t.to_dict() for t in expected]
-
-
 def test_import_and_retrieve_load_no_optional_packages():
     # scipy is installed alongside but is no dependency; requests is only
     # for the remote embedding client; numpy.ma, which numpy loads on first
