@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, lru_cache, partial
+from itertools import chain, repeat
+from operator import attrgetter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
@@ -83,14 +84,24 @@ def horizon_anchor_id(horizon: int) -> str:
     return f"horizon:T-{int(horizon)}"
 
 
+@lru_cache(maxsize=1 << 16)
+def _id_parts(entity_id: str) -> tuple[int | None, str | None]:
+    """An entity id's anchor lead time if it is a temporal anchor, else None,
+    and its `entity_stem` if it is not an anchor, else None.
+
+    Parsed once per distinct id: a graph's edges share few entities.
+    """
+    match = HORIZON_ANCHOR_RE.match(entity_id)
+    if match:
+        return int(match.group(1)), None
+    return None, entity_stem(entity_id)
+
+
 def _anchor_leads(entity_ids: Iterable[str]) -> list[int]:
     """Lead times of the temporal anchors among entity ids, descending."""
-    leads = []
-    for entity_id in entity_ids:
-        match = HORIZON_ANCHOR_RE.match(entity_id)
-        if match:
-            leads.append(int(match.group(1)))
-    return sorted(leads, reverse=True)
+    leads = [lead for lead, _ in map(_id_parts, entity_ids) if lead is not None]
+    leads.sort(reverse=True)
+    return leads
 
 
 def _grounded_ids(
@@ -139,12 +150,13 @@ class Entity:
             raise ValueError(f"horizon_time entity id {self.id!r} must match horizon:T-<int>")
 
     def to_dict(self) -> dict[str, Any]:
+        # Keys in sorted order, as the snapshot writes them.
         return {
+            "confidence": self.confidence,
+            "description": self.description,
             "id": self.id,
             "name": self.name,
             "type": self.entity_type.value,
-            "description": self.description,
-            "confidence": self.confidence,
         }
 
 
@@ -221,26 +233,20 @@ class Hyperedge:
 
     def state_stems(self) -> frozenset[str]:
         """Stems of the horizon-suffixed non-anchor entities on this edge."""
-        stems = set()
-        for entity_id in self.entity_ids:
-            if HORIZON_ANCHOR_RE.match(entity_id):
-                continue
-            stem = entity_stem(entity_id)
-            if stem is not None:
-                stems.add(stem)
-        return frozenset(stems)
+        return frozenset(stem for _, stem in map(_id_parts, self.entity_ids) if stem is not None)
 
     def to_dict(self) -> dict[str, Any]:
+        # Keys in sorted order, as the snapshot writes them.
         return {
-            "id": self.id,
-            "relation": self.relation,
-            "family": self.family,
-            "entities": sorted(self.entity_ids),
-            "evidence": self.evidence,
             "attributes": dict(sorted(self.attributes.items())),
             "confidence": self.confidence,
+            "entities": sorted(self.entity_ids),
+            "evidence": self.evidence,
+            "family": self.family,
             "group": self.group_id,
             "horizon": self.horizon,
+            "id": self.id,
+            "relation": self.relation,
             "text_position": self.text_position,
         }
 
@@ -270,10 +276,15 @@ def inject_horizon(edge: Hyperedge, horizon: int) -> Hyperedge:
     )
 
 
-def _hashed(drafts: Sequence[Mapping[str, Any]]) -> list[Hyperedge]:
-    """Hyperedges from their fields but the id, content-hashed in one batch."""
-    ids = _dedup_ids((draft["relation"], draft["entity_ids"], draft["evidence"]) for draft in drafts)
-    return [Hyperedge(id=edge_id, **draft) for edge_id, draft in zip(ids, drafts)]
+def _hashed(drafts: Sequence[tuple]) -> list[Hyperedge]:
+    """Hyperedges from their drafts, content-hashed in one batch.
+
+    A draft holds a hyperedge's fields after its id, in field order:
+    relation, family, entity ids, evidence, attributes, confidence, group,
+    horizon and text position.
+    """
+    ids = _dedup_ids((draft[0], draft[2], draft[3]) for draft in drafts)
+    return [Hyperedge(edge_id, *draft) for edge_id, draft in zip(ids, drafts)]
 
 
 def synthesize_cross_horizon(group_edges: Iterable[Hyperedge]) -> list[Hyperedge]:
@@ -287,8 +298,8 @@ def synthesize_cross_horizon(group_edges: Iterable[Hyperedge]) -> list[Hyperedge
     return _hashed(_change_drafts(group_edges))
 
 
-def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[dict[str, Any]]:
-    """The fields but the id of each change edge `synthesize_cross_horizon` makes."""
+def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[tuple]:
+    """The draft of each change edge `synthesize_cross_horizon` makes."""
     edges = list(group_edges)
     if not edges:
         return []
@@ -307,10 +318,8 @@ def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[dict[str, Any]]:
         )
         suffix = f":T-{edge.horizon}"
         for entity_id in edge.entity_ids:
-            if HORIZON_ANCHOR_RE.match(entity_id) or not entity_id.endswith(suffix):
-                continue
-            stem = entity_stem(entity_id)
-            if stem is not None:
+            stem = _id_parts(entity_id)[1]
+            if stem is not None and entity_id.endswith(suffix):
                 observed.setdefault((edge.family, stem), set()).add(edge.horizon)
 
     synthesized = []
@@ -321,10 +330,10 @@ def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[dict[str, Any]]:
         ordered = sorted(horizons, reverse=True)
         for earlier, later in zip(ordered, ordered[1:]):
             synthesized.append(
-                {
-                    "relation": relation,
-                    "family": change_family,
-                    "entity_ids": frozenset(
+                (
+                    relation,
+                    change_family,
+                    frozenset(
                         {
                             f"{stem}:T-{earlier}",
                             f"{stem}:T-{later}",
@@ -332,13 +341,13 @@ def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[dict[str, Any]]:
                             horizon_anchor_id(later),
                         }
                     ),
-                    "evidence": f"{stem} evolves from T-{earlier} to T-{later}",
-                    "attributes": {"from_horizon": str(earlier), "to_horizon": str(later)},
-                    "confidence": 1.0,
-                    "group_id": group_id,
-                    "horizon": None,
-                    "text_position": last_position.get(earlier, 0),
-                }
+                    f"{stem} evolves from T-{earlier} to T-{later}",
+                    {"from_horizon": str(earlier), "to_horizon": str(later)},
+                    1.0,
+                    group_id,
+                    None,
+                    last_position.get(earlier, 0),
+                )
             )
     return synthesized
 
@@ -383,17 +392,15 @@ class EdgeIndex:
         group_of = np.zeros(len(ids), dtype=np.intp)
         group_of[group_rows] = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
 
-        code_of: dict[str, int] = {}
-        entity_of: list[int] = []
-        degree: list[int] = []
+        edges = [hyperedges[edge_id] for edge_id in ids]
+        entity_sets = [edge.entity_ids for edge in edges]
+        # Entities are coded in order of first appearance.
+        incident = list(chain.from_iterable(entity_sets))
+        code_of = {entity: code for code, entity in enumerate(dict.fromkeys(incident))}
+        entities = np.fromiter(map(code_of.__getitem__, incident), dtype=np.intp, count=len(incident))
+        degree = list(map(len, entity_sets))
         phase_at = {phase: i for i, phase in enumerate(COVERAGE_PHASES)}
-        phase: list[int] = []
-        for edge_id in ids:
-            edge = hyperedges[edge_id]
-            entity_of.extend(code_of.setdefault(entity, len(code_of)) for entity in edge.entity_ids)
-            degree.append(len(edge.entity_ids))
-            phase.append(phase_at.get(phase_of_family(edge.family), -1))
-        entities = np.array(entity_of, dtype=np.intp)
+        phase = [phase_at.get(phase_of_family(edge.family), -1) for edge in edges]
         # A stable sort keeps each entity's rows in id order.
         by_entity = np.argsort(entities, kind="stable")
         incident_rows = np.repeat(np.arange(len(ids), dtype=np.intp), degree)
@@ -454,16 +461,17 @@ class KnowledgeHypergraph:
         return EdgeIndex.build(self.hyperedges, self.groups)
 
     def to_snapshot(self, precedence_edges: dict[str, list[tuple[str, str]]] | None = None) -> dict:
+        """The snapshot document; every object's keys are in sorted order."""
         snapshot: dict[str, Any] = {
-            "version": SNAPSHOT_VERSION,
             "entities": [self.entities[eid].to_dict() for eid in sorted(self.entities)],
             "hyperedges": [self.hyperedges[eid].to_dict() for eid in sorted(self.hyperedges)],
         }
         if precedence_edges is not None:
             snapshot["precedence"] = {
-                group: [list(pair) for pair in sorted(pairs)]
-                for group, pairs in precedence_edges.items()
+                group: [list(pair) for pair in sorted(precedence_edges[group])]
+                for group in sorted(precedence_edges)
             }
+        snapshot["version"] = SNAPSHOT_VERSION
         return snapshot
 
     def save_snapshot(
@@ -471,9 +479,10 @@ class KnowledgeHypergraph:
         path: str,
         precedence_edges: dict[str, list[tuple[str, str]]] | None = None,
     ) -> None:
+        # `to_snapshot` builds its objects key-sorted, so the encoder need not
+        # sort them.
         payload = json.dumps(
             self.to_snapshot(precedence_edges),
-            sort_keys=True,
             ensure_ascii=False,
             separators=(",", ":"),
             allow_nan=False,
@@ -493,17 +502,20 @@ class KnowledgeHypergraph:
                 raise SchemaError(key, "expected a list")
         entities: dict[str, Entity] = {}
         for index, raw in enumerate(snapshot.get("entities", [])):
-            entity = _entity_from_dict(raw, f"entities[{index}]")
+            try:
+                entity = _entity_from_dict(raw, "")
+            except (SchemaError, ValueError):
+                raise _named_refusal(_entity_from_dict, raw, f"entities[{index}]") from None
             entities[entity.id] = entity
         parsed: list[Hyperedge] = []
         malformed: SchemaError | ValueError | None = None
         for index, raw in enumerate(snapshot.get("hyperedges", [])):
             try:
-                parsed.append(_edge_from_dict(raw, f"hyperedges[{index}]"))
-            except (SchemaError, ValueError) as exc:
+                parsed.append(_edge_from_dict(raw, ""))
+            except (SchemaError, ValueError):
                 # Raised after the edges before it are checked, so the first
                 # bad edge in index order is the one reported.
-                malformed = exc
+                malformed = _named_refusal(_edge_from_dict, raw, f"hyperedges[{index}]")
                 break
         expected_ids = _dedup_ids((edge.relation, edge.entity_ids, edge.evidence) for edge in parsed)
         hyperedges: dict[str, Hyperedge] = {}
@@ -553,6 +565,21 @@ def _require(fact: Mapping[str, Any], key: str, kind: type | tuple, path: str) -
 
 
 _TYPE_OF_VALUE = {member.value: member for member in EntityType}
+
+
+def _named_refusal(
+    parse: Callable[[Any, str], Any], raw: Any, path: str
+) -> SchemaError | ValueError:
+    """The error ``parse`` raises for an entry it refused, naming ``path``.
+
+    Entries are parsed without their path, which every entry would format
+    and only a refused one reads; a refused entry is parsed again with it.
+    """
+    try:
+        parse(raw, path)
+    except (SchemaError, ValueError) as exc:
+        return exc
+    raise AssertionError(f"{path} was refused once and then parsed")
 
 
 # The snapshot parsers. Each field is first tested for the exact type the
@@ -680,37 +707,59 @@ def validate_fact(
 
     Returns the fact's entities, parsed in order by ``parse_entity``.
     """
-    if not isinstance(fact, Mapping):
+    # Each field is first tested for the exact type JSON gives it; any other
+    # value takes the general test, which names the field it refuses.
+    if fact.__class__ is not dict and not isinstance(fact, Mapping):
         raise SchemaError(path, "fact must be an object")
-    relation = _require(fact, "relation", str, path)
+    relation = fact.get("relation")
+    if relation.__class__ is not str:
+        relation = _require(fact, "relation", str, path)
     if not relation.strip():
         raise SchemaError(f"{path}.relation", "relation must be non-empty")
-    _require(fact, "evidence", str, path)
-    group = _require(fact, "group", str, path)
+    if fact.get("evidence").__class__ is not str:
+        _require(fact, "evidence", str, path)
+    group = fact.get("group")
+    if group.__class__ is not str:
+        group = _require(fact, "group", str, path)
     if not group:
         raise SchemaError(f"{path}.group", "group must be non-empty")
-    entities = _require(fact, "entities", list, path)
+    entities = fact.get("entities")
+    if entities.__class__ is not list:
+        entities = _require(fact, "entities", list, path)
     if len(entities) < 2:
         raise SchemaError(f"{path}.entities", "a hyperedge needs at least two entities")
-    parsed = [parse_entity(raw, f"{path}.entities[{index}]") for index, raw in enumerate(entities)]
-    if len({entity.id for entity in parsed}) < 2:
+    parsed = []
+    for raw in entities:
+        try:
+            parsed.append(parse_entity(raw, ""))
+        except (SchemaError, ValueError):
+            raise _named_refusal(parse_entity, raw, f"{path}.entities[{len(parsed)}]") from None
+    if len(set(map(_entity_id, parsed))) < 2:
         raise SchemaError(f"{path}.entities", "entity ids must name at least two distinct entities")
     attributes = fact.get("attributes", {})
-    if not isinstance(attributes, Mapping):
+    if attributes.__class__ is not dict and not isinstance(attributes, Mapping):
         raise SchemaError(f"{path}.attributes", "expected object")
     for key, value in attributes.items():
         if not isinstance(key, str) or not isinstance(value, str):
             raise SchemaError(f"{path}.attributes[{key!r}]", "attribute keys and values must be strings")
     confidence = fact.get("confidence", 1.0)
-    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+    if confidence.__class__ is not float and (
+        not isinstance(confidence, (int, float)) or isinstance(confidence, bool)
+    ):
         raise SchemaError(f"{path}.confidence", "expected number")
     if not 0.0 < float(confidence) <= 1.0:
         raise SchemaError(f"{path}.confidence", f"must be in (0, 1], got {confidence}")
-    _optional_horizon(fact, path)
+    horizon = fact.get("horizon")
+    if horizon is not None and (horizon.__class__ is not int or horizon <= 0):
+        _optional_horizon(fact, path)
     position = fact.get("text_position", 0)
-    if not isinstance(position, int) or isinstance(position, bool) or position < 0:
-        raise SchemaError(f"{path}.text_position", "text_position must be a non-negative integer")
+    if position.__class__ is not int or position < 0:
+        if not isinstance(position, int) or isinstance(position, bool) or position < 0:
+            raise SchemaError(f"{path}.text_position", "text_position must be a non-negative integer")
     return parsed
+
+
+_entity_id = attrgetter("id")
 
 
 def _memo_entity_parser() -> Callable[[Any, str], Entity]:
@@ -791,16 +840,21 @@ def merge_facts(
 
     # Each edge's entities and horizon are resolved first; the content ids
     # are then hashed in one batch for the facts and one for the changes.
-    drafts: list[dict[str, Any]] = []
+    drafts: list[tuple] = []
     for batch_index, batch in enumerate(fact_batches):
         for fact_index, fact in enumerate(batch):
-            fact_entities = validate_fact(
-                fact, f"batch[{batch_index}].fact[{fact_index}]", parse_entity=parse_entity
-            )
+            try:
+                fact_entities = validate_fact(fact, "", parse_entity=parse_entity)
+            except (SchemaError, ValueError):
+                raise _named_refusal(
+                    partial(validate_fact, parse_entity=parse_entity),
+                    fact,
+                    f"batch[{batch_index}].fact[{fact_index}]",
+                ) from None
             for entity in fact_entities:
                 add_entity(entity)
             relation, family = DEFAULT_VOCABULARY.normalize(fact["relation"])
-            entity_ids = frozenset(entity.id for entity in fact_entities)
+            entity_ids = frozenset(map(_entity_id, fact_entities))
             anchors = _anchor_leads(entity_ids)
             horizon = fact.get("horizon")
             if horizon is not None:
@@ -813,17 +867,17 @@ def merge_facts(
             for lead in anchors:
                 add_anchor(lead)
             drafts.append(
-                {
-                    "relation": relation,
-                    "family": family,
-                    "entity_ids": entity_ids,
-                    "evidence": fact["evidence"],
-                    "attributes": dict(fact.get("attributes", {})),
-                    "confidence": float(fact.get("confidence", 1.0)),
-                    "group_id": fact["group"],
-                    "horizon": horizon,
-                    "text_position": int(fact.get("text_position", 0)),
-                }
+                (
+                    relation,
+                    family,
+                    entity_ids,
+                    fact["evidence"],
+                    dict(fact.get("attributes", {})),
+                    float(fact.get("confidence", 1.0)),
+                    fact["group"],
+                    horizon,
+                    int(fact.get("text_position", 0)),
+                )
             )
     for edge in _hashed(drafts):
         add_edge(edge)
@@ -836,9 +890,10 @@ def merge_facts(
         for group in sorted(by_group):
             changes.extend(_change_drafts(edges[edge_id] for edge_id in by_group[group]))
         for change in changes:
-            for lead in _anchor_leads(change["entity_ids"]):
+            entity_ids = change[2]
+            for lead in _anchor_leads(entity_ids):
                 add_anchor(lead)
-            for entity_id in change["entity_ids"]:
+            for entity_id in entity_ids:
                 if entity_id not in entities and not HORIZON_ANCHOR_RE.match(entity_id):
                     # State entities referenced by a change edge always
                     # come from its source edges, so this is a guard.

@@ -176,7 +176,12 @@ class GroupPrecedence:
     index_of: dict[str, int]
     successors: dict[str, set[str]]
     closure: list[int]
-    trajectory: list[str]
+    edges: Sequence[Hyperedge]
+
+    @cached_property
+    def trajectory(self) -> list[str]:
+        """The canonical order of the group's edges, computed on first use."""
+        return _topological_order(self.edges, self.successors)
 
     def reachable(self, src: str, dst: str) -> bool:
         i = self.index_of.get(src)
@@ -194,17 +199,37 @@ class GroupPrecedence:
 def _build_group(
     edges: Sequence[Hyperedge], successors: dict[str, set[str]]
 ) -> GroupPrecedence:
+    """Index a group's DAG; raises CycleDetected if the successors hold a cycle.
+
+    The closure is filled in reverse of a plain Kahn order: every topological
+    order gives the same bits, so the canonical tie-break waits for
+    ``trajectory``. Kahn's leftover set does not depend on visit order either,
+    so a cycle is reported as the canonical pass would report it.
+    """
     edge_ids = sorted(edge.id for edge in edges)
     index_of = {edge_id: i for i, edge_id in enumerate(edge_ids)}
-    trajectory = _topological_order(edges, successors)
+    after: list[list[int]] = [[] for _ in edge_ids]
+    indegree = [0] * len(edge_ids)
+    for src, dsts in successors.items():
+        targets = after[index_of[src]] = [index_of[dst] for dst in dsts]
+        for j in targets:
+            indegree[j] += 1
+    order = [i for i, degree in enumerate(indegree) if not degree]
+    for i in order:  # the list grows while it is walked
+        for j in after[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) != len(edge_ids):
+        stuck = [edge_ids[i] for i, degree in enumerate(indegree) if degree]
+        raise CycleDetected(_find_cycle(stuck, successors))
     closure = [0] * len(edge_ids)
-    for edge_id in reversed(trajectory):
+    for i in reversed(order):
         mask = 0
-        for dst in successors.get(edge_id, ()):
-            j = index_of[dst]
+        for j in after[i]:
             mask |= (1 << j) | closure[j]
-        closure[index_of[edge_id]] = mask
-    return GroupPrecedence(edge_ids, index_of, successors, closure, trajectory)
+        closure[i] = mask
+    return GroupPrecedence(edge_ids, index_of, successors, closure, edges)
 
 
 def build_precedence(
@@ -254,7 +279,7 @@ class PrecedenceIndex:
         hypergraph: KnowledgeHypergraph,
         direct: Mapping[str, Sequence[tuple[str, str]]],
     ) -> "PrecedenceIndex":
-        """Rebuild closure and trajectories from persisted direct DAG edges.
+        """Rebuild the closure from persisted direct DAG edges.
 
         A cycle among them is a malformed snapshot: SchemaError at
         ``precedence.<group>``.

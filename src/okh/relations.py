@@ -156,6 +156,11 @@ class RelationVocabulary:
         generic fallback relation. The function is total: every input maps to
         a relation with a family in 1-13.
         """
+        # Every lookup key is already folded, and folding a folded name
+        # changes nothing, so a key needs no folding.
+        hit = _LOOKUP.get(raw) if raw.__class__ is str else None
+        if hit is not None:
+            return hit, FAMILY_OF[hit]
         folded = _fold(raw)
         hit = _LOOKUP.get(folded)
         if hit is not None:

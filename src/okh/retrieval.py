@@ -287,19 +287,26 @@ class _CandidateContext:
             raise UnknownEdge(f"hyperedge {exc.args[0]!r} is not in the graph") from None
         # Row e of `members` marks the candidates that have the pool's e-th
         # distinct entity; a last row of zeros pads each candidate's entity
-        # codes, `entities[i]`, to the largest degree.
+        # numbers, `entities[i]`, to the largest degree.
         degree = index.entity_ptr[rows + 1] - index.entity_ptr[rows]
         codes = index.entity_of[spans(index.entity_ptr, rows)]
-        present = np.zeros(len(index.member_ptr) - 1, dtype=np.intp)
-        present[codes] = 1
-        column = np.cumsum(present) - 1
-        count = int(present.sum())
+        # The pool's distinct entities are numbered from the pool alone: each
+        # code keeps one of its places in `last`, which is written and read
+        # at the pool's codes only, and the places kept are numbered in
+        # order. Any numbering gives `links` the same exact sums.
+        at = np.arange(len(codes))
+        last = np.empty(len(index.member_ptr) - 1, dtype=np.intp)
+        last[codes] = at
+        kept = last[codes]
+        first = kept == at
+        column = (np.cumsum(first) - 1)[kept]
+        count = int(np.count_nonzero(first))
         owner = np.repeat(np.arange(n), degree)
         self.members = np.zeros((count + 1, n))
-        self.members[column[codes], owner] = 1.0
+        self.members[column, owner] = 1.0
         self.entities = np.full((n, int(degree.max(initial=0))), count, dtype=np.intp)
-        place = np.arange(len(codes)) - np.repeat(np.cumsum(degree) - degree, degree)
-        self.entities[owner, place] = column[codes]
+        place = at - np.repeat(np.cumsum(degree) - degree, degree)
+        self.entities[owner, place] = column
         self.size = degree.astype(np.float64)
         self.phase_index = index.phase[rows]
         self.precedence = precedence

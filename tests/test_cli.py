@@ -823,3 +823,86 @@ def test_config_value_is_accepted_exactly_when_it_fits_its_option(tmp_path, caps
     else:
         argv = [f"{flag}={value!r}" if type(entry) is float else f"{flag}={value}"]
     assert cli._merged(parser.parse_args([name, *argv]), options)[dest] == merged[dest]
+
+
+def test_build_and_one_question_retrieve_never_sort_the_canonical_order(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    # The closure needs no canonical order; only readers of a trajectory
+    # (pair mining, eval) compute one.
+    from okh import precedence as precedence_module
+    from okh.hypergraph import KnowledgeHypergraph
+    from okh.precedence import PrecedenceIndex
+    from okh.transition import build_pairs
+    from test_precedence import _reference_build_group
+
+    real = precedence_module._topological_order
+
+    def refuse(*args):
+        raise AssertionError("the canonical order was computed")
+
+    monkeypatch.setattr(precedence_module, "_topological_order", refuse)
+    snapshot = tmp_path / "graph.snap"
+    assert main(["build", "--corpus", str(pipeline["facts"]), "--snapshot", str(snapshot)]) == 0
+    assert snapshot.read_bytes() == pipeline["snapshot"].read_bytes()
+    assert main(["retrieve", "--snapshot", str(snapshot),
+                 "--checkpoint", str(pipeline["checkpoint"]), "--dim", "32",
+                 "--query", "What is the latest operation status?",
+                 "--cache", str(tmp_path / "embed.cache")]) == 0
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(precedence_module, "_topological_order", counted)
+    graph, direct = KnowledgeHypergraph.load_snapshot(str(snapshot))
+    index = PrecedenceIndex.from_direct_edges(graph, direct)
+    build_pairs(graph, index)
+    assert len(calls) == len(graph.groups)
+    for group, prec in index.groups.items():
+        edges = graph.group_edges(group)
+        assert prec.trajectory == _reference_build_group(edges, prec.successors)[3]
+    calls.clear()
+    capsys.readouterr()
+    assert main(["eval", "--snapshot", str(snapshot),
+                 "--checkpoint", str(pipeline["checkpoint"]), "--dim", "32",
+                 "--qa", str(pipeline["qa"]), "--variant", "full",
+                 "--beam", "2", "--length", "3", "--paths", "1"]) == 0
+    assert len(calls) == len(graph.groups)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=12),
+        st.builds(lambda value, tail: json.dumps(value) + tail, _json_values, st.text(max_size=4)),
+        st.builds(lambda value: "\ufeff" + json.dumps(value), _json_values),
+    )
+)
+@example('{"a": 1} x')
+@example('{"a": 1}{"b": 2}')
+@example("1 2")
+@example('\ufeff{"a": 1}')
+@example("[1,")
+@example("NaN")
+def test_a_jsonl_line_decodes_as_json_loads_decodes_it(text):
+    line = text.strip()
+    if not line:
+        return
+
+    def outcome(decode):
+        try:
+            return "value", repr(decode(line))
+        except json.JSONDecodeError as exc:
+            return "error", exc.msg, exc.pos
+
+    assert outcome(cli._json_line) == outcome(json.loads)

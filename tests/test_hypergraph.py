@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import tempfile
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -12,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okh.corpus import generate_synthetic
-from okh.errors import ConflictingHorizon, SchemaError
+from okh.errors import ConflictingHorizon, OkhError, SchemaError
 from okh.hashutil import content_key, fnv1a64, fnv1a64_many
 from okh.hypergraph import (
+    HORIZON_ANCHOR_RE,
     Entity,
     Hyperedge,
     KnowledgeHypergraph,
@@ -26,6 +29,11 @@ from okh.hypergraph import (
     merge_facts,
     synthesize_cross_horizon,
     validate_fact,
+    _anchor_leads,
+    _entity_from_dict,
+    _id_parts,
+    _optional_horizon,
+    _require,
 )
 from okh.precedence import PrecedenceIndex
 from okh.relations import FAMILY_OF, EntityType
@@ -654,3 +662,177 @@ def test_snapshot_writer_rejects_values_outside_their_declared_types(tmp_path):
     edge = replace(_edge(), text_position=np.int64(2))
     with pytest.raises(TypeError):
         KnowledgeHypergraph({}, {edge.id: edge}).save_snapshot(str(tmp_path / "numpy.snap"))
+
+
+# --- Entity ids parsed once, against the regex definitions ----------------
+
+
+def _reference_anchor_leads(entity_ids):
+    leads = []
+    for entity_id in entity_ids:
+        match = HORIZON_ANCHOR_RE.match(entity_id)
+        if match:
+            leads.append(int(match.group(1)))
+    return sorted(leads, reverse=True)
+
+
+def _reference_state_stems(entity_ids):
+    stems = set()
+    for entity_id in entity_ids:
+        if HORIZON_ANCHOR_RE.match(entity_id):
+            continue
+        stem = entity_stem(entity_id)
+        if stem is not None:
+            stems.add(stem)
+    return frozenset(stems)
+
+
+_entity_ids = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"horizon:T-\d{1,4}\n?", fullmatch=True),
+    st.builds(lambda stem, lead: f"{stem}:T-{lead}", st.text(max_size=8), st.integers(-5, 200)),
+    st.builds(lambda stem, tail: f"{stem}:T-{tail}", st.text(max_size=8), st.text(max_size=4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_entity_ids, min_size=2, max_size=6, unique=True))
+@example(["horizon:T-48", "horizon:T-48\n"])
+@example(["horizon:T-٤٨", "wind:T-²"])
+@example([":T-5", "horizon:T-05"])
+def test_parsed_entity_ids_match_the_regex_definitions(ids):
+    for entity_id in ids * 2:  # the second pass reads the cache
+        lead, stem = _id_parts(entity_id)
+        match = HORIZON_ANCHOR_RE.match(entity_id)
+        assert lead == (int(match.group(1)) if match else None)
+        assert stem == (None if match else entity_stem(entity_id))
+    assert _anchor_leads(ids) == _reference_anchor_leads(ids)
+    edge = Hyperedge.create("has_attribute", ids, evidence="e", group_id="G:p")
+    assert edge.anchor_horizons() == _reference_anchor_leads(ids)
+    assert edge.state_stems() == _reference_state_stems(ids)
+
+
+# --- Fact refusals name the same field as the eager-path validator ---------
+
+
+def _reference_validate_fact(fact, path):
+    # The fact validator as it was when it formatted every entity's path and
+    # tested each field with isinstance, verbatim but for the entity parser.
+    if not isinstance(fact, Mapping):
+        raise SchemaError(path, "fact must be an object")
+    relation = _require(fact, "relation", str, path)
+    if not relation.strip():
+        raise SchemaError(f"{path}.relation", "relation must be non-empty")
+    _require(fact, "evidence", str, path)
+    group = _require(fact, "group", str, path)
+    if not group:
+        raise SchemaError(f"{path}.group", "group must be non-empty")
+    entities = _require(fact, "entities", list, path)
+    if len(entities) < 2:
+        raise SchemaError(f"{path}.entities", "a hyperedge needs at least two entities")
+    parsed = [_entity_from_dict(raw, f"{path}.entities[{index}]") for index, raw in enumerate(entities)]
+    if len({entity.id for entity in parsed}) < 2:
+        raise SchemaError(f"{path}.entities", "entity ids must name at least two distinct entities")
+    attributes = fact.get("attributes", {})
+    if not isinstance(attributes, Mapping):
+        raise SchemaError(f"{path}.attributes", "expected object")
+    for key, value in attributes.items():
+        if not isinstance(key, str) or not isinstance(value, str):
+            raise SchemaError(f"{path}.attributes[{key!r}]", "attribute keys and values must be strings")
+    confidence = fact.get("confidence", 1.0)
+    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+        raise SchemaError(f"{path}.confidence", "expected number")
+    if not 0.0 < float(confidence) <= 1.0:
+        raise SchemaError(f"{path}.confidence", f"must be in (0, 1], got {confidence}")
+    _optional_horizon(fact, path)
+    position = fact.get("text_position", 0)
+    if not isinstance(position, int) or isinstance(position, bool) or position < 0:
+        raise SchemaError(f"{path}.text_position", "text_position must be a non-negative integer")
+    return parsed
+
+
+_FACT_FIELDS = ["relation", "evidence", "group", "entities", "attributes", "confidence", "horizon", "text_position"]
+_ENTITY_FIELDS = ["id", "name", "type", "description", "confidence"]
+_ODD_VALUES = [
+    True, False, None, 0, 1, -1, 48, 0.0, 0.5, 1.0, 1.5, 48.0, math.nan, "", "  ", "x",
+    "horizon:T-7", [], ["x"], {}, {"k": 3}, {"k": "v"}, MappingProxyType({"k": "v"}),
+]
+
+
+@st.composite
+def _fact_batches(draw):
+    """Two batches of facts, with up to three fields deleted or set to odd values."""
+    batches = [
+        [_state_fact("wind_fcst", 72, 0), _state_fact("wind_fcst", 48, 1)],
+        [_state_fact("ops", 48, 2, relation="has_operation_status")],
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        batch = draw(st.sampled_from(batches))
+        index = draw(st.integers(0, len(batch) - 1))
+        fact = batch[index]
+        if not isinstance(fact, dict):
+            continue
+        if draw(st.booleans()) and isinstance(fact.get("entities"), list) and fact["entities"]:
+            entities = fact["entities"]
+            slot = draw(st.integers(0, len(entities) - 1))
+            if not isinstance(entities[slot], dict):
+                continue
+            entity = entities[slot] = dict(entities[slot])
+            target, fields = entity, _ENTITY_FIELDS
+        else:
+            target, fields = fact, _FACT_FIELDS
+        field = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            target.pop(field, None)
+        else:
+            target[field] = draw(st.sampled_from(_ODD_VALUES))
+        if draw(st.integers(0, 9)) == 0:
+            batch[index] = draw(st.sampled_from([5, None, [], "x"]))
+    return batches
+
+
+def _outcome(call):
+    try:
+        call()
+    except (OkhError, ValueError) as exc:
+        return type(exc), getattr(exc, "path", None), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fact_batches())
+def test_fact_refusals_match_the_eager_path_validator(batches):
+    first_refusal = None
+    for batch_index, batch in enumerate(batches):
+        for fact_index, fact in enumerate(batch):
+            first_refusal = _outcome(
+                lambda: _reference_validate_fact(fact, f"batch[{batch_index}].fact[{fact_index}]")
+            )
+            if first_refusal:
+                break
+        if first_refusal:
+            break
+    outcome = _outcome(lambda: merge_facts(batches))
+    if first_refusal is not None:
+        assert outcome == first_refusal
+    for batch in batches:
+        for fact in batch:
+            assert _outcome(lambda: validate_fact(fact, "f")) == _outcome(
+                lambda: _reference_validate_fact(fact, "f")
+            )
+
+
+def test_snapshot_is_written_key_sorted_without_the_encoder_sorting(tmp_path):
+    # The writer leaves key order to `to_snapshot`; the bytes must be those
+    # of a key-sorting dump, whatever order attributes and groups come in.
+    facts = [_state_fact("wind_fcst", 72, 0, group="B:q"), _state_fact("ops", 48, 1)]
+    facts[0]["attributes"] = {"zeta": "1", "Alpha": "2", "é": "3", "alpha": "4", "_": "5"}
+    graph = merge_facts([facts])
+    direct = PrecedenceIndex.build(graph).direct_edges()
+    unsorted = dict(reversed(list({**direct, "A:z": [], "é": []}.items())))
+    path = tmp_path / "graph.snap"
+    graph.save_snapshot(str(path), unsorted)
+    expected = json.dumps(
+        graph.to_snapshot(unsorted), sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False
+    )
+    assert path.read_text(encoding="utf-8") == expected + "\n"

@@ -1,10 +1,18 @@
+import heapq
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from okh import precedence
 from okh.corpus import generate_synthetic
+from okh.errors import CycleDetected
 from okh.hypergraph import Hyperedge, horizon_anchor_id, merge_facts, synthesize_cross_horizon
 from okh.precedence import (
+    _build_group,
+    _find_cycle,
+    _sort_key,
     ALL_RULES,
     RULE_CAUSAL,
     RULE_CHANGE,
@@ -15,6 +23,7 @@ from okh.precedence import (
     build_precedence,
     effective_lead,
 )
+from okh.relations import FAMILY_OF
 
 
 def make_edge(relation, stem, horizon, position, group="G:p", extra_ids=()):
@@ -258,3 +267,127 @@ def test_reach_matrix_matches_pairwise_reachable():
     ]
     assert reach.any()
     assert index.reach_matrix([]).shape == (0, 0)
+
+
+# --- The closure pass against the canonical-order version it replaced -----
+
+# Verbatim copies of `_topological_order` and `_build_group` as they were when
+# the closure was filled in the canonical order; the reference returns the
+# fields of its GroupPrecedence instead of building one.
+
+
+def _reference_topological_order(edges, successors):
+    indegree = {edge.id: 0 for edge in edges}
+    for src in successors:
+        for dst in successors[src]:
+            indegree[dst] += 1
+    key_of = {edge.id: _sort_key(edge) for edge in edges}
+    ready = [key_of[edge_id] for edge_id, degree in indegree.items() if degree == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        edge_id = heapq.heappop(ready)[-1]
+        order.append(edge_id)
+        for dst in successors.get(edge_id, ()):
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                heapq.heappush(ready, key_of[dst])
+    if len(order) != len(edges):
+        stuck = sorted(edge_id for edge_id, degree in indegree.items() if degree > 0)
+        raise CycleDetected(_find_cycle(stuck, successors))
+    return order
+
+
+def _reference_build_group(edges, successors):
+    edge_ids = sorted(edge.id for edge in edges)
+    index_of = {edge_id: i for i, edge_id in enumerate(edge_ids)}
+    trajectory = _reference_topological_order(edges, successors)
+    closure = [0] * len(edge_ids)
+    for edge_id in reversed(trajectory):
+        mask = 0
+        for dst in successors.get(edge_id, ()):
+            j = index_of[dst]
+            mask |= (1 << j) | closure[j]
+        closure[index_of[edge_id]] = mask
+    return edge_ids, index_of, closure, trajectory
+
+
+_RELATIONS = sorted(FAMILY_OF)
+_LEADS = [12, 24, 48, 72]
+
+
+@st.composite
+def _precedence_groups(draw):
+    """Edges of one group, in any order, and successor sets over their ids.
+
+    The pairs may form cycles (self-loops too) or, when drawn acyclic, run
+    from earlier to later in a drawn permutation; some edges take part in no
+    pair, and some ids map to an empty successor set.
+    """
+    count = draw(st.integers(0, 10))
+    edges = []
+    for position in range(count):
+        horizon = draw(st.sampled_from([None, *_LEADS]))
+        anchors = set() if horizon else draw(st.sets(st.sampled_from(_LEADS), max_size=2))
+        edges.append(
+            Hyperedge.create(
+                draw(st.sampled_from(_RELATIONS)),
+                {f"state{position}:T-{horizon}", f"port{position}", *map(horizon_anchor_id, anchors)},
+                evidence=f"fact {position}",
+                group_id="G:p",
+                horizon=horizon,
+                text_position=draw(st.integers(0, 3)),
+            )
+        )
+    successors = {}
+    if count:
+        index = st.integers(0, count - 1)
+        pairs = draw(st.lists(st.tuples(index, index), max_size=2 * count))
+        if draw(st.booleans()):
+            rank = draw(st.permutations(range(count)))
+            pairs = [(i, j) if rank[i] < rank[j] else (j, i) for i, j in pairs if i != j]
+        for i, j in pairs:
+            successors.setdefault(edges[i].id, set()).add(edges[j].id)
+        for i in draw(st.sets(index, max_size=count)):
+            successors.setdefault(edges[i].id, set())
+    return draw(st.permutations(edges)), successors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_precedence_groups())
+def test_build_group_matches_the_canonical_order_version(group):
+    edges, successors = group
+    try:
+        expected = _reference_build_group(edges, successors)
+    except CycleDetected as exc:
+        with pytest.raises(CycleDetected) as raised:
+            _build_group(edges, successors)
+        assert str(raised.value) == str(exc)
+        assert raised.value.cycle == exc.cycle
+        event("cycle")
+        return
+    built = _build_group(edges, successors)
+    edge_ids, index_of, closure, trajectory = expected
+    assert built.edge_ids == edge_ids
+    assert built.index_of == index_of
+    assert built.closure == closure
+    assert built.successors is successors
+    assert built.trajectory == trajectory
+    event("acyclic")
+
+
+def test_trajectory_is_computed_on_first_read_only(monkeypatch):
+    edges = _random_group(random.Random(5), "G:p")
+    calls = []
+    real = precedence._topological_order
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(precedence, "_topological_order", counted)
+    prec = build_precedence(edges)
+    assert calls == [] and prec.closure
+    first = prec.trajectory
+    assert prec.trajectory is first and len(calls) == 1
+    assert first == _reference_build_group(edges, prec.successors)[3]

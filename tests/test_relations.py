@@ -7,6 +7,8 @@ from okh.relations import (
     EntityType,
     _ALIASES,
     _FAMILY_TABLE,
+    _LOOKUP,
+    _fold,
     _relation_tables,
     change_relation_for_family,
     phase_of_family,
@@ -22,6 +24,12 @@ def test_canonical_relations_map_to_themselves():
 def test_normalize_folds_case_and_whitespace():
     assert DEFAULT_VOCABULARY.normalize("Has Operation Status") == ("has_operation_status", 10)
     assert DEFAULT_VOCABULARY.normalize("  FORECASTS_TRACK  ") == ("forecasts_track", 2)
+
+
+def test_lookup_keys_are_folded_so_normalize_may_skip_folding_them():
+    # `normalize` returns a lookup key's entry without folding it first.
+    for key in _LOOKUP:
+        assert _fold(key) == key
 
 
 def test_default_alias_resolves():
