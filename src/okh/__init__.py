@@ -48,7 +48,6 @@ from okh.hypergraph import (
     dedup_id,
     entity_stem,
     horizon_anchor_id,
-    inject_horizon,
     merge_facts,
     synthesize_cross_horizon,
     validate_fact,

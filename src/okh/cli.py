@@ -47,11 +47,14 @@ _PROVIDER_DIMS = {"local": DEFAULT_LOCAL_DIM, "remote": 1536}
 _PROVIDER_RANKS = {"local": 32, "remote": 64}
 
 
+def _json_text(payload: Any) -> str:
+    """The one JSON layout of the CLI's stdout and ``--out`` files."""
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False)
+
+
 def _write_json(path: str, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False) + "\n"
-        )
+        handle.write(_json_text(payload) + "\n")
 
 
 class _Choice(NamedTuple):
@@ -318,7 +321,7 @@ def _cmd_retrieve(values: dict[str, Any]) -> int:
         transition=variant_transition(variant),
     )
     result = retriever.result_dict(values["query"], trajectories)
-    print(json.dumps(result, sort_keys=True, ensure_ascii=False, indent=2, allow_nan=False))
+    print(_json_text(result))
     for i, trajectory in enumerate(trajectories, start=1):
         print(f"\n=== Trajectory {i} ===")
         print(format_trajectory(trajectory, retriever.hypergraph))

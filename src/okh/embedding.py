@@ -65,8 +65,9 @@ def _compose(edge: Hyperedge, labels: Mapping[str, str]) -> str:
     return f"{edge.relation} | {edge.evidence} | {entity_part} | {attr_part}"
 
 
-def _quantize(vector: np.ndarray) -> np.ndarray:
-    return np.asarray(vector, dtype=np.float32).astype(np.float64)
+def quantize_f32(array: np.ndarray) -> np.ndarray:
+    """The array rounded to float32 and widened back to float64."""
+    return np.asarray(array, dtype=np.float32).astype(np.float64)
 
 
 def _unit(vector: np.ndarray, dim: int) -> np.ndarray:
@@ -121,7 +122,7 @@ class LocalHashingEmbedder:
             vector[0] = 1.0
             return vector
         vector[list(counts)] = np.array(list(counts.values())) / norm
-        vector[...] = vector.astype(np.float32)  # `_quantize`, in place
+        vector[...] = vector.astype(np.float32)  # `quantize_f32`, in place
         return vector
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -150,7 +151,7 @@ class LocalHashingEmbedder:
         accum[empty, 0] = 1.0
         norms[empty] = 1.0
         accum /= norms[:, None]
-        accum[...] = accum.astype(np.float32)  # `_quantize`, in place
+        accum[...] = accum.astype(np.float32)  # `quantize_f32`, in place
         return accum
 
 
@@ -240,7 +241,7 @@ class RemoteEmbeddingClient:
                 raise DimensionMismatch(
                     f"provider returned dimension {row.shape[0]}, expected {self.dim}"
                 )
-            vectors.append(_quantize(_unit(row, self.dim)))
+            vectors.append(quantize_f32(_unit(row, self.dim)))
         return vectors
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import chain, repeat
 from operator import attrgetter
@@ -23,7 +23,7 @@ import numpy as np
 from okh.errors import ConflictingHorizon, SchemaError
 from okh.hashutil import fnv1a64, fnv1a64_many
 from okh.relations import (
-    COVERAGE_PHASES,
+    COVERAGE_PHASE_INDEX,
     CROSS_HORIZON_FAMILY,
     DEFAULT_VOCABULARY,
     FAMILY_OF,
@@ -251,31 +251,6 @@ class Hyperedge:
         }
 
 
-def inject_horizon(edge: Hyperedge, horizon: int) -> Hyperedge:
-    """Ground an edge at a horizon by attaching the canonical temporal anchor.
-
-    Idempotent when the matching anchor is already present. Raises
-    ConflictingHorizon if the edge carries an anchor for a different lead
-    time, since a within-horizon statement belongs to exactly one block.
-    """
-    horizon = int(horizon)
-    if horizon <= 0:
-        raise ValueError("horizon must be a positive lead time in hours")
-    ids = _grounded_ids(
-        edge.relation, edge.entity_ids, edge.evidence, horizon, edge.anchor_horizons()
-    )
-    if ids == edge.entity_ids:
-        if edge.horizon == horizon:
-            return edge
-        return replace(edge, horizon=horizon)
-    return replace(
-        edge,
-        id=dedup_id(edge.relation, ids, edge.evidence),
-        entity_ids=ids,
-        horizon=horizon,
-    )
-
-
 def _hashed(drafts: Sequence[tuple]) -> list[Hyperedge]:
     """Hyperedges from their drafts, content-hashed in one batch.
 
@@ -399,8 +374,7 @@ class EdgeIndex:
         code_of = {entity: code for code, entity in enumerate(dict.fromkeys(incident))}
         entities = np.fromiter(map(code_of.__getitem__, incident), dtype=np.intp, count=len(incident))
         degree = list(map(len, entity_sets))
-        phase_at = {phase: i for i, phase in enumerate(COVERAGE_PHASES)}
-        phase = [phase_at.get(phase_of_family(edge.family), -1) for edge in edges]
+        phase = [COVERAGE_PHASE_INDEX.get(phase_of_family(edge.family), -1) for edge in edges]
         # A stable sort keeps each entity's rows in id order.
         by_entity = np.argsort(entities, kind="stable")
         incident_rows = np.repeat(np.arange(len(ids), dtype=np.intp), degree)

@@ -70,6 +70,7 @@ PHASE_BY_FAMILY: dict[int, str] = {
 COVERAGE_PHASES: tuple[str, ...] = tuple(
     PHASE_BY_FAMILY[family] for family in sorted(PHASE_BY_FAMILY)
 )
+COVERAGE_PHASE_INDEX: dict[str, int] = {phase: i for i, phase in enumerate(COVERAGE_PHASES)}
 
 # Within-horizon causal chains as (source families, target families, tag):
 # advisories precede hazard forecasts, hazard assessments precede operational

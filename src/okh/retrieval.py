@@ -20,14 +20,13 @@ from okh.embedding import EmbeddingStore
 from okh.errors import EmptyCorpus, UnknownEdge
 from okh.hypergraph import Hyperedge, KnowledgeHypergraph, spans
 from okh.precedence import Order, PrecedenceIndex
-from okh.relations import COVERAGE_PHASES, phase_of_family
+from okh.relations import COVERAGE_PHASE_INDEX, COVERAGE_PHASES, phase_of_family
 from okh.transition import TransitionModel
 
 HEURISTIC_FORWARD = 0.0
 HEURISTIC_UNRELATED = -1.0
 HEURISTIC_BACKWARD = -5.0
 
-_PHASE_INDEX = {phase: i for i, phase in enumerate(COVERAGE_PHASES)}
 _N_PHASES = len(COVERAGE_PHASES)
 
 
@@ -143,7 +142,7 @@ def phase_coverage(steps: Sequence[str], hypergraph: KnowledgeHypergraph) -> flo
     seen = set()
     for step in steps:
         phase = phase_of_family(_edge(hypergraph, step).family)
-        if phase in _PHASE_INDEX:
+        if phase in COVERAGE_PHASE_INDEX:
             seen.add(phase)
     return len(seen) / _N_PHASES
 
@@ -499,8 +498,10 @@ def beam_search(
     log-probability, a precedence bonus for forward-reachable steps, entity
     continuity with the previous step, and the marginal phase coverage gain.
     Retention keeps the best B beams after the diversity penalty. The final
-    trajectories are re-scored with the exact objective, where precedence
-    and continuity are normalized over the whole trajectory.
+    B beams are scored by ``trajectory_score`` itself, over the relevance
+    and transition arrays the search read, so every total and breakdown
+    comes from the one objective, where precedence and continuity are
+    normalized over the whole trajectory.
 
     A round scores every (beam, candidate) extension at once as one
     (beams x candidates) array and adds each beam's running score, with
@@ -604,7 +605,21 @@ def beam_search(
         run = exact[kept]
         pieces = np.column_stack((pieces[rows[kept]], added[kept]))
 
-    finals = _rescore(ctx, steps, covered, weights)
+    # The finals are scored by `trajectory_score` over the search's arrays;
+    # only their steps need a position.
+    position = {ctx.ids[i]: i for i in steps.ravel().tolist()}
+    finals = []
+    for path in steps.tolist():
+        path_ids = [ctx.ids[i] for i in path]
+        total, breakdown = trajectory_score(
+            path_ids,
+            lambda step: ctx.relevance.item(position[step]),
+            lambda prev, cur: log_transition.item(position[prev], position[cur]),
+            precedence,
+            hypergraph,
+            weights,
+        )
+        finals.append(Trajectory(path_ids, total, breakdown))
     totals = np.array([trajectory.total_score for trajectory in finals])
     order = np.argsort(-totals, kind="stable")
     selected = _select_diverse(
@@ -619,54 +634,6 @@ def beam_search(
     return [finals[k] for k in order[selected].tolist()]
 
 
-def _rescore(
-    ctx: _CandidateContext, steps: np.ndarray, covered: np.ndarray, weights: RetrievalWeights
-) -> list[Trajectory]:
-    """``trajectory_score`` of each beam, read from the context's arrays.
-
-    Every term is summed in ``trajectory_score``'s order, so each total and
-    breakdown has its bits: ``links`` answers ``precedes`` and holds the
-    frozenset Jaccard, and ``covered`` has one bit per coverage phase.
-    """
-    beams, length = steps.shape
-    reach, jaccard = ctx.links(steps.ravel())
-    reach = reach.reshape(beams, length, -1)
-    beam = np.arange(beams)[:, None]
-    step = np.arange(length - 1)
-    first, second = steps[:, :-1], steps[:, 1:]
-    forward = reach[beam, step, second]
-    comparable = (forward | reach[beam, step + 1, first]).sum(axis=1).tolist()
-    overlaps = jaccard.reshape(beams, length, -1)[beam, step, second]
-    finals = []
-    for path, relevance, coherence, before, apart, overlap, phases in zip(
-        steps.tolist(),
-        ctx.relevance[steps].tolist(),
-        ctx.log_transition[first, second].tolist(),
-        forward.sum(axis=1).tolist(),
-        comparable,
-        overlaps.tolist(),
-        covered.tolist(),
-    ):
-        breakdown = {
-            "relevance": math.fsum(relevance),
-            "coherence": math.fsum(coherence),
-            "precedence": before / apart if apart else 0.0,
-            "continuity": float(sum(overlap) / len(overlap)) if overlap else 0.0,
-            "coverage": phases.bit_count() / _N_PHASES,
-        }
-        total = math.fsum(
-            (
-                breakdown["relevance"],
-                weights.lambda_coherence * breakdown["coherence"],
-                weights.mu_precedence * breakdown["precedence"],
-                weights.nu_continuity * breakdown["continuity"],
-                weights.rho_coverage * breakdown["coverage"],
-            )
-        )
-        finals.append(Trajectory([ctx.ids[i] for i in path], total, breakdown))
-    return finals
-
-
 def viterbi(
     query_vector: np.ndarray,
     candidate_ids: Sequence[str],
@@ -678,97 +645,49 @@ def viterbi(
 ) -> Trajectory:
     """Exact optimum of relevance plus weighted transition log-probability.
 
-    The recurrence as written permits revisiting a candidate; `no_repeat`
-    switches to an exact visited-set dynamic program intended for small
-    oracle instances only. Score ties resolve toward the lexicographically
-    smallest id sequence.
+    One dynamic program over (visited set, last step) states. The visited
+    set is a bit mask kept only under `no_repeat`, which refuses a visited
+    step and caps the length at the candidate count; it is meant for small
+    oracle instances only. Without it the mask stays 0, so each last step
+    has one state and steps may repeat. Score ties resolve toward the
+    lexicographically smallest id sequence.
     """
     ids = list(candidate_ids)
     n = len(ids)
     if n == 0:
         raise EmptyCorpus("viterbi needs at least one candidate")
+    if no_repeat and n > 22:
+        raise ValueError("the no-repeat oracle is for small candidate sets only")
     rows = np.stack([store.vector(eid) for eid in ids])
-    relevance = rows @ np.asarray(query_vector, dtype=np.float64)
+    relevance = (rows @ np.asarray(query_vector, dtype=np.float64)).tolist()
+    transition = np.asarray(log_transition).tolist()
 
-    if no_repeat:
-        if n > 22:
-            raise ValueError("the no-repeat oracle is for small candidate sets only")
-        best = _viterbi_no_repeat(ids, relevance, log_transition, lambda_coherence, length)
-    else:
-        best = _viterbi_repeats(ids, relevance, log_transition, lambda_coherence, length)
-    score, steps = best
-    rel_sum = float(sum(relevance[ids.index(step)] for step in steps))
-    coh_sum = float(
-        sum(
-            log_transition[ids.index(prev), ids.index(cur)]
-            for prev, cur in zip(steps, steps[1:])
-        )
-    )
+    mark = int(no_repeat)
+    states = {(mark << j, j): (relevance[j], (ids[j],)) for j in range(n)}
+    for _ in range(min(length, n) - 1 if no_repeat else length - 1):
+        reached: dict[tuple[int, int], tuple[float, tuple[str, ...]]] = {}
+        for (visited, i), (score, seq) in states.items():
+            for j in range(n):
+                if visited >> j & 1:
+                    continue
+                step_score = (score + relevance[j]) + lambda_coherence * transition[i][j]
+                cand = (step_score, seq + (ids[j],))
+                key = (visited | mark << j, j)
+                cur = reached.get(key)
+                if cur is None or (-cand[0], cand[1]) < (-cur[0], cur[1]):
+                    reached[key] = cand
+        states = reached
+    score, steps = min(states.values(), key=lambda state: (-state[0], state[1]))
     breakdown = {
-        "relevance": rel_sum,
-        "coherence": coh_sum,
+        "relevance": float(sum(relevance[ids.index(step)] for step in steps)),
+        "coherence": float(
+            sum(transition[ids.index(prev)][ids.index(cur)] for prev, cur in zip(steps, steps[1:]))
+        ),
         "precedence": 0.0,
         "continuity": 0.0,
         "coverage": 0.0,
     }
     return Trajectory(list(steps), score, breakdown)
-
-
-def _viterbi_repeats(
-    ids: list[str],
-    relevance: np.ndarray,
-    log_transition: np.ndarray,
-    lam: float,
-    length: int,
-) -> tuple[float, tuple[str, ...]]:
-    n = len(ids)
-    states: list[tuple[float, tuple[str, ...]]] = [
-        (float(relevance[j]), (ids[j],)) for j in range(n)
-    ]
-    for _ in range(length - 1):
-        nxt: list[tuple[float, tuple[str, ...]]] = []
-        for j in range(n):
-            best: tuple[float, tuple[str, ...]] | None = None
-            for i in range(n):
-                score = (states[i][0] + float(relevance[j])) + lam * float(
-                    log_transition[i, j]
-                )
-                cand = (score, states[i][1] + (ids[j],))
-                if best is None or (-cand[0], cand[1]) < (-best[0], best[1]):
-                    best = cand
-            nxt.append(best)
-        states = nxt
-    return min(states, key=lambda state: (-state[0], state[1]))
-
-
-def _viterbi_no_repeat(
-    ids: list[str],
-    relevance: np.ndarray,
-    log_transition: np.ndarray,
-    lam: float,
-    length: int,
-) -> tuple[float, tuple[str, ...]]:
-    n = len(ids)
-    length = min(length, n)
-    states: dict[tuple[int, int], tuple[float, tuple[str, ...]]] = {
-        (1 << j, j): (float(relevance[j]), (ids[j],)) for j in range(n)
-    }
-    for _ in range(length - 1):
-        nxt: dict[tuple[int, int], tuple[float, tuple[str, ...]]] = {}
-        for (mask, i), (score, seq) in states.items():
-            for j in range(n):
-                if mask >> j & 1:
-                    continue
-                cand = (
-                    (score + float(relevance[j])) + lam * float(log_transition[i, j]),
-                    seq + (ids[j],),
-                )
-                key = (mask | 1 << j, j)
-                cur = nxt.get(key)
-                if cur is None or (-cand[0], cand[1]) < (-cur[0], cur[1]):
-                    nxt[key] = cand
-        states = nxt
-    return min(states.values(), key=lambda state: (-state[0], state[1]))
 
 
 @dataclass

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from okh.embedding import EmbeddingStore
+from okh.embedding import EmbeddingStore, quantize_f32
 from okh.errors import DimensionMismatch, EmptyBatch, NonFiniteLoss, SchemaError
 from okh.hypergraph import Hyperedge, KnowledgeHypergraph
 from okh.precedence import PrecedenceIndex
@@ -31,10 +31,6 @@ from okh.precedence import PrecedenceIndex
 CHECKPOINT_MAGIC = b"OKHT"
 CHECKPOINT_VERSION = 1
 NEGATIVE_LOG_CLAMP = -30.0
-
-
-def _quantize(array: np.ndarray) -> np.ndarray:
-    return array.astype(np.float32).astype(np.float64)
 
 
 @dataclass
@@ -60,8 +56,8 @@ class TransitionModel:
             raise ValueError(f"rank must be <= dim ({dim}), got {rank}")
         rng = np.random.default_rng(seed)
         scale = 1.0 / float(np.sqrt(dim))
-        u = _quantize(rng.uniform(-scale, scale, size=(rank, dim)))
-        v = _quantize(rng.uniform(-scale, scale, size=(rank, dim)))
+        u = quantize_f32(rng.uniform(-scale, scale, size=(rank, dim)))
+        v = quantize_f32(rng.uniform(-scale, scale, size=(rank, dim)))
         return cls(u, v, seed)
 
     @classmethod
@@ -85,8 +81,8 @@ class TransitionModel:
         return int(self.u.size + self.v.size)
 
     def quantize(self) -> None:
-        self.u = _quantize(self.u)
-        self.v = _quantize(self.v)
+        self.u = quantize_f32(self.u)
+        self.v = quantize_f32(self.v)
 
     def logits(self, sources: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
         """Pairwise logit matrix between source rows and target rows."""

@@ -103,6 +103,18 @@ def test_retrieve_out_file_is_deterministic(pipeline, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_retrieve_stdout_opens_with_the_out_file_bytes(pipeline, tmp_path, capsys):
+    out = tmp_path / "result.json"
+    assert main(["retrieve", "--snapshot", str(pipeline["snapshot"]),
+                 "--checkpoint", str(pipeline["checkpoint"]),
+                 "--dim", "32",
+                 "--query", "gale probability",
+                 "--beam", "4", "--length", "4", "--paths", "2",
+                 "--topk", "20", "--cap", "40", "--out", str(out)]) == 0
+    written = out.read_bytes()
+    assert capsys.readouterr().out.encode("utf-8")[: len(written)] == written
+
+
 def test_retrieve_group_hint_and_variant(pipeline, capsys):
     qa = json.loads(pipeline["qa"].read_text(encoding="utf-8"))
     group = qa[0]["group"]

@@ -25,7 +25,6 @@ from okh.hypergraph import (
     dedup_id,
     entity_stem,
     horizon_anchor_id,
-    inject_horizon,
     merge_facts,
     synthesize_cross_horizon,
     validate_fact,
@@ -182,27 +181,6 @@ def test_state_stems_exclude_anchors_and_plain_ids():
     assert edge.state_stems() == frozenset({"wind_fcst:IRMA:p"})
 
 
-def test_inject_horizon_adds_anchor_and_recomputes_id():
-    edge = _edge()
-    grounded = inject_horizon(edge, 48)
-    assert horizon_anchor_id(48) in grounded.entity_ids
-    assert grounded.horizon == 48
-    assert grounded.id != edge.id
-    assert grounded.id == dedup_id(edge.relation, grounded.entity_ids, edge.evidence)
-
-
-def test_inject_horizon_is_idempotent():
-    grounded = inject_horizon(_edge(), 48)
-    again = inject_horizon(grounded, 48)
-    assert again == grounded
-
-
-def test_inject_horizon_rejects_conflicting_anchor():
-    grounded = inject_horizon(_edge(), 48)
-    with pytest.raises(ConflictingHorizon):
-        inject_horizon(grounded, 24)
-
-
 def _state_fact(stem_kind, horizon, position, relation="forecasts_hazard_at_horizon", group="IRMA:p"):
     state_id = f"{stem_kind}:IRMA:p:T-{horizon}"
     return {
@@ -330,6 +308,25 @@ def test_merge_facts_derives_horizon_from_lone_anchor():
     graph = merge_facts([[fact]], synthesize=False)
     edge = next(iter(graph.hyperedges.values()))
     assert edge.horizon == 48
+
+
+def test_merge_facts_grounds_unanchored_fact_at_its_horizon():
+    fact = _state_fact("wind_fcst", 48, 0)
+    unanchored = dedup_id(fact["relation"], [raw["id"] for raw in fact["entities"]], fact["evidence"])
+    (edge,) = merge_facts([[fact]], synthesize=False).hyperedges.values()
+    assert horizon_anchor_id(48) in edge.entity_ids
+    assert edge.horizon == 48
+    assert edge.id != unanchored
+    assert edge.id == dedup_id(edge.relation, edge.entity_ids, fact["evidence"])
+
+
+def test_merge_facts_fact_with_its_anchor_listed_merges_to_the_same_edge():
+    fact = _state_fact("wind_fcst", 48, 0)
+    anchored = _state_fact("wind_fcst", 48, 0)
+    anchored["entities"].append({"id": horizon_anchor_id(48), "name": "T-48", "type": "horizon_time"})
+    grounded = merge_facts([[fact]], synthesize=False)
+    assert merge_facts([[anchored]], synthesize=False).hyperedges == grounded.hyperedges
+    assert merge_facts([[fact], [anchored]], synthesize=False).hyperedges == grounded.hyperedges
 
 
 def test_merge_facts_rejects_anchor_that_disagrees_with_horizon():

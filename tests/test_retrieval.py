@@ -556,21 +556,31 @@ def test_viterbi_matches_brute_force_on_random_instances():
     graph, _ = _chain_graph()
     graph_ids = sorted(graph.hyperedges)
     rng = np.random.default_rng(13)
-    for _ in range(25):
+    for trial in range(50):
         n, length, lam, ids, rel, log_transition = _random_instance(rng, graph_ids)
+        if trial % 2:
+            # A coarse grid makes score ties common, so the id tie-break decides.
+            rel = np.round(rel * 4) / 4
+            log_transition = np.round(log_transition)
+            lam = 1.0
         store = _basis_store(ids)
         query = _query_for(rel)
-        result = viterbi(query, ids, store, log_transition, lam, length)
-        best = None
-        for seq in itertools.product(range(n), repeat=length):
-            score = float(rel[seq[0]])
-            for i, j in zip(seq, seq[1:]):
-                score = (score + float(rel[j])) + lam * float(log_transition[i, j])
-            key = (-score, tuple(ids[k] for k in seq))
-            if best is None or key < best:
-                best = key
-        assert result.total_score == pytest.approx(-best[0], abs=1e-9)
-        assert tuple(result.steps) == best[1]
+        for no_repeat in (False, True):
+            result = viterbi(query, ids, store, log_transition, lam, length, no_repeat=no_repeat)
+            if no_repeat:
+                sequences = itertools.permutations(range(n), min(length, n))
+            else:
+                sequences = itertools.product(range(n), repeat=length)
+            best = None
+            for seq in sequences:
+                score = float(rel[seq[0]])
+                for i, j in zip(seq, seq[1:]):
+                    score = (score + float(rel[j])) + lam * float(log_transition[i, j])
+                key = (-score, tuple(ids[k] for k in seq))
+                if best is None or key < best:
+                    best = key
+            assert result.total_score == pytest.approx(-best[0], abs=1e-9)
+            assert tuple(result.steps) == best[1]
 
 
 def test_viterbi_no_repeat_never_revisits_and_truncates():
