@@ -12,7 +12,6 @@ from okh.embedding import (
     EmbeddingStore,
     LocalHashingEmbedder,
     RemoteEmbeddingClient,
-    compose_text,
 )
 from okh.errors import (
     ConflictingHorizon,
@@ -49,7 +48,6 @@ from okh.hypergraph import (
     entity_stem,
     horizon_anchor_id,
     merge_facts,
-    synthesize_cross_horizon,
     validate_fact,
 )
 from okh.precedence import (

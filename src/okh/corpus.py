@@ -464,7 +464,7 @@ def generate_synthetic(
         horizons = tuple(sorted(rng.sample(ALL_HORIZONS, k=horizons_per_group), reverse=True))
 
         facts = _group_facts(storm, port, group_id, horizons)
-        graph = merge_facts([facts], synthesize=True)
+        graph = merge_facts([facts])
         group_edges = graph.group_edges(group_id)
         change_edges = sorted(
             (edge for edge in group_edges if edge.family == CROSS_HORIZON_FAMILY),

@@ -34,27 +34,18 @@ DEFAULT_LOCAL_DIM = 256
 SPARSE_QUERY_SHARE = 1 / 8
 
 
-def compose_text(edge: Hyperedge, entities: Mapping[str, Entity]) -> str:
-    """Render a hyperedge as the flat text that gets embedded.
-
-    Layout: relation, evidence, entities as "name [type]" sorted by entity
-    id, and attributes as "key=value" sorted by key, joined by " | ". The
-    attribute segment is present but empty when the edge has no attributes.
-    """
-    labels = {
-        entity_id: _entity_label(entity)
-        for entity_id in edge.entity_ids
-        if (entity := entities.get(entity_id)) is not None
-    }
-    return _compose(edge, labels)
-
-
 def _entity_label(entity: Entity) -> str:
     return f"{entity.name} [{entity.entity_type.value}]"
 
 
 def _compose(edge: Hyperedge, labels: Mapping[str, str]) -> str:
-    """`compose_text`, given the label of each entity that has one."""
+    """Render a hyperedge as the flat text that gets embedded.
+
+    Layout: relation, evidence, entities sorted by id, and attributes as
+    "key=value" sorted by key, joined by " | ". An entity reads as its label
+    in ``labels`` ("name [type]"), else as "id [other]". The attribute
+    segment is present but empty when the edge has no attributes.
+    """
     entity_part = "; ".join(
         [
             labels.get(entity_id) or f"{entity_id} [{EntityType.OTHER.value}]"
@@ -225,12 +216,24 @@ class RemoteEmbeddingClient:
             self.backoff,
             self.timeout,
         )
-        data = body.get("data")
+        data = body.get("data") if isinstance(body, dict) else None
         if not isinstance(data, list) or len(data) != len(texts):
             raise ProviderError(200, f"expected {len(texts)} embeddings, got {data!r:.200}")
         rows: list[np.ndarray | None] = [None] * len(texts)
-        for item in data:
-            rows[int(item["index"])] = np.asarray(item["embedding"], dtype=np.float64)
+        for position, item in enumerate(data):
+            index = item.get("index") if isinstance(item, dict) else None
+            if index.__class__ is not int or not 0 <= index < len(texts):
+                raise ProviderError(200, f"data[{position}].index {index!r:.40} is not a valid index")
+            embedding = item.get("embedding")
+            if not isinstance(embedding, list) or not {type(v) for v in embedding} <= {int, float}:
+                raise ProviderError(200, f"data[{position}].embedding is not a list of numbers")
+            try:
+                row = np.array(embedding, dtype=np.float64)
+            except OverflowError:  # an integer beyond the float64 range
+                row = np.array([math.inf])
+            if not np.isfinite(row).all():
+                raise ProviderError(200, f"data[{position}].embedding has a non-finite value")
+            rows[index] = row
         vectors = []
         for row in rows:
             if row is None:

@@ -262,19 +262,14 @@ def _hashed(drafts: Sequence[tuple]) -> list[Hyperedge]:
     return [Hyperedge(edge_id, *draft) for edge_id, draft in zip(ids, drafts)]
 
 
-def synthesize_cross_horizon(group_edges: Iterable[Hyperedge]) -> list[Hyperedge]:
-    """Create family-13 change edges for entities observed at several horizons.
+def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[tuple]:
+    """Drafts (see `_hashed`) of the family-13 change edges of one group.
 
     For each (family, entity stem) present at two or more lead times, one
-    change edge is emitted per consecutive horizon pair in decreasing lead
+    change edge is drafted per consecutive horizon pair in decreasing lead
     order, linking both horizon-specific state entities and both temporal
     anchors.
     """
-    return _hashed(_change_drafts(group_edges))
-
-
-def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[tuple]:
-    """The draft of each change edge `synthesize_cross_horizon` makes."""
     edges = list(group_edges)
     if not edges:
         return []
@@ -779,15 +774,13 @@ def _better_edge(current: Hyperedge, incoming: Hyperedge) -> Hyperedge:
     return incoming if incoming_key < current_key else current
 
 
-def merge_facts(
-    fact_batches: Iterable[Iterable[Mapping[str, Any]]],
-    synthesize: bool = True,
-) -> KnowledgeHypergraph:
+def merge_facts(fact_batches: Iterable[Iterable[Mapping[str, Any]]]) -> KnowledgeHypergraph:
     """Aggregate validated fact batches into one deduplicated hypergraph.
 
-    Runs the full normalization pipeline. Duplicate edges collapse onto
-    their content hash; duplicate entities resolve by confidence. Merging is
-    idempotent: feeding a graph's own facts back in changes nothing.
+    Runs the full normalization pipeline and adds each group's cross-horizon
+    change edges. Duplicate edges collapse onto their content hash; duplicate
+    entities resolve by confidence. Merging is idempotent: feeding a graph's
+    own facts back in changes nothing.
     """
     entities: dict[str, Entity] = {}
     edges: dict[str, Hyperedge] = {}
@@ -856,23 +849,22 @@ def merge_facts(
     for edge in _hashed(drafts):
         add_edge(edge)
 
-    if synthesize:
-        by_group: dict[str, list[str]] = {}
-        for edge_id in sorted(edges):
-            by_group.setdefault(edges[edge_id].group_id, []).append(edge_id)
-        changes = []
-        for group in sorted(by_group):
-            changes.extend(_change_drafts(edges[edge_id] for edge_id in by_group[group]))
-        for change in changes:
-            entity_ids = change[2]
-            for lead in _anchor_leads(entity_ids):
-                add_anchor(lead)
-            for entity_id in entity_ids:
-                if entity_id not in entities and not HORIZON_ANCHOR_RE.match(entity_id):
-                    # State entities referenced by a change edge always
-                    # come from its source edges, so this is a guard.
-                    add_entity(Entity(entity_id, entity_id, EntityType.OTHER))
-        for edge in _hashed(changes):
-            add_edge(edge)
+    by_group: dict[str, list[str]] = {}
+    for edge_id in sorted(edges):
+        by_group.setdefault(edges[edge_id].group_id, []).append(edge_id)
+    changes = []
+    for group in sorted(by_group):
+        changes.extend(_change_drafts(edges[edge_id] for edge_id in by_group[group]))
+    for change in changes:
+        entity_ids = change[2]
+        for lead in _anchor_leads(entity_ids):
+            add_anchor(lead)
+        for entity_id in entity_ids:
+            if entity_id not in entities and not HORIZON_ANCHOR_RE.match(entity_id):
+                # State entities referenced by a change edge always come
+                # from its source edges, so this is a guard.
+                add_entity(Entity(entity_id, entity_id, EntityType.OTHER))
+    for edge in _hashed(changes):
+        add_edge(edge)
 
     return KnowledgeHypergraph(entities, edges)

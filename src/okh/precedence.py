@@ -31,12 +31,6 @@ class Order(Enum):
     UNRELATED = "unrelated"
 
 
-RULE_PHASE = "phase"
-RULE_EVOLUTION = "evolution"
-RULE_CAUSAL = "causal"
-RULE_CHANGE = "change"
-ALL_RULES = frozenset({RULE_PHASE, RULE_EVOLUTION, RULE_CAUSAL, RULE_CHANGE})
-
 def effective_lead(edge: Hyperedge) -> float:
     """Lead time used for ordering: own horizon, else the earliest anchor.
 
@@ -62,9 +56,7 @@ def _sort_key(edge: Hyperedge) -> tuple[float, int, int, int, str]:
     )
 
 
-def _direct_edges(
-    edges: Sequence[Hyperedge], rules: frozenset[str]
-) -> set[tuple[str, str]]:
+def _direct_edges(edges: Sequence[Hyperedge]) -> set[tuple[str, str]]:
     pairs: set[tuple[str, str]] = set()
 
     # Ids of the horizon-grounded edges by horizon, then by family; and by
@@ -75,44 +67,40 @@ def _direct_edges(
         if edge.family == CROSS_HORIZON_FAMILY or edge.horizon is None:
             continue
         at.setdefault(edge.horizon, {}).setdefault(edge.family, []).append(edge.id)
-        if RULE_CHANGE in rules:
-            for stem in edge.state_stems():
-                stems_at.setdefault(edge.horizon, {}).setdefault(stem, []).append(edge.id)
+        for stem in edge.state_stems():
+            stems_at.setdefault(edge.horizon, {}).setdefault(stem, []).append(edge.id)
 
-    if RULE_PHASE in rules:
-        # Same horizon, ascending family; only consecutive present families
-        # are materialized, transitivity supplies the rest.
-        for by_family in at.values():
-            families = sorted(by_family)
-            for earlier, later in zip(families, families[1:]):
-                pairs.update(product(by_family[earlier], by_family[later]))
+    # Phase: same horizon, ascending family; only consecutive present
+    # families are materialized, transitivity supplies the rest.
+    for by_family in at.values():
+        families = sorted(by_family)
+        for earlier, later in zip(families, families[1:]):
+            pairs.update(product(by_family[earlier], by_family[later]))
 
-    if RULE_EVOLUTION in rules:
-        # Same family across horizons, decreasing lead time toward landfall.
-        horizons = sorted(at, reverse=True)
-        for family in {family for by_family in at.values() for family in by_family}:
-            present = [horizon for horizon in horizons if family in at[horizon]]
-            for earlier, later in zip(present, present[1:]):
-                pairs.update(product(at[earlier][family], at[later][family]))
+    # Evolution: same family across horizons, in decreasing lead time.
+    horizons = sorted(at, reverse=True)
+    for family in {family for by_family in at.values() for family in by_family}:
+        present = [horizon for horizon in horizons if family in at[horizon]]
+        for earlier, later in zip(present, present[1:]):
+            pairs.update(product(at[earlier][family], at[later][family]))
 
-    if RULE_CAUSAL in rules:
-        for by_family in at.values():
-            for src_families, dst_families, _ in CAUSAL_RULES:
-                srcs = [i for family, ids in by_family.items() if family in src_families for i in ids]
-                dsts = [i for family, ids in by_family.items() if family in dst_families for i in ids]
-                pairs.update(product(srcs, dsts))
+    # Causal: the within-horizon chains of CAUSAL_RULES.
+    for by_family in at.values():
+        for src_families, dst_families, _ in CAUSAL_RULES:
+            srcs = [i for family, ids in by_family.items() if family in src_families for i in ids]
+            dsts = [i for family, ids in by_family.items() if family in dst_families for i in ids]
+            pairs.update(product(srcs, dsts))
 
-    if RULE_CHANGE in rules:
-        # The before-state precedes the transition that consumes it.
-        for change in edges:
-            if change.family != CROSS_HORIZON_FAMILY:
-                continue
-            anchors = change.anchor_horizons()
-            if not anchors:
-                continue
-            by_stem = stems_at.get(anchors[0], {})
-            for stem in change.state_stems():
-                pairs.update((src, change.id) for src in by_stem.get(stem, ()))
+    # Change: the before-state precedes the transition that consumes it.
+    for change in edges:
+        if change.family != CROSS_HORIZON_FAMILY:
+            continue
+        anchors = change.anchor_horizons()
+        if not anchors:
+            continue
+        by_stem = stems_at.get(anchors[0], {})
+        for stem in change.state_stems():
+            pairs.update((src, change.id) for src in by_stem.get(stem, ()))
 
     pairs.difference_update((edge.id, edge.id) for edge in edges)
     return pairs
@@ -232,10 +220,7 @@ def _build_group(
     return GroupPrecedence(edge_ids, index_of, successors, closure, edges)
 
 
-def build_precedence(
-    group_edges: Iterable[Hyperedge],
-    rules: frozenset[str] = ALL_RULES,
-) -> GroupPrecedence:
+def build_precedence(group_edges: Iterable[Hyperedge]) -> GroupPrecedence:
     """Apply the rule families to one group and index the resulting DAG."""
     edges = sorted(group_edges, key=lambda edge: edge.id)
     seen: dict[str, Hyperedge] = {}
@@ -243,7 +228,7 @@ def build_precedence(
         if edge.id in seen:
             raise ValueError(f"duplicate hyperedge id {edge.id}")
         seen[edge.id] = edge
-    pairs = _direct_edges(edges, rules)
+    pairs = _direct_edges(edges)
     successors: dict[str, set[str]] = {}
     for src, dst in pairs:
         successors.setdefault(src, set()).add(dst)
@@ -261,14 +246,10 @@ class PrecedenceIndex:
                 self.group_of[edge_id] = group
 
     @classmethod
-    def build(
-        cls,
-        hypergraph: KnowledgeHypergraph,
-        rules: frozenset[str] = ALL_RULES,
-    ) -> "PrecedenceIndex":
+    def build(cls, hypergraph: KnowledgeHypergraph) -> "PrecedenceIndex":
         return cls(
             {
-                group: build_precedence(hypergraph.group_edges(group), rules)
+                group: build_precedence(hypergraph.group_edges(group))
                 for group in sorted(hypergraph.groups)
             }
         )
@@ -281,17 +262,23 @@ class PrecedenceIndex:
     ) -> "PrecedenceIndex":
         """Rebuild the closure from persisted direct DAG edges.
 
-        A cycle among them is a malformed snapshot: SchemaError at
-        ``precedence.<group>``.
+        A malformed snapshot is refused with SchemaError: at
+        ``precedence.<group>`` for a group the graph lacks or a cycle, and at
+        ``precedence.<group>[i]`` for a pair naming an edge outside the group.
         """
+        for group in sorted(direct):
+            if group not in hypergraph.groups:
+                raise SchemaError(f"precedence.{group}", "no hyperedge belongs to this group")
         groups = {}
         for group in sorted(hypergraph.groups):
             edges = hypergraph.group_edges(group)
             known = {edge.id for edge in edges}
             successors: dict[str, set[str]] = {}
-            for src, dst in direct.get(group, ()):  # stale pairs are dropped
-                if src in known and dst in known:
-                    successors.setdefault(src, set()).add(dst)
+            for index, (src, dst) in enumerate(direct.get(group, ())):
+                if src not in known or dst not in known:
+                    stray = src if src not in known else dst
+                    raise SchemaError(f"precedence.{group}[{index}]", f"{stray!r} is not in this group")
+                successors.setdefault(src, set()).add(dst)
             try:
                 groups[group] = _build_group(edges, successors)
             except CycleDetected as exc:

@@ -3,8 +3,8 @@
 The score for moving from edge i to edge j is (U h_i) . (V h_j) with U and
 V of shape (rank, dim), so the model is asymmetric and costs 2 * rank * dim
 parameters. Training minimizes a sampled-softmax contrastive loss over
-ordered pairs mined from document order, entity overlap, and prior
-retrieval traces, using plain mini-batch gradient descent.
+ordered pairs mined from document order and entity overlap, using plain
+mini-batch gradient descent.
 
 Each batch runs in rank space. The m sources are projected through U, and
 the T distinct candidate rows the batch touches through V, once. The logits
@@ -59,14 +59,6 @@ class TransitionModel:
         u = quantize_f32(rng.uniform(-scale, scale, size=(rank, dim)))
         v = quantize_f32(rng.uniform(-scale, scale, size=(rank, dim)))
         return cls(u, v, seed)
-
-    @classmethod
-    def zeros(cls, dim: int, rank: int, seed: int = 0) -> "TransitionModel":
-        return cls(
-            np.zeros((rank, dim), dtype=np.float64),
-            np.zeros((rank, dim), dtype=np.float64),
-            seed,
-        )
 
     @property
     def dim(self) -> int:
@@ -145,8 +137,8 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-SIGNALS = ("doc_order", "entity_overlap", "retrieval_induced", "cross_group")
-_DOC_ORDER, _ENTITY_OVERLAP, _RETRIEVAL_INDUCED, _CROSS_GROUP = range(len(SIGNALS))
+SIGNALS = ("doc_order", "entity_overlap", "cross_group")
+_DOC_ORDER, _ENTITY_OVERLAP, _CROSS_GROUP = range(len(SIGNALS))
 
 
 class PairList(Sequence[tuple[str, str, str]]):
@@ -241,16 +233,15 @@ def _sharing_pairs(edges: list[Hyperedge]) -> tuple[np.ndarray, np.ndarray]:
 def build_pairs(
     hypergraph: KnowledgeHypergraph,
     precedence: PrecedenceIndex,
-    retrieval_traces: Iterable[Sequence[str]] | None = None,
     seed: int = 0,
 ) -> TrainingPairs:
     """Mine ordered training pairs from one hypergraph.
 
-    Positive signals: same-group pairs in document order, same-group pairs
-    sharing an entity taken in canonical order, and consecutive steps from
-    supplied retrieval traces. Negatives are the reversals of document-order
-    positives plus one seeded random cross-group pair per source edge; any
-    negative that some other signal claims as a positive is dropped.
+    Positive signals: same-group pairs in document order, and same-group
+    pairs sharing an entity taken in canonical order. Negatives are the
+    reversals of document-order positives plus one seeded random cross-group
+    pair per source edge; a reversal that an entity-overlap pair claims as a
+    positive is dropped.
 
     Reversals outnumber cross-group negatives on purpose: suppressing
     backward transitions well below merely-unrelated ones is what lets the
@@ -311,22 +302,10 @@ def build_pairs(
         negatives.append(reversals)
         positives.append(overlap)
 
-    induced = np.array(
-        [
-            (index[src_id], index[dst_id], _RETRIEVAL_INDUCED)
-            for trace in retrieval_traces or ()
-            for src_id, dst_id in zip(trace, trace[1:])
-            if src_id in index and dst_id in index
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    positives.append(induced)
-    neg = np.concatenate(negatives) if negatives else induced[:0]
-    if len(induced):
-        key = len(ids)
-        neg = neg[~np.isin(neg[:, 0] * key + neg[:, 1], induced[:, 0] * key + induced[:, 1])]
+    empty = np.zeros((0, 3), dtype=np.int64)
     return TrainingPairs(
-        PairList(ids, SIGNALS, np.concatenate(positives)), PairList(ids, SIGNALS, neg)
+        PairList(ids, SIGNALS, np.concatenate([empty, *positives])),
+        PairList(ids, SIGNALS, np.concatenate([empty, *negatives])),
     )
 
 

@@ -837,6 +837,26 @@ def test_config_value_is_accepted_exactly_when_it_fits_its_option(tmp_path, caps
     assert cli._merged(parser.parse_args([name, *argv]), options)[dest] == merged[dest]
 
 
+def test_misplaced_precedence_pairs_and_unknown_groups_exit_two(pipeline, tmp_path, capsys):
+    snapshot = json.loads(pipeline["snapshot"].read_text(encoding="utf-8"))
+    first, second = sorted(snapshot["precedence"])
+    moved, invented = (json.loads(json.dumps(snapshot)) for _ in range(2))
+    # A pair of the second group's edges, listed under the first group.
+    moved["precedence"][first].append(moved["precedence"][second].pop(0))
+    invented["precedence"]["NOBODY:nowhere"] = []
+    index = len(moved["precedence"][first]) - 1
+    for name, document, field in [
+        ("moved", moved, f"precedence.{first}[{index}]"),
+        ("invented", invented, "precedence.NOBODY:nowhere"),
+    ]:
+        path = tmp_path / f"{name}.snap"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["retrieve", "--snapshot", str(path),
+                     "--checkpoint", str(pipeline["checkpoint"]),
+                     "--dim", "32", "--query", "q"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 def test_build_and_one_question_retrieve_never_sort_the_canonical_order(
     pipeline, tmp_path, monkeypatch, capsys
 ):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import random
@@ -21,7 +22,8 @@ from okh.embedding import (
     EmbeddingStore,
     LocalHashingEmbedder,
     RemoteEmbeddingClient,
-    compose_text,
+    _compose,
+    _entity_label,
     post_json_with_retries,
 )
 from okh.errors import DimensionMismatch, ProviderError, SchemaError
@@ -43,7 +45,8 @@ def test_compose_text_layout_is_frozen():
             "wind_fcst:IRMA:p:T-48", "Irma wind fcst", EntityType.HAZARD_FORECAST
         ),
     }
-    assert compose_text(edge, entities) == (
+    labels = {entity_id: _entity_label(entity) for entity_id, entity in entities.items()}
+    assert _compose(edge, labels) == (
         "forecasts_hazard_at_horizon | gusts expected | "
         "Port P [port]; Irma wind fcst [hazard_forecast] | "
         "basis=model; peak_gust_kt=70"
@@ -52,7 +55,7 @@ def test_compose_text_layout_is_frozen():
 
 def test_compose_text_handles_missing_entity_and_empty_attributes():
     edge = Hyperedge.create("has_attribute", {"a", "b"}, evidence="ev")
-    assert compose_text(edge, {}) == "has_attribute | ev | a [other]; b [other] | "
+    assert _compose(edge, {}) == "has_attribute | ev | a [other]; b [other] | "
 
 
 def test_local_embedder_is_deterministic_unit_norm_f32():
@@ -302,6 +305,29 @@ def test_remote_client_rejects_wrong_count(http_server):
         client.embed(["a", "b"])
 
 
+@pytest.mark.parametrize(
+    "second, field",
+    [
+        pytest.param({"index": 5, "embedding": [0.0, 1.0]}, "data[1].index 5 ", id="past-end"),
+        pytest.param({"index": -1, "embedding": [0.0, 1.0]}, "data[1].index -1 ", id="negative"),
+        pytest.param({"index": True, "embedding": [0.0, 1.0]}, "data[1].index True ", id="bool"),
+        pytest.param({"embedding": [0.0, 1.0]}, "data[1].index None ", id="no-index"),
+        pytest.param({"index": 1, "embedding": "ab"}, "data[1].embedding is not", id="string"),
+        pytest.param({"index": 1, "embedding": [0.0, "1"]}, "data[1].embedding is not", id="text-value"),
+        pytest.param({"index": 1, "embedding": [0.0, math.nan]}, "data[1].embedding has", id="nan"),
+        pytest.param({"index": 1, "embedding": [0.0, 10**400]}, "data[1].embedding has", id="overflow"),
+        pytest.param([1, [0.0, 1.0]], "data[1].index None ", id="not-an-object"),
+    ],
+)
+def test_remote_client_refuses_a_malformed_item(http_server, second, field):
+    url, handler = http_server
+    handler.script.append((200, {"data": [{"index": 0, "embedding": [1.0, 0.0]}, second]}))
+    client = RemoteEmbeddingClient(url, "m", dim=2, api_key="k", backoff=0.001)
+    with pytest.raises(ProviderError) as err:
+        client.embed(["a", "b"])
+    assert err.value.status == 200 and err.value.body.startswith(field)
+
+
 class _CountingEmbedder:
     def __init__(self, dim=16):
         self.inner = LocalHashingEmbedder(dim)
@@ -321,7 +347,7 @@ def _tiny_graph():
             "relation": "forecasts_hazard_at_horizon",
             "entities": [
                 {"id": "port:p", "name": "P", "type": "port"},
-                {"id": f"wind_fcst:A:p:T-{h}", "name": f"w{h}", "type": "hazard_forecast"},
+                {"id": f"wind_fcst:{storm}:p:T-{h}", "name": f"w{h}", "type": "hazard_forecast"},
             ],
             "evidence": f"wind at T-{h}",
             "attributes": {},
@@ -330,9 +356,10 @@ def _tiny_graph():
             "horizon": h,
             "text_position": i,
         }
-        for i, h in enumerate([72, 48])
+        # Two storms' states, so that no change edge links them.
+        for i, (storm, h) in enumerate([("A", 72), ("B", 48)])
     ]
-    return merge_facts([facts], synthesize=False)
+    return merge_facts([facts])
 
 
 def test_store_build_uses_cache_on_second_pass(tmp_path):
@@ -393,8 +420,9 @@ def test_embed_query_refuses_a_non_finite_cached_vector(tmp_path):
 
 
 def _corpus_texts(graph, corpus):
-    labels = {edge_id: compose_text(edge, graph.entities) for edge_id, edge in graph.hyperedges.items()}
-    return list(labels.values()) + [qa.question for qa in corpus.qa]
+    labels = {entity_id: _entity_label(entity) for entity_id, entity in graph.entities.items()}
+    texts = [_compose(edge, labels) for edge in graph.hyperedges.values()]
+    return texts + [qa.question for qa in corpus.qa]
 
 
 @settings(deadline=None, max_examples=40)

@@ -26,9 +26,9 @@ from okh.hypergraph import (
     entity_stem,
     horizon_anchor_id,
     merge_facts,
-    synthesize_cross_horizon,
     validate_fact,
     _anchor_leads,
+    _change_drafts,
     _entity_from_dict,
     _id_parts,
     _optional_horizon,
@@ -198,12 +198,13 @@ def _state_fact(stem_kind, horizon, position, relation="forecasts_hazard_at_hori
     }
 
 
+def _change_edges(graph):
+    return [edge for edge in graph.hyperedges.values() if edge.family == 13]
+
+
 def test_synthesize_cross_horizon_links_consecutive_horizons():
-    graph = merge_facts(
-        [[_state_fact("wind_fcst", 72, 0), _state_fact("wind_fcst", 48, 1)]],
-        synthesize=False,
-    )
-    changes = synthesize_cross_horizon(list(graph.hyperedges.values()))
+    graph = merge_facts([[_state_fact("wind_fcst", 72, 0), _state_fact("wind_fcst", 48, 1)]])
+    changes = _change_edges(graph)
     assert len(changes) == 1
     change = changes[0]
     assert change.relation == "forecast_updates_to"
@@ -228,8 +229,7 @@ def test_synthesize_cross_horizon_skips_non_consecutive_pairs():
         _state_fact("wind_fcst", 48, 1),
         _state_fact("wind_fcst", 12, 2),
     ]
-    graph = merge_facts([facts], synthesize=False)
-    changes = synthesize_cross_horizon(list(graph.hyperedges.values()))
+    changes = _change_edges(merge_facts([facts]))
     spans = sorted(
         (int(c.attributes["from_horizon"]), int(c.attributes["to_horizon"])) for c in changes
     )
@@ -240,12 +240,12 @@ def test_synthesize_cross_horizon_rejects_mixed_groups():
     a = _edge(ids=("s:T-48", horizon_anchor_id(48)), group_id="g1", horizon=48)
     b = _edge(ids=("s:T-24", horizon_anchor_id(24)), evidence="other", group_id="g2", horizon=24)
     with pytest.raises(ValueError):
-        synthesize_cross_horizon([a, b])
+        _change_drafts([a, b])
 
 
 def test_merge_facts_deduplicates_identical_facts_across_batches():
     fact = _state_fact("wind_fcst", 48, 3)
-    graph = merge_facts([[fact], [dict(fact)]], synthesize=False)
+    graph = merge_facts([[fact], [dict(fact)]])
     assert len(graph.hyperedges) == 1
 
 
@@ -255,13 +255,13 @@ def test_duplicate_edges_at_one_position_resolve_by_content_in_either_order():
     first = _state_fact("wind_fcst", 48, 3)
     second = {**first, "attributes": {"wind_kt": "40"}}
     candidates = [
-        next(iter(merge_facts([[fact]], synthesize=False).hyperedges.values()))
+        next(iter(merge_facts([[fact]]).hyperedges.values()))
         for fact in (first, second)
     ]
     assert candidates[0].id == candidates[1].id and candidates[0] != candidates[1]
     expected = min(candidates, key=lambda edge: json.dumps(edge.to_dict(), sort_keys=True))
     for batches in ([[first], [second]], [[second], [first]]):
-        graph = merge_facts(batches, synthesize=False)
+        graph = merge_facts(batches)
         assert list(graph.hyperedges.values()) == [expected]
 
 
@@ -305,7 +305,7 @@ def test_merge_facts_derives_horizon_from_lone_anchor():
     fact = _state_fact("wind_fcst", 48, 0)
     fact["horizon"] = None
     fact["entities"].append({"id": horizon_anchor_id(48), "name": "T-48", "type": "horizon_time"})
-    graph = merge_facts([[fact]], synthesize=False)
+    graph = merge_facts([[fact]])
     edge = next(iter(graph.hyperedges.values()))
     assert edge.horizon == 48
 
@@ -313,7 +313,7 @@ def test_merge_facts_derives_horizon_from_lone_anchor():
 def test_merge_facts_grounds_unanchored_fact_at_its_horizon():
     fact = _state_fact("wind_fcst", 48, 0)
     unanchored = dedup_id(fact["relation"], [raw["id"] for raw in fact["entities"]], fact["evidence"])
-    (edge,) = merge_facts([[fact]], synthesize=False).hyperedges.values()
+    (edge,) = merge_facts([[fact]]).hyperedges.values()
     assert horizon_anchor_id(48) in edge.entity_ids
     assert edge.horizon == 48
     assert edge.id != unanchored
@@ -324,9 +324,9 @@ def test_merge_facts_fact_with_its_anchor_listed_merges_to_the_same_edge():
     fact = _state_fact("wind_fcst", 48, 0)
     anchored = _state_fact("wind_fcst", 48, 0)
     anchored["entities"].append({"id": horizon_anchor_id(48), "name": "T-48", "type": "horizon_time"})
-    grounded = merge_facts([[fact]], synthesize=False)
-    assert merge_facts([[anchored]], synthesize=False).hyperedges == grounded.hyperedges
-    assert merge_facts([[fact], [anchored]], synthesize=False).hyperedges == grounded.hyperedges
+    grounded = merge_facts([[fact]])
+    assert merge_facts([[anchored]]).hyperedges == grounded.hyperedges
+    assert merge_facts([[fact], [anchored]]).hyperedges == grounded.hyperedges
 
 
 def test_merge_facts_rejects_anchor_that_disagrees_with_horizon():
@@ -369,13 +369,13 @@ def test_duplicate_entities_resolve_by_confidence_then_content():
     fact_b = _state_fact("wind_fcst", 24, 1)
     fact_b["entities"][0] = high
     for batches in ([[fact_a], [fact_b]], [[fact_b], [fact_a]]):
-        graph = merge_facts(batches, synthesize=False)
+        graph = merge_facts(batches)
         assert graph.entities["port:p"].name == "Alpha"
 
 
 def test_groups_index_lists_edges_sorted_by_id():
     facts = [_state_fact("wind_fcst", 72, 0), _state_fact("ops", 48, 1, relation="has_operation_status")]
-    graph = merge_facts([facts], synthesize=False)
+    graph = merge_facts([facts])
     assert list(graph.groups) == ["IRMA:p"]
     assert graph.groups["IRMA:p"] == sorted(graph.hyperedges)
 
@@ -396,7 +396,7 @@ def test_snapshot_roundtrip_preserves_everything(tmp_path):
 
 
 def test_snapshot_rejects_tampered_edge_content(tmp_path):
-    graph = merge_facts([[_state_fact("wind_fcst", 48, 0)]], synthesize=False)
+    graph = merge_facts([[_state_fact("wind_fcst", 48, 0)]])
     for key, value, field in [
         ("evidence", "edited", "id"),
         ("horizon", "24", "horizon"),
@@ -424,7 +424,7 @@ def test_snapshot_names_the_first_bad_edge_in_index_order():
 
 
 def test_snapshot_rejects_malformed_hyperedge_entries():
-    graph = merge_facts([[_state_fact("wind_fcst", 48, 0)]], synthesize=False)
+    graph = merge_facts([[_state_fact("wind_fcst", 48, 0)]])
     not_object, id_types, unknown_entity = (graph.to_snapshot() for _ in range(3))
     not_object["hyperedges"][0] = 5
     id_types["hyperedges"][0]["entities"] = [1, 2]
@@ -501,7 +501,7 @@ def test_merge_parses_each_entity_dict_by_typed_value():
         {"id": "port:p", "name": "port:q", "type": "port"},
         {"name": "port:p", "id": "port:q", "type": "port"},
     ]
-    graph = merge_facts([[swapped]], synthesize=False)
+    graph = merge_facts([[swapped]])
     assert (graph.entities["port:p"].name, graph.entities["port:q"].name) == ("port:q", "port:p")
 
 
@@ -807,7 +807,7 @@ def test_fact_refusals_match_the_eager_path_validator(batches):
         for fact_index, fact in enumerate(batch):
             first_refusal = _outcome(
                 lambda: _reference_validate_fact(fact, f"batch[{batch_index}].fact[{fact_index}]")
-            ) or _outcome(lambda: merge_facts([[fact]], synthesize=False))
+            ) or _outcome(lambda: merge_facts([[fact]]))
             if first_refusal:
                 break
         if first_refusal:

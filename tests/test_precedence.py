@@ -8,16 +8,11 @@ from hypothesis import strategies as st
 from okh import precedence
 from okh.corpus import generate_synthetic
 from okh.errors import CycleDetected
-from okh.hypergraph import Hyperedge, horizon_anchor_id, merge_facts, synthesize_cross_horizon
+from okh.hypergraph import Hyperedge, _change_drafts, _hashed, horizon_anchor_id, merge_facts
 from okh.precedence import (
     _build_group,
     _find_cycle,
     _sort_key,
-    ALL_RULES,
-    RULE_CAUSAL,
-    RULE_CHANGE,
-    RULE_EVOLUTION,
-    RULE_PHASE,
     Order,
     PrecedenceIndex,
     build_precedence,
@@ -52,13 +47,28 @@ def test_effective_lead_prefers_horizon_then_anchors():
     assert effective_lead(bare) == float("inf")
 
 
+def _sorted_pairs(*pairs):
+    return sorted((src.id, dst.id) for src, dst in pairs)
+
+
 def test_same_horizon_families_chain_in_phase_order():
+    # Families 1, 5 and 12 at one horizon: no causal rule links them.
+    state = make_edge("has_category_state", "cat:A", 48, 0)
+    probability = make_edge("has_leadtime_probability", "prob:A", 48, 1)
+    recovery = make_edge("has_recovery_status", "rec:A", 48, 2)
+    prec = build_precedence([recovery, state, probability])
+    # Phase links only consecutive present families.
+    assert prec.direct_pairs() == _sorted_pairs((state, probability), (probability, recovery))
+    index = PrecedenceIndex({"G:p": prec})
+    assert index.precedes(state.id, recovery.id) is Order.BEFORE
+    assert index.precedes(recovery.id, state.id) is Order.AFTER
+
     advisory = make_edge("has_watch_status", "adv:A", 48, 0)
     hazard = make_edge("forecasts_hazard_at_horizon", "wind:A", 48, 1)
     ops = make_edge("has_operation_status", "ops:A", 48, 2)
-    index = PrecedenceIndex(
-        {"G:p": build_precedence([advisory, hazard, ops], rules=frozenset({RULE_PHASE}))}
-    )
+    prec = build_precedence([advisory, hazard, ops])
+    assert prec.direct_pairs() == _sorted_pairs((advisory, hazard), (hazard, ops))
+    index = PrecedenceIndex({"G:p": prec})
     assert index.precedes(advisory.id, hazard.id) is Order.BEFORE
     assert index.precedes(hazard.id, ops.id) is Order.BEFORE
     # Transitive through the chain even though only consecutive pairs are direct.
@@ -70,13 +80,11 @@ def test_consecutive_horizons_chain_per_family():
     k1 = make_edge("forecasts_hazard_at_horizon", "wind:A", 96, 0)
     k2 = make_edge("forecasts_hazard_at_horizon", "wind:A", 48, 1)
     k3 = make_edge("forecasts_hazard_at_horizon", "wind:A", 12, 2)
-    prec = build_precedence([k1, k2, k3], rules=frozenset({RULE_EVOLUTION}))
+    prec = build_precedence([k1, k2, k3])
     assert list(prec.trajectory) == [k1.id, k2.id, k3.id]
     index = PrecedenceIndex({"G:p": prec})
     assert index.precedes(k1.id, k3.id) is Order.BEFORE
-    assert (k1.id, k2.id) in prec.direct_pairs()
-    assert (k2.id, k3.id) in prec.direct_pairs()
-    assert (k1.id, k3.id) not in prec.direct_pairs()
+    assert prec.direct_pairs() == _sorted_pairs((k1, k2), (k2, k3))
 
 
 def test_causal_chain_orders_hazard_before_operation_and_impact():
@@ -85,26 +93,25 @@ def test_causal_chain_orders_hazard_before_operation_and_impact():
     ops = make_edge("has_operation_status", "ops:A", 48, 2)
     impact = make_edge("has_impact_prediction", "impact:A", 48, 3)
     recovery = make_edge("has_recovery_status", "rec:A", 48, 4)
-    index = PrecedenceIndex(
-        {
-            "G:p": build_precedence(
-                [hazard, observed, ops, impact, recovery], rules=frozenset({RULE_CAUSAL})
-            )
-        }
-    )
+    prec = build_precedence([hazard, observed, ops, impact, recovery])
+    phase = [(hazard, observed), (observed, ops), (ops, impact), (impact, recovery)]
+    # Causal adds hazard -> operation and hazard -> impact as direct pairs,
+    # which phase alone reaches only through the families between.
+    causal = [(hazard, ops), (observed, ops), (hazard, impact), (observed, impact)]
+    assert prec.direct_pairs() == _sorted_pairs(*set(phase + causal))
+    index = PrecedenceIndex({"G:p": prec})
     for upstream in (hazard, observed):
         assert index.precedes(upstream.id, ops.id) is Order.BEFORE
         assert index.precedes(upstream.id, impact.id) is Order.BEFORE
     assert index.precedes(impact.id, recovery.id) is Order.BEFORE
-    # No phase rule here: advisory-family ordering is absent.
-    assert index.precedes(hazard.id, observed.id) is Order.UNRELATED
 
 
 def test_change_edge_follows_its_from_horizon_sources():
     early = make_edge("forecasts_hazard_at_horizon", "wind:A", 72, 0)
     late = make_edge("forecasts_hazard_at_horizon", "wind:A", 48, 1)
-    change = synthesize_cross_horizon([early, late])[0]
-    prec = build_precedence([early, late, change], rules=ALL_RULES)
+    (change,) = _hashed(_change_drafts([early, late]))
+    prec = build_precedence([early, late, change])
+    assert prec.direct_pairs() == _sorted_pairs((early, late), (early, change))
     assert list(prec.trajectory) == [early.id, change.id, late.id]
     index = PrecedenceIndex({"G:p": prec})
     assert index.precedes(early.id, change.id) is Order.BEFORE
@@ -125,16 +132,21 @@ def test_precedes_is_unrelated_across_groups_and_self():
     assert index.precedes("missing", a.id) is Order.UNRELATED
 
 
-def test_no_rules_reduce_to_pure_sort_order():
+def test_no_rule_firing_reduces_to_pure_sort_order():
+    # One edge per horizon, each of another family, and two ungrounded edges:
+    # no rule relates any two of them.
     edges = [
         make_edge("has_operation_status", "ops:A", 48, 5),
         make_edge("forecasts_hazard_at_horizon", "wind:A", 96, 2),
-        make_edge("has_watch_status", "adv:A", 48, 1),
+        make_edge("has_watch_status", "adv:A", 24, 1),
+        Hyperedge.create("has_warning_status", {"a", "b"}, evidence="x", group_id="G:p"),
+        Hyperedge.create("has_motion", {"a", "c"}, evidence="y", group_id="G:p", text_position=9),
     ]
-    prec = build_precedence(edges, rules=frozenset())
+    prec = build_precedence(edges)
     assert prec.direct_pairs() == []
-    # Lead desc, then family: T-96 hazard first, then T-48 advisory, then ops.
-    assert list(prec.trajectory) == [edges[1].id, edges[2].id, edges[0].id]
+    # Lead desc, then family: the ungrounded edges (family 1, then 4) first,
+    # then T-96, T-48 and T-24.
+    assert list(prec.trajectory) == [edges[i].id for i in (4, 3, 1, 0, 2)]
 
 
 def test_duplicate_edge_ids_rejected():
@@ -178,7 +190,7 @@ def _random_group(rng, group):
                 stem = f"{relation}:{group}"
                 edges.append(make_edge(relation, stem, horizon, position, group=group))
                 position += 1
-    edges.extend(synthesize_cross_horizon(edges) if edges else [])
+    edges.extend(_hashed(_change_drafts(edges)))
     return edges
 
 

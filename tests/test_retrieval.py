@@ -210,7 +210,8 @@ def test_heuristic_transition_matrix_values():
     ops = _eid(graph, "has_operation_status")
     handling = _eid(graph, "affects_vessel_handling")
     store = _basis_store(sorted(graph.hyperedges))
-    retriever = Retriever(graph, store, precedence, TransitionModel.zeros(store.dim, 1))
+    model = TransitionModel(np.zeros((1, store.dim)), np.zeros((1, store.dim)))
+    retriever = Retriever(graph, store, precedence, model)
     matrix = retriever.transition_matrix([adv, fc, ops, handling], kind="heuristic")
     assert matrix[0, 1] == HEURISTIC_FORWARD
     assert matrix[1, 0] == HEURISTIC_BACKWARD
@@ -565,12 +566,16 @@ def test_viterbi_matches_brute_force_on_random_instances():
             lam = 1.0
         store = _basis_store(ids)
         query = _query_for(rel)
-        for no_repeat in (False, True):
-            result = viterbi(query, ids, store, log_transition, lam, length, no_repeat=no_repeat)
+        runs = [(False, length), (True, length)]
+        if n <= 6:
+            # Past the candidate count, where no_repeat caps the length.
+            runs.append((True, n + 1))
+        for no_repeat, run_length in runs:
+            result = viterbi(query, ids, store, log_transition, lam, run_length, no_repeat=no_repeat)
             if no_repeat:
-                sequences = itertools.permutations(range(n), min(length, n))
+                sequences = itertools.permutations(range(n), min(run_length, n))
             else:
-                sequences = itertools.product(range(n), repeat=length)
+                sequences = itertools.product(range(n), repeat=run_length)
             best = None
             for seq in sequences:
                 score = float(rel[seq[0]])

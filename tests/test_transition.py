@@ -32,9 +32,9 @@ def _rng_rows(rng, n, dim):
 
 
 def test_param_count_is_twice_rank_times_dim():
-    model = TransitionModel.zeros(dim=1536, rank=64)
+    model = TransitionModel(np.zeros((64, 1536)), np.zeros((64, 1536)))
     assert model.param_count == 196_608
-    small = TransitionModel.zeros(dim=256, rank=32)
+    small = TransitionModel(np.zeros((32, 256)), np.zeros((32, 256)))
     assert small.param_count == 2 * 32 * 256
 
 
@@ -89,7 +89,7 @@ def test_log_transition_matrix_matches_manual_softmax():
 
 def test_zero_model_positive_loss_is_log_k_plus_one():
     rng = np.random.default_rng(0)
-    model = TransitionModel.zeros(dim=8, rank=2)
+    model = TransitionModel(np.zeros((2, 8)), np.zeros((2, 8)))
     rows = _rng_rows(rng, 10, 8)
     pairs = np.array([[0, 1], [2, 3], [4, 5]])
     samples = np.array([[2, 4, 6], [0, 6, 8], [1, 2, 3]])
@@ -102,7 +102,7 @@ def test_zero_model_positive_loss_is_log_k_plus_one():
 
 
 def test_contrastive_loss_requires_positives():
-    model = TransitionModel.zeros(dim=8, rank=2)
+    model = TransitionModel(np.zeros((2, 8)), np.zeros((2, 8)))
     with pytest.raises(EmptyBatch):
         contrastive_loss(model, np.zeros((4, 8)), np.zeros((0, 2), dtype=int), np.zeros((0, 3), dtype=int))
 
@@ -227,7 +227,7 @@ def test_rank_space_batch_matches_gather_reference_on_every_row():
         assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _reference_pairs(hypergraph, precedence, retrieval_traces=None, seed=0):
+def _reference_pairs(hypergraph, precedence, seed=0):
     """The tuple-at-a-time miner that ``build_pairs`` vectorizes."""
     rng = random.Random(seed)
     positives, negatives = [], []
@@ -251,10 +251,6 @@ def _reference_pairs(hypergraph, precedence, retrieval_traces=None, seed=0):
             for dst_id in canonical[i + 1 :]:
                 if src.entity_ids & edge_of[dst_id].entity_ids:
                     positives.append((src_id, dst_id, "entity_overlap"))
-    for trace in retrieval_traces or ():
-        for src_id, dst_id in zip(trace, trace[1:]):
-            if src_id in hypergraph.hyperedges and dst_id in hypergraph.hyperedges:
-                positives.append((src_id, dst_id, "retrieval_induced"))
     forward = {(src, dst) for src, dst, _ in positives}
     return positives, [item for item in negatives if (item[0], item[1]) not in forward]
 
@@ -271,7 +267,7 @@ class _FixedOrder:
 
 @st.composite
 def _small_graphs(draw):
-    """Few groups, tied text positions, shared entities, and traces with strays."""
+    """Few groups, tied text positions and shared entities."""
     groups = draw(st.integers(1, 3))
     entities = [f"entity:{i}" for i in range(5)]
     edges = {}
@@ -286,17 +282,15 @@ def _small_graphs(draw):
         edges[edge.id] = edge
     graph = KnowledgeHypergraph({}, edges)
     orders = {group: draw(st.permutations(ids)) for group, ids in sorted(graph.groups.items())}
-    steps = st.sampled_from(sorted(edges) + ["ghost"])
-    traces = draw(st.lists(st.lists(steps, max_size=5), max_size=3))
-    return graph, _FixedOrder(orders), traces, draw(st.integers(0, 2**32))
+    return graph, _FixedOrder(orders), draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_small_graphs())
 def test_build_pairs_matches_the_tuple_miner(case):
-    graph, order, traces, seed = case
-    positives, negatives = _reference_pairs(graph, order, traces, seed)
-    pairs = build_pairs(graph, order, traces, seed)
+    graph, order, seed = case
+    positives, negatives = _reference_pairs(graph, order, seed)
+    pairs = build_pairs(graph, order, seed)
     for mined, expected in ((pairs.positives, positives), (pairs.negatives, negatives)):
         assert list(mined) == expected
         assert len(mined) == len(expected)
@@ -311,10 +305,8 @@ def test_build_pairs_matches_the_tuple_miner(case):
 def test_build_pairs_matches_the_tuple_miner_on_a_generated_corpus():
     graph = merge_facts([generate_synthetic(seed=3, n_groups=4, horizons_per_group=3).facts])
     precedence = PrecedenceIndex.build(graph)
-    ids = sorted(graph.hyperedges)
-    traces = [ids[:6], ids[9:2:-1], ["ghost", ids[0], ids[1]]]
-    positives, negatives = _reference_pairs(graph, precedence, traces, seed=5)
-    pairs = build_pairs(graph, precedence, traces, seed=5)
+    positives, negatives = _reference_pairs(graph, precedence, seed=5)
+    pairs = build_pairs(graph, precedence, seed=5)
     assert list(pairs.positives) == positives
     assert list(pairs.negatives) == negatives
 
@@ -416,18 +408,6 @@ def test_build_pairs_entity_overlap_follows_canonical_order():
         assert shared
 
 
-def test_build_pairs_accepts_retrieval_traces_and_scrubs_conflicts():
-    graph = _pair_corpus()
-    precedence = PrecedenceIndex.build(graph)
-    ids = sorted(graph.hyperedges)
-    trace = [ids[2], ids[0]]
-    pairs = build_pairs(graph, precedence, retrieval_traces=[trace], seed=0)
-    assert (ids[2], ids[0], "retrieval_induced") in pairs.positives
-    forward = {(s, d) for s, d, _ in pairs.positives}
-    for src, dst, _ in pairs.negatives:
-        assert (src, dst) not in forward
-
-
 def _store_for(graph):
     return EmbeddingStore.build(graph, LocalHashingEmbedder(dim=32))
 
@@ -463,13 +443,17 @@ def test_train_zero_epochs_keeps_parameters():
     assert np.array_equal(model.v, before[1])
 
 
+def _zero_model(dim, rank=4):
+    return TransitionModel(np.zeros((rank, dim)), np.zeros((rank, dim)))
+
+
 def test_train_without_positives_raises():
     graph = _pair_corpus()
     store = _store_for(graph)
     from okh.transition import TrainingPairs
 
     with pytest.raises(EmptyBatch):
-        train(TransitionModel.zeros(store.dim, 4), TrainingPairs(), store, TrainingConfig())
+        train(_zero_model(store.dim), TrainingPairs(), store, TrainingConfig())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -492,7 +476,7 @@ def test_training_pairs_with_unknown_edge_fail_loudly():
 
     pairs = TrainingPairs(positives=[("ghost", sorted(graph.hyperedges)[0], "doc_order")])
     with pytest.raises(ValueError) as err:
-        train(TransitionModel.zeros(store.dim, 4), pairs, store, TrainingConfig(epochs=1))
+        train(_zero_model(store.dim), pairs, store, TrainingConfig(epochs=1))
     assert "ghost" in str(err.value)
 
 
@@ -502,17 +486,17 @@ def test_only_an_unknown_edge_that_a_pair_uses_fails():
     ids = sorted(graph.hyperedges) + ["ghost", "phantom"]
     known = np.array([[0, 1, 0], [2, 3, 0], [1, 2, 0]])
     pairs = TrainingPairs(PairList(ids, SIGNALS, known))
-    train(TransitionModel.zeros(store.dim, 4), pairs, store, TrainingConfig(epochs=1))
+    train(_zero_model(store.dim), pairs, store, TrainingConfig(epochs=1))
 
     # The first unknown edge in pair order is named: positives before
     # negatives, a pair's source before its target.
     ghost, phantom = len(ids) - 2, len(ids) - 1
     pairs = TrainingPairs(
         PairList(ids, SIGNALS, np.vstack([known, [[ghost, phantom, 0], [phantom, 0, 0]]])),
-        PairList(ids, SIGNALS, np.array([[phantom, 0, 3]])),
+        PairList(ids, SIGNALS, np.array([[phantom, 0, 2]])),
     )
     with pytest.raises(ValueError) as err:
-        train(TransitionModel.zeros(store.dim, 4), pairs, store, TrainingConfig(epochs=1))
+        train(_zero_model(store.dim), pairs, store, TrainingConfig(epochs=1))
     assert "'ghost'" in str(err.value)
 
 
