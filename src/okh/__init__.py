@@ -15,7 +15,6 @@ from okh.embedding import (
 )
 from okh.errors import (
     ConflictingHorizon,
-    CycleDetected,
     DimensionMismatch,
     ElementMismatch,
     EmptyBatch,

@@ -502,6 +502,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OkhError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

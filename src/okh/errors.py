@@ -24,14 +24,6 @@ class ConflictingHorizon(OkhError):
     """A hyperedge already carries a temporal anchor for a different horizon."""
 
 
-class CycleDetected(OkhError):
-    """The precedence rules produced a cycle, which only corrupt input can do."""
-
-    def __init__(self, cycle: list[str]):
-        super().__init__("precedence cycle: " + " -> ".join(cycle))
-        self.cycle = list(cycle)
-
-
 class DimensionMismatch(OkhError):
     """Vector dimensions disagree with what the caller or provider expects."""
 

@@ -5,11 +5,18 @@ hyperedges: within-horizon phase ordering, cross-horizon evolution of the
 same family toward landfall, within-horizon causal chains, and state-before-
 transition edges into cross-horizon change hyperedges. Reachability questions
 are answered from precomputed transitive-closure bitsets.
+
+The contract: every precedence pair rises in (-lead time, family), the first
+two fields of ``_sort_key``. Phase and causal pairs rise in family within one
+horizon, evolution pairs fall in lead time within one family, and a change
+edge sorts in the last family at the lead of the states it consumes. So no
+set of pairs holds a cycle, and the canonical trajectory, a sort by
+``_sort_key``, is a topological order. A snapshot pair that does not rise is
+refused.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -18,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from okh.errors import CycleDetected, SchemaError
+from okh.errors import SchemaError
 from okh.hypergraph import Hyperedge, KnowledgeHypergraph
 from okh.relations import CAUSAL_RULES, CROSS_HORIZON_FAMILY, DEFAULT_VOCABULARY
 
@@ -91,69 +98,18 @@ def _direct_edges(edges: Sequence[Hyperedge]) -> set[tuple[str, str]]:
             dsts = [i for family, ids in by_family.items() if family in dst_families for i in ids]
             pairs.update(product(srcs, dsts))
 
-    # Change: the before-state precedes the transition that consumes it.
+    # Change: the before-state precedes the transition that consumes it. The
+    # states are read at the change edge's own lead, so the pair rises even
+    # where a snapshot gives the edge a horizon its anchors do not carry.
     for change in edges:
         if change.family != CROSS_HORIZON_FAMILY:
             continue
-        anchors = change.anchor_horizons()
-        if not anchors:
-            continue
-        by_stem = stems_at.get(anchors[0], {})
+        by_stem = stems_at.get(effective_lead(change), {})
         for stem in change.state_stems():
             pairs.update((src, change.id) for src in by_stem.get(stem, ()))
 
     pairs.difference_update((edge.id, edge.id) for edge in edges)
     return pairs
-
-
-def _topological_order(
-    edges: Sequence[Hyperedge], successors: Mapping[str, set[str]]
-) -> list[str]:
-    """Kahn's algorithm with the canonical tie-break on the ready heap.
-
-    Ties between DAG-incomparable edges resolve by descending lead time, then
-    family, then in-family relation rank, then text position, then id.
-    """
-    indegree = {edge.id: 0 for edge in edges}
-    for src in successors:
-        for dst in successors[src]:
-            indegree[dst] += 1
-    key_of = {edge.id: _sort_key(edge) for edge in edges}
-    ready = [key_of[edge_id] for edge_id, degree in indegree.items() if degree == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        edge_id = heapq.heappop(ready)[-1]
-        order.append(edge_id)
-        for dst in successors.get(edge_id, ()):
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                heapq.heappush(ready, key_of[dst])
-    if len(order) != len(edges):
-        stuck = sorted(edge_id for edge_id, degree in indegree.items() if degree > 0)
-        raise CycleDetected(_find_cycle(stuck, successors))
-    return order
-
-
-def _find_cycle(stuck: list[str], successors: Mapping[str, set[str]]) -> list[str]:
-    # Every stuck node keeps at least one unprocessed predecessor, so a
-    # backward walk inside the stuck set must revisit a node.
-    remaining = set(stuck)
-    predecessors: dict[str, list[str]] = {node: [] for node in stuck}
-    for src in remaining:
-        for dst in successors.get(src, ()):
-            if dst in remaining:
-                predecessors[dst].append(src)
-    node = stuck[0]
-    seen: dict[str, int] = {}
-    path: list[str] = []
-    while node not in seen:
-        seen[node] = len(path)
-        path.append(node)
-        node = min(predecessors[node])
-    cycle = path[seen[node] :] + [node]
-    cycle.reverse()
-    return cycle
 
 
 @dataclass
@@ -168,8 +124,13 @@ class GroupPrecedence:
 
     @cached_property
     def trajectory(self) -> list[str]:
-        """The canonical order of the group's edges, computed on first use."""
-        return _topological_order(self.edges, self.successors)
+        """The canonical order of the group's edges, computed on first use.
+
+        Every pair rises in ``_sort_key``, so the sort respects the DAG: ties
+        between incomparable edges resolve by descending lead time, then
+        family, then in-family relation rank, then text position, then id.
+        """
+        return [edge.id for edge in sorted(self.edges, key=_sort_key)]
 
     def reachable(self, src: str, dst: str) -> bool:
         i = self.index_of.get(src)
@@ -187,12 +148,10 @@ class GroupPrecedence:
 def _build_group(
     edges: Sequence[Hyperedge], successors: dict[str, set[str]]
 ) -> GroupPrecedence:
-    """Index a group's DAG; raises CycleDetected if the successors hold a cycle.
+    """Index a group's DAG, whose pairs rise in (-lead time, family).
 
     The closure is filled in reverse of a plain Kahn order: every topological
-    order gives the same bits, so the canonical tie-break waits for
-    ``trajectory``. Kahn's leftover set does not depend on visit order either,
-    so a cycle is reported as the canonical pass would report it.
+    order gives the same bits, so the sort waits for ``trajectory``.
     """
     edge_ids = sorted(edge.id for edge in edges)
     index_of = {edge_id: i for i, edge_id in enumerate(edge_ids)}
@@ -208,9 +167,6 @@ def _build_group(
             indegree[j] -= 1
             if not indegree[j]:
                 order.append(j)
-    if len(order) != len(edge_ids):
-        stuck = [edge_ids[i] for i, degree in enumerate(indegree) if degree]
-        raise CycleDetected(_find_cycle(stuck, successors))
     closure = [0] * len(edge_ids)
     for i in reversed(order):
         mask = 0
@@ -263,26 +219,31 @@ class PrecedenceIndex:
         """Rebuild the closure from persisted direct DAG edges.
 
         A malformed snapshot is refused with SchemaError: at
-        ``precedence.<group>`` for a group the graph lacks or a cycle, and at
-        ``precedence.<group>[i]`` for a pair naming an edge outside the group.
+        ``precedence.<group>`` for a group the graph lacks or a group of the
+        graph the block omits, and at ``precedence.<group>[i]`` for a pair
+        naming an edge outside the group or a pair that does not rise in
+        (-lead time, family), which every cycle holds.
         """
-        for group in sorted(direct):
-            if group not in hypergraph.groups:
+        for group in sorted(direct.keys() ^ hypergraph.groups.keys()):
+            if group in direct:
                 raise SchemaError(f"precedence.{group}", "no hyperedge belongs to this group")
+            raise SchemaError(f"precedence.{group}", "the block omits this group of the graph")
         groups = {}
         for group in sorted(hypergraph.groups):
             edges = hypergraph.group_edges(group)
-            known = {edge.id for edge in edges}
+            rank = {edge.id: (-effective_lead(edge), edge.family) for edge in edges}
             successors: dict[str, set[str]] = {}
-            for index, (src, dst) in enumerate(direct.get(group, ())):
-                if src not in known or dst not in known:
-                    stray = src if src not in known else dst
+            for index, (src, dst) in enumerate(direct[group]):
+                if src not in rank or dst not in rank:
+                    stray = src if src not in rank else dst
                     raise SchemaError(f"precedence.{group}[{index}]", f"{stray!r} is not in this group")
+                if rank[src] >= rank[dst]:
+                    raise SchemaError(
+                        f"precedence.{group}[{index}]",
+                        f"{src!r} does not come before {dst!r} in lead time, then family",
+                    )
                 successors.setdefault(src, set()).add(dst)
-            try:
-                groups[group] = _build_group(edges, successors)
-            except CycleDetected as exc:
-                raise SchemaError(f"precedence.{group}", str(exc)) from None
+            groups[group] = _build_group(edges, successors)
         return cls(groups)
 
     def precedes(self, first: str, second: str) -> Order:

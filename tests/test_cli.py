@@ -603,9 +603,10 @@ def test_cyclic_precedence_in_a_snapshot_exits_two_naming_the_group(pipeline, tm
                  "--checkpoint", str(pipeline["checkpoint"]),
                  "--dim", "32", "--query", "q"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: precedence.{group}: precedence cycle: ")
-    # Any cycle runs through the reversed pair.
-    assert f"{dst} -> {src}" in err
+    # The reversed pair does not rise in lead time, then family; a cycle
+    # always holds such a pair.
+    index = len(snapshot["precedence"][group]) - 1
+    assert err.startswith(f"error: precedence.{group}[{index}]: {dst!r} does not come before {src!r}")
 
 
 def test_non_finite_cached_vector_exits_two_naming_the_cache(pipeline, tmp_path, capsys):
@@ -638,6 +639,15 @@ def test_argparse_errors_map_to_exit_codes(capsys):
     assert main(["--help"]) == 0
     assert main(["retrieve", "--variant", "bogus"]) == 2
     capsys.readouterr()
+
+
+def test_out_of_memory_exits_one_without_a_traceback(monkeypatch, capsys):
+    def exhausted(values):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", cli._COMMANDS["synth"]._replace(run=exhausted))
+    assert main(["synth"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_one_parser_serves_every_command_of_a_process(pipeline, tmp_path, capsys):
@@ -840,14 +850,16 @@ def test_config_value_is_accepted_exactly_when_it_fits_its_option(tmp_path, caps
 def test_misplaced_precedence_pairs_and_unknown_groups_exit_two(pipeline, tmp_path, capsys):
     snapshot = json.loads(pipeline["snapshot"].read_text(encoding="utf-8"))
     first, second = sorted(snapshot["precedence"])
-    moved, invented = (json.loads(json.dumps(snapshot)) for _ in range(2))
+    moved, invented, omitted = (json.loads(json.dumps(snapshot)) for _ in range(3))
     # A pair of the second group's edges, listed under the first group.
     moved["precedence"][first].append(moved["precedence"][second].pop(0))
     invented["precedence"]["NOBODY:nowhere"] = []
+    del omitted["precedence"][second]
     index = len(moved["precedence"][first]) - 1
     for name, document, field in [
         ("moved", moved, f"precedence.{first}[{index}]"),
         ("invented", invented, "precedence.NOBODY:nowhere"),
+        ("omitted", omitted, f"precedence.{second}"),
     ]:
         path = tmp_path / f"{name}.snap"
         path.write_text(json.dumps(document), encoding="utf-8")
@@ -868,12 +880,12 @@ def test_build_and_one_question_retrieve_never_sort_the_canonical_order(
     from okh.transition import build_pairs
     from test_precedence import _reference_build_group
 
-    real = precedence_module._topological_order
+    real = precedence_module._sort_key
 
-    def refuse(*args):
+    def refuse(edge):
         raise AssertionError("the canonical order was computed")
 
-    monkeypatch.setattr(precedence_module, "_topological_order", refuse)
+    monkeypatch.setattr(precedence_module, "_sort_key", refuse)
     snapshot = tmp_path / "graph.snap"
     assert main(["build", "--corpus", str(pipeline["facts"]), "--snapshot", str(snapshot)]) == 0
     assert snapshot.read_bytes() == pipeline["snapshot"].read_bytes()
@@ -884,15 +896,16 @@ def test_build_and_one_question_retrieve_never_sort_the_canonical_order(
 
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(edge):
+        calls.append(edge.id)
+        return real(edge)
 
-    monkeypatch.setattr(precedence_module, "_topological_order", counted)
+    monkeypatch.setattr(precedence_module, "_sort_key", counted)
     graph, direct = KnowledgeHypergraph.load_snapshot(str(snapshot))
     index = PrecedenceIndex.from_direct_edges(graph, direct)
     build_pairs(graph, index)
-    assert len(calls) == len(graph.groups)
+    # One key per edge: each group is sorted once.
+    assert sorted(calls) == sorted(graph.hyperedges)
     for group, prec in index.groups.items():
         edges = graph.group_edges(group)
         assert prec.trajectory == _reference_build_group(edges, prec.successors)[3]
@@ -902,7 +915,7 @@ def test_build_and_one_question_retrieve_never_sort_the_canonical_order(
                  "--checkpoint", str(pipeline["checkpoint"]), "--dim", "32",
                  "--qa", str(pipeline["qa"]), "--variant", "full",
                  "--beam", "2", "--length", "3", "--paths", "1"]) == 0
-    assert len(calls) == len(graph.groups)
+    assert sorted(calls) == sorted(graph.hyperedges)
 
 
 _json_values = st.recursive(

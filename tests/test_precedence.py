@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import random
 
@@ -7,18 +8,24 @@ from hypothesis import strategies as st
 
 from okh import precedence
 from okh.corpus import generate_synthetic
-from okh.errors import CycleDetected
-from okh.hypergraph import Hyperedge, _change_drafts, _hashed, horizon_anchor_id, merge_facts
+from okh.errors import SchemaError
+from okh.hypergraph import (
+    Hyperedge,
+    KnowledgeHypergraph,
+    _change_drafts,
+    _hashed,
+    horizon_anchor_id,
+    merge_facts,
+)
 from okh.precedence import (
     _build_group,
-    _find_cycle,
     _sort_key,
     Order,
     PrecedenceIndex,
     build_precedence,
     effective_lead,
 )
-from okh.relations import FAMILY_OF
+from okh.relations import CROSS_HORIZON_FAMILY, FAMILY_OF
 
 
 def make_edge(relation, stem, horizon, position, group="G:p", extra_ids=()):
@@ -281,11 +288,13 @@ def test_reach_matrix_matches_pairwise_reachable():
     assert index.reach_matrix([]).shape == (0, 0)
 
 
-# --- The closure pass against the canonical-order version it replaced -----
+# --- The sort and the closure pass against the heap-ordered versions ------
 
 # Verbatim copies of `_topological_order` and `_build_group` as they were when
-# the closure was filled in the canonical order; the reference returns the
-# fields of its GroupPrecedence instead of building one.
+# the canonical order was a heap-driven Kahn pass and the closure was filled
+# in that order; the reference returns the fields of its GroupPrecedence
+# instead of building one. Only its cycle branch is replaced by an assert:
+# rising pairs hold no cycle.
 
 
 def _reference_topological_order(edges, successors):
@@ -304,9 +313,7 @@ def _reference_topological_order(edges, successors):
             indegree[dst] -= 1
             if indegree[dst] == 0:
                 heapq.heappush(ready, key_of[dst])
-    if len(order) != len(edges):
-        stuck = sorted(edge_id for edge_id, degree in indegree.items() if degree > 0)
-        raise CycleDetected(_find_cycle(stuck, successors))
+    assert len(order) == len(edges), "the pairs hold a cycle"
     return order
 
 
@@ -324,21 +331,45 @@ def _reference_build_group(edges, successors):
     return edge_ids, index_of, closure, trajectory
 
 
+def _rank(edge):
+    """The contract's key: a precedence pair rises in (-lead time, family)."""
+    return (-effective_lead(edge), edge.family)
+
+
 _RELATIONS = sorted(FAMILY_OF)
 _LEADS = [12, 24, 48, 72]
+_SHAPES = [(3, 1), (4, 2), (5, 3), (3, 4), (2, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 39), st.sampled_from(_SHAPES), st.integers(0, 2**32 - 1))
+def test_rule_pairs_rise_and_the_trajectory_is_the_heap_order(seed, shape, salt):
+    corpus = generate_synthetic(seed=seed, n_groups=shape[0], horizons_per_group=shape[1])
+    graph = merge_facts([corpus.facts])
+    groups = [graph.group_edges(group) for group in sorted(graph.groups)]
+    rng = random.Random(salt)
+    fuzzed = _random_group(rng, "G:p")
+    # A snapshot's horizon is not part of the content hash, so an edited file
+    # can give a change edge a horizon its anchors do not carry.
+    edited = [
+        dataclasses.replace(edge, horizon=rng.choice([None, *_LEADS, 96, 120]))
+        if edge.family == CROSS_HORIZON_FAMILY
+        else edge
+        for edge in fuzzed
+    ]
+    for edges in [*groups, fuzzed, edited]:
+        prec = build_precedence(edges)
+        by_id = {edge.id: edge for edge in edges}
+        for src, dst in prec.direct_pairs():
+            assert _rank(by_id[src]) < _rank(by_id[dst])
+        assert prec.trajectory == _reference_topological_order(edges, prec.successors)
 
 
 @st.composite
-def _precedence_groups(draw):
-    """Edges of one group, in any order, and successor sets over their ids.
-
-    The pairs may form cycles (self-loops too) or, when drawn acyclic, run
-    from earlier to later in a drawn permutation; some edges take part in no
-    pair, and some ids map to an empty successor set.
-    """
-    count = draw(st.integers(0, 10))
+def _group_edges(draw):
+    """Edges of one group; some without a horizon, some anchored only."""
     edges = []
-    for position in range(count):
+    for position in range(draw(st.integers(0, 10))):
         horizon = draw(st.sampled_from([None, *_LEADS]))
         anchors = set() if horizon else draw(st.sets(st.sampled_from(_LEADS), max_size=2))
         edges.append(
@@ -351,16 +382,26 @@ def _precedence_groups(draw):
                 text_position=draw(st.integers(0, 3)),
             )
         )
+    return edges
+
+
+@st.composite
+def _precedence_groups(draw):
+    """Edges of one group, in any order, and successor sets over their ids.
+
+    Every pair rises in (-lead time, family); some edges take part in no
+    pair, and some ids map to an empty successor set.
+    """
+    edges = draw(_group_edges())
     successors = {}
-    if count:
-        index = st.integers(0, count - 1)
-        pairs = draw(st.lists(st.tuples(index, index), max_size=2 * count))
-        if draw(st.booleans()):
-            rank = draw(st.permutations(range(count)))
-            pairs = [(i, j) if rank[i] < rank[j] else (j, i) for i, j in pairs if i != j]
-        for i, j in pairs:
-            successors.setdefault(edges[i].id, set()).add(edges[j].id)
-        for i in draw(st.sets(index, max_size=count)):
+    if edges:
+        index = st.integers(0, len(edges) - 1)
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=2 * len(edges))):
+            if _rank(edges[i]) > _rank(edges[j]):
+                i, j = j, i
+            if _rank(edges[i]) < _rank(edges[j]):
+                successors.setdefault(edges[i].id, set()).add(edges[j].id)
+        for i in draw(st.sets(index, max_size=len(edges))):
             successors.setdefault(edges[i].id, set())
     return draw(st.permutations(edges)), successors
 
@@ -369,37 +410,70 @@ def _precedence_groups(draw):
 @given(_precedence_groups())
 def test_build_group_matches_the_canonical_order_version(group):
     edges, successors = group
-    try:
-        expected = _reference_build_group(edges, successors)
-    except CycleDetected as exc:
-        with pytest.raises(CycleDetected) as raised:
-            _build_group(edges, successors)
-        assert str(raised.value) == str(exc)
-        assert raised.value.cycle == exc.cycle
-        event("cycle")
-        return
+    edge_ids, index_of, closure, trajectory = _reference_build_group(edges, successors)
     built = _build_group(edges, successors)
-    edge_ids, index_of, closure, trajectory = expected
     assert built.edge_ids == edge_ids
     assert built.index_of == index_of
     assert built.closure == closure
     assert built.successors is successors
     assert built.trajectory == trajectory
-    event("acyclic")
+
+
+@st.composite
+def _snapshot_blocks(draw):
+    """A group's edges and a block of pairs over them, some of which may not
+    rise: a reversed pair, a pair of equal keys, or an edge with itself."""
+    edges = draw(_group_edges())
+    pairs = []
+    if edges:
+        every = [(a, b) for a in edges for b in edges]
+        rising = [(a, b) for a, b in every if _rank(a) < _rank(b)]
+        other = [(a, b) for a, b in every if _rank(a) >= _rank(b)]
+        equal = [(a, b) for a, b in other if a is not b and _rank(a) == _rank(b)]
+        kinds = [st.sampled_from(pairs) for pairs in (other, equal, rising, rising) if pairs]
+        pairs = draw(st.lists(st.one_of(kinds), max_size=2 * len(edges)))
+    return edges, [(a.id, b.id) for a, b in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_snapshot_blocks())
+def test_from_direct_edges_refuses_the_first_pair_that_does_not_rise(block):
+    edges, pairs = block
+    graph = KnowledgeHypergraph({}, {edge.id: edge for edge in edges})
+    by_id = graph.hyperedges
+    falling = [i for i, (a, b) in enumerate(pairs) if _rank(by_id[a]) >= _rank(by_id[b])]
+    if falling:
+        src, dst = pairs[falling[0]]
+        with pytest.raises(SchemaError) as raised:
+            PrecedenceIndex.from_direct_edges(graph, {"G:p": pairs})
+        assert raised.value.path == f"precedence.G:p[{falling[0]}]"
+        assert repr(src) in raised.value.message and repr(dst) in raised.value.message
+        event("self" if src == dst else "reversed" if _rank(by_id[src]) > _rank(by_id[dst]) else "equal")
+        return
+    index = PrecedenceIndex.from_direct_edges(graph, {"G:p": pairs} if edges else {})
+    successors = {}
+    for src, dst in pairs:
+        successors.setdefault(src, set()).add(dst)
+    if edges:
+        _, _, closure, trajectory = _reference_build_group(edges, successors)
+        assert index.groups["G:p"].closure == closure
+        assert index.trajectory("G:p") == trajectory
+    event("rising")
 
 
 def test_trajectory_is_computed_on_first_read_only(monkeypatch):
     edges = _random_group(random.Random(5), "G:p")
     calls = []
-    real = precedence._topological_order
+    real = precedence._sort_key
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(edge):
+        calls.append(edge)
+        return real(edge)
 
-    monkeypatch.setattr(precedence, "_topological_order", counted)
+    monkeypatch.setattr(precedence, "_sort_key", counted)
     prec = build_precedence(edges)
     assert calls == [] and prec.closure
     first = prec.trajectory
-    assert prec.trajectory is first and len(calls) == 1
+    assert prec.trajectory is first and len(calls) == len(edges)
+    monkeypatch.undo()
     assert first == _reference_build_group(edges, prec.successors)[3]
