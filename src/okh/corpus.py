@@ -450,6 +450,15 @@ def generate_synthetic(
     questions. Expected orderings are produced by a direct sort on (lead
     time, family, in-family rank, text position, id), independent of the
     precedence machinery they are used to check.
+
+    The corpus is built in two passes. The first makes each group's
+    horizons, facts and questions, group by group, so the random draws come
+    in one fixed order and the corpus for n groups is a prefix of the one
+    for n + 1. One `merge_facts` call then merges every group's facts, and
+    the second pass reads each group's change facts and ground truth from
+    that one graph. Groups share no edge and no entity but the canonical
+    temporal anchors, so each group's edges are those a merge of its facts
+    alone would give.
     """
     if not 1 <= horizons_per_group <= len(ALL_HORIZONS):
         raise ValueError(f"horizons_per_group must be in [1, {len(ALL_HORIZONS)}]")
@@ -457,24 +466,25 @@ def generate_synthetic(
         raise ValueError("n_groups must be >= 1")
     rng = random.Random(seed)
     corpus = GeneratedCorpus()
+    group_facts: list[tuple[str, list[dict]]] = []
     for i in range(n_groups):
         storm = _unique_name(STORM_NAMES, i)
         port = _unique_name(PORT_NAMES, i)
         group_id = group_id_for(storm, port)
         horizons = tuple(sorted(rng.sample(ALL_HORIZONS, k=horizons_per_group), reverse=True))
+        group_facts.append((group_id, _group_facts(storm, port, group_id, horizons)))
+        corpus.qa.extend(_group_qa(rng, storm, port, group_id, horizons))
 
-        facts = _group_facts(storm, port, group_id, horizons)
-        graph = merge_facts([facts])
+    graph = merge_facts([facts for _, facts in group_facts])
+    for group_id, facts in group_facts:
         group_edges = graph.group_edges(group_id)
         change_edges = sorted(
             (edge for edge in group_edges if edge.family == CROSS_HORIZON_FAMILY),
             key=lambda edge: (-_effective_lead(edge), edge.text_position, edge.id),
         )
-        facts.extend(_change_fact(edge, graph) for edge in change_edges)
-
         corpus.facts.extend(facts)
+        corpus.facts.extend(_change_fact(edge, graph) for edge in change_edges)
         corpus.scenarios.append(
             GroupScenario(group_id=group_id, ground_truth=tuple(_reference_order(group_edges)))
         )
-        corpus.qa.extend(_group_qa(rng, storm, port, group_id, horizons))
     return corpus

@@ -28,6 +28,9 @@ API_KEY_ENV = "OKH_EMBED_API_KEY"
 CACHE_MAGIC = b"OKHE"
 CACHE_VERSION = 2
 DEFAULT_LOCAL_DIM = 256
+# A transition model holds two rank x dim factors, so the dimension is
+# bounded before anything is allocated for it.
+MAX_LOCAL_DIM = 4096
 # A query reads column slices (`EmbeddingStore.relevance`) only when at most
 # this share of its buckets are nonzero, as a feature-hashed text's are; a
 # denser one, such as a remote embedder's, reads the dense product.
@@ -90,8 +93,8 @@ class LocalHashingEmbedder:
     identity = json.dumps(["local"])
 
     def __init__(self, dim: int = DEFAULT_LOCAL_DIM):
-        if dim < 8:
-            raise ValueError("local embedder dimension must be at least 8")
+        if not 8 <= dim <= MAX_LOCAL_DIM:
+            raise ValueError(f"local embedder dimension must be in [8, {MAX_LOCAL_DIM}], got {dim}")
         self.dim = dim
 
     def embed_one(self, text: str) -> np.ndarray:

@@ -37,7 +37,7 @@ SNAPSHOT_VERSION = 1
 
 
 def _id_payload(relation: str, entity_ids: Iterable[str], evidence: str) -> bytes:
-    return (relation + "|" + ",".join(sorted(entity_ids)) + "|" + evidence).encode("utf-8")
+    return "|".join((relation, ",".join(sorted(entity_ids)), evidence)).encode("utf-8")
 
 
 def dedup_id(relation: str, entity_ids: Iterable[str], evidence: str) -> str:
@@ -104,23 +104,6 @@ def _anchor_leads(entity_ids: Iterable[str]) -> list[int]:
     return leads
 
 
-def _grounded_ids(
-    relation: str, entity_ids: frozenset[str], evidence: str, horizon: int, anchors: list[int]
-) -> frozenset[str]:
-    """Entity ids of an edge grounded at a horizon: the canonical anchor is added.
-
-    ``anchors`` are the lead times of the anchors among the ids. Raises
-    ConflictingHorizon if the edge carries an anchor for a different lead
-    time, since a within-horizon statement belongs to exactly one block.
-    """
-    if anchors and set(anchors) != {horizon}:
-        raise ConflictingHorizon(
-            f"edge {dedup_id(relation, entity_ids, evidence)} already anchored at {anchors},"
-            f" cannot inject T-{horizon}"
-        )
-    return entity_ids if anchors else entity_ids | {horizon_anchor_id(horizon)}
-
-
 def entity_stem(entity_id: str) -> str | None:
     """Horizon-free prefix of a horizon-suffixed entity id, else None."""
     cut = entity_id.rfind(":T-")
@@ -170,7 +153,7 @@ def _horizon_anchor_entity(horizon: int) -> Entity:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Hyperedge:
     """An n-ary relation over two or more entities with provenance text."""
 
@@ -185,15 +168,42 @@ class Hyperedge:
     horizon: int | None = None
     text_position: int = 0
 
-    def __post_init__(self) -> None:
-        if len(self.entity_ids) < 2:
-            raise ValueError(f"hyperedge {self.relation!r} needs at least two entities")
-        if not 0.0 < self.confidence <= 1.0:
-            raise ValueError(f"hyperedge confidence must be in (0, 1], got {self.confidence}")
-        if self.text_position < 0:
+    def __init__(
+        self,
+        id: str,
+        relation: str,
+        family: int,
+        entity_ids: frozenset[str],
+        evidence: str,
+        attributes: dict[str, str] | None = None,
+        confidence: float = 1.0,
+        group_id: str = "",
+        horizon: int | None = None,
+        text_position: int = 0,
+    ) -> None:
+        # The generated init would set each field through the frozen
+        # `object.__setattr__`; a merge builds thousands of edges, so the
+        # fields are stored in one step.
+        if len(entity_ids) < 2:
+            raise ValueError(f"hyperedge {relation!r} needs at least two entities")
+        if not 0.0 < confidence <= 1.0:
+            raise ValueError(f"hyperedge confidence must be in (0, 1], got {confidence}")
+        if text_position < 0:
             raise ValueError("text_position must be >= 0")
-        if self.horizon is not None and self.horizon <= 0:
+        if horizon is not None and horizon <= 0:
             raise ValueError("horizon must be a positive lead time in hours")
+        self.__dict__.update(
+            id=id,
+            relation=relation,
+            family=family,
+            entity_ids=entity_ids,
+            evidence=evidence,
+            attributes={} if attributes is None else attributes,
+            confidence=confidence,
+            group_id=group_id,
+            horizon=horizon,
+            text_position=text_position,
+        )
 
     def __hash__(self) -> int:
         # Equal edges have equal ids; the attributes dict has no hash.
@@ -729,6 +739,7 @@ def validate_fact(
 
 
 _entity_id = attrgetter("id")
+_ANCHOR_TYPE = EntityType.HORIZON_TIME
 
 
 def _memo_entity_parser() -> Callable[[Any, str], Entity]:
@@ -785,7 +796,7 @@ def merge_facts(fact_batches: Iterable[Iterable[Mapping[str, Any]]]) -> Knowledg
     entities: dict[str, Entity] = {}
     edges: dict[str, Hyperedge] = {}
     parse_entity = _memo_entity_parser()
-    anchored: set[int] = set()
+    anchor_ids: dict[int, str] = {}
 
     # An equal duplicate keeps the existing object, as the tie-breaks would.
     def add_entity(entity: Entity) -> None:
@@ -798,15 +809,20 @@ def merge_facts(fact_batches: Iterable[Iterable[Mapping[str, Any]]]) -> Knowledg
         if existing is not edge and existing != edge:
             edges[edge.id] = _better_edge(existing, edge)
 
-    def add_anchor(lead: int) -> None:
+    def add_anchor(lead: int) -> str:
+        """Add the canonical anchor entity for a lead time; return its id."""
         # The tie-break picks the same winner whatever the order or number
         # of candidates, so one canonical anchor per lead is enough.
-        if lead not in anchored:
-            anchored.add(lead)
-            add_entity(_horizon_anchor_entity(lead))
+        anchor_id = anchor_ids.get(lead)
+        if anchor_id is None:
+            anchor = _horizon_anchor_entity(lead)
+            add_entity(anchor)
+            anchor_id = anchor_ids[lead] = anchor.id
+        return anchor_id
 
     # Each edge's entities and horizon are resolved first; the content ids
-    # are then hashed in one batch for the facts and one for the changes.
+    # are then hashed in one batch for the facts and one for the change
+    # edges that no fact holds.
     drafts: list[tuple] = []
     for batch_index, batch in enumerate(fact_batches):
         for fact_index, fact in enumerate(batch):
@@ -819,26 +835,39 @@ def merge_facts(fact_batches: Iterable[Iterable[Mapping[str, Any]]]) -> Knowledg
                     f"batch[{batch_index}].fact[{fact_index}]",
                 ) from None
             for entity in fact_entities:
-                add_entity(entity)
+                if entities.get(entity.id) is not entity:  # most are the memo's own
+                    add_entity(entity)
             relation, family = DEFAULT_VOCABULARY.normalize(fact["relation"])
-            entity_ids = frozenset(map(_entity_id, fact_entities))
-            anchors = _anchor_leads(entity_ids)
+            evidence = fact["evidence"]
             horizon = fact.get("horizon")
-            if horizon is not None:
-                entity_ids = _grounded_ids(relation, entity_ids, fact["evidence"], horizon, anchors)
-                anchors = anchors or [horizon]
-            elif len(anchors) == 1:
-                # A lone anchor entity implies the horizon even when the
-                # field was left null.
-                horizon = anchors[0]
-            for lead in anchors:
-                add_anchor(lead)
+            # The entity parse types an id HORIZON_TIME exactly when it is a
+            # temporal anchor, so most facts need no id parsed for anchors.
+            anchors = [entity.id for entity in fact_entities if entity.entity_type is _ANCHOR_TYPE]
+            if horizon is not None and not anchors:
+                # Grounded: the canonical anchor joins the entities.
+                entity_ids = frozenset([*map(_entity_id, fact_entities), add_anchor(horizon)])
+            else:
+                entity_ids = frozenset(map(_entity_id, fact_entities))
+            if anchors:
+                leads = _anchor_leads(set(anchors))
+                if horizon is not None and set(leads) != {horizon}:
+                    # A within-horizon statement belongs to exactly one block.
+                    raise ConflictingHorizon(
+                        f"edge {dedup_id(relation, entity_ids, evidence)} already anchored at"
+                        f" {leads}, cannot inject T-{horizon}"
+                    )
+                if horizon is None and len(leads) == 1:
+                    # A lone anchor entity implies the horizon even when the
+                    # field was left null.
+                    horizon = leads[0]
+                for lead in leads:
+                    add_anchor(lead)
             drafts.append(
                 (
                     relation,
                     family,
                     entity_ids,
-                    fact["evidence"],
+                    evidence,
                     dict(fact.get("attributes", {})),
                     float(fact.get("confidence", 1.0)),
                     fact["group"],
@@ -849,22 +878,34 @@ def merge_facts(fact_batches: Iterable[Iterable[Mapping[str, Any]]]) -> Knowledg
     for edge in _hashed(drafts):
         add_edge(edge)
 
-    by_group: dict[str, list[str]] = {}
-    for edge_id in sorted(edges):
-        by_group.setdefault(edges[edge_id].group_id, []).append(edge_id)
+    # `_change_drafts` reads a group's edges in any order.
+    by_group: dict[str, list[Hyperedge]] = {}
+    for edge in edges.values():
+        by_group.setdefault(edge.group_id, []).append(edge)
     changes = []
     for group in sorted(by_group):
-        changes.extend(_change_drafts(edges[edge_id] for edge_id in by_group[group]))
+        changes.extend(_change_drafts(by_group[group]))
     for change in changes:
-        entity_ids = change[2]
-        for lead in _anchor_leads(entity_ids):
-            add_anchor(lead)
-        for entity_id in entity_ids:
-            if entity_id not in entities and not HORIZON_ANCHOR_RE.match(entity_id):
-                # State entities referenced by a change edge always come
-                # from its source edges, so this is a guard.
-                add_entity(Entity(entity_id, entity_id, EntityType.OTHER))
-    for edge in _hashed(changes):
-        add_edge(edge)
+        for entity_id in change[2]:
+            if entity_id not in entities:
+                # The anchors and state entities of a change edge always
+                # come from its source edges, so this is a guard.
+                lead = _id_parts(entity_id)[0]
+                if lead is None:
+                    add_entity(Entity(entity_id, entity_id, EntityType.OTHER))
+                else:
+                    add_anchor(lead)
+    # A change edge that the facts already hold (a merged graph's facts fed
+    # back in) takes the id its fact was hashed to; the rest are hashed.
+    ids = {
+        (edge.relation, edge.entity_ids, edge.evidence): edge.id
+        for edge in edges.values()
+        if edge.family == CROSS_HORIZON_FAMILY
+    }
+    contents = [(change[0], change[2], change[3]) for change in changes]
+    unseen = [content for content in contents if content not in ids]
+    ids.update(zip(unseen, _dedup_ids(unseen)))
+    for content, change in zip(contents, changes):
+        add_edge(Hyperedge(ids[content], *change))
 
     return KnowledgeHypergraph(entities, edges)

@@ -46,6 +46,11 @@ class RetrievalWeights:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
+# The diversity selection's cost grows with the cube of the beam width, so
+# the width is bounded.
+MAX_BEAM_WIDTH = 1024
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     beam_width: int = 8
@@ -59,6 +64,8 @@ class SearchConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.beam_width > MAX_BEAM_WIDTH:
+            raise ValueError(f"beam_width must be <= {MAX_BEAM_WIDTH}, got {self.beam_width}")
         if not 0.0 <= self.diversity_overlap_threshold <= 1.0:
             raise ValueError(
                 "diversity_overlap_threshold must be in [0, 1],"

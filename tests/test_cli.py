@@ -576,9 +576,19 @@ def test_train_refuses_a_rank_above_the_dimension_before_loading(pipeline, tmp_p
     capsys.readouterr()
 
 
+def test_train_refuses_a_local_dimension_above_the_bound_before_loading(tmp_path, capsys):
+    missing = tmp_path / "missing.snap"
+    checkpoint = tmp_path / "wide.okht"
+    assert main(["train", "--snapshot", str(missing), "--checkpoint", str(checkpoint),
+                 "--dim", "4097"]) == 2
+    assert capsys.readouterr().err == "error: local embedder dimension must be in [8, 4096], got 4097\n"
+    assert not checkpoint.exists()
+
+
 def test_search_and_scope_refusals_name_their_field_and_value(pipeline, capsys):
     for flags, message in [
         (["--beam", "0"], "beam_width must be >= 1, got 0"),
+        (["--beam", "1025"], "beam_width must be <= 1024, got 1025"),
         (["--length", "0"], "trajectory_length must be >= 1, got 0"),
         (["--paths", "-2"], "num_trajectories must be >= 1, got -2"),
         (["--topk", "0"], "top_k must be >= 1, got 0"),

@@ -1,16 +1,29 @@
+import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okh.corpus import (
     ALL_HORIZONS,
+    PORT_NAMES,
+    STORM_NAMES,
     GeneratedCorpus,
+    GroupScenario,
     QAItem,
+    _change_fact,
+    _effective_lead,
+    _group_facts,
+    _group_qa,
+    _reference_order,
+    _unique_name,
     generate_synthetic,
     group_id_for,
 )
 from okh.hypergraph import merge_facts
-from okh.relations import DEFAULT_VOCABULARY
+from okh.relations import CROSS_HORIZON_FAMILY, DEFAULT_VOCABULARY
 
 
 def test_group_id_for_folds_names():
@@ -205,3 +218,113 @@ def test_generated_corpus_serializers_end_with_newline():
     assert corpus.facts_jsonl().endswith("\n")
     assert corpus.qa_json().endswith("\n")
     assert isinstance(GeneratedCorpus().facts_jsonl(), str)
+
+
+# --- The generator's bytes, pinned -----------------------------------------
+
+
+def _reference_generate(seed, n_groups, horizons_per_group):
+    """The per-group generator that merged each group's facts on its own."""
+    rng = random.Random(seed)
+    corpus = GeneratedCorpus()
+    for i in range(n_groups):
+        storm = _unique_name(STORM_NAMES, i)
+        port = _unique_name(PORT_NAMES, i)
+        group_id = group_id_for(storm, port)
+        horizons = tuple(sorted(rng.sample(ALL_HORIZONS, k=horizons_per_group), reverse=True))
+
+        facts = _group_facts(storm, port, group_id, horizons)
+        graph = merge_facts([facts])
+        group_edges = graph.group_edges(group_id)
+        change_edges = sorted(
+            (edge for edge in group_edges if edge.family == CROSS_HORIZON_FAMILY),
+            key=lambda edge: (-_effective_lead(edge), edge.text_position, edge.id),
+        )
+        facts.extend(_change_fact(edge, graph) for edge in change_edges)
+
+        corpus.facts.extend(facts)
+        corpus.scenarios.append(
+            GroupScenario(group_id=group_id, ground_truth=tuple(_reference_order(group_edges)))
+        )
+        corpus.qa.extend(_group_qa(rng, storm, port, group_id, horizons))
+    return corpus
+
+
+def _digests(corpus):
+    truths = json.dumps([[s.group_id, list(s.ground_truth)] for s in corpus.scenarios])
+    return tuple(
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (corpus.facts_jsonl(), corpus.qa_json(), truths)
+    )
+
+
+# sha256 of facts_jsonl(), qa_json() and the ground truths, as (group id,
+# ordered edge ids) pairs, recorded with the per-group generator.
+_PINNED = {
+    (1, 44, 3): (
+        "aa49e1d67d9fb06674036a47fd139c7bc15aa1b4cb5661fd5efaecdc0417cc00",
+        "556fd68615f975bfef629fc6cd097a5c0cb6eb07a5f54e15c5187a01b636395d",
+        "83cd5985074c9c6ce924f54ff0b62a61a6d5f83e3f9898c11a090593d0ebfd10",
+    ),
+    (91, 44, 3): (
+        "651ac6351d33e2643d1ab05d99a02e947c1258c045d6c13edd53e81a492483d5",
+        "2381eaa320d0725e067fb88382c54bd06510c647084b8529daf66f4703989f93",
+        "48ff637fb37afa7db4659799e8a3099e3dc3241626cc413c04cbf78ee503b0d9",
+    ),
+    (92, 44, 3): (
+        "5480aaef80d2e59559bd79ad0b92e615f579a5afad7c9bfd8f13d24ee45c363f",
+        "532092b29faf9d2e022e8a21b07e2ab2bb16a861d34c0da0e5835f0e4945278e",
+        "e1312fc2e5dc73da73741844eaedf4416a6de1f7cd57a50cbdd2f03c652c2106",
+    ),
+    (93, 44, 3): (
+        "445b1f6c7d567f5e5fa9dae812da563d97884e1971a6431b1ae8382337b93ca5",
+        "60ad4eb75305b59b8c5ae4e30056894dc034d0805f06e30caab09e8581fb142c",
+        "87617e5d0506231bb5e33120d96a114dec0bfe764f4022f3ad217c86b0cf4558",
+    ),
+    (1, 44, 6): (
+        "10798114064ce5fe4011000c48047a54f965cca5d031b5590c907a0c0d24a7be",
+        "c5a4015a9b8c00f033b5cfa8ad8b09ddaa86d1b2f37d1c796c1da3c929a3a05c",
+        "b089acd8b88d1b71c2c04e42d61b5074fc897c65a390a8c3fe47f5e9a3fdae8c",
+    ),
+    (1, 25, 4): (
+        "f4b40e06176035d0be9c42d6b3d7d2080b6698b671a240de7e302e73ee56a652",
+        "649e9d3ded865603a1021d055e7a107ee8185168801f6dc2d7bca6307dea8cc2",
+        "b25482e7028a6f35f1492d26f676f4d9d570da14fd813f50c36a3763dae02f23",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PINNED))
+def test_generated_bytes_match_the_pinned_digests(shape):
+    assert _digests(generate_synthetic(*shape)) == _PINNED[shape]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_groups=st.integers(1, 30),
+    horizons=st.integers(1, len(ALL_HORIZONS)),
+)
+def test_generator_matches_the_per_group_reference(seed, n_groups, horizons):
+    corpus = generate_synthetic(seed, n_groups, horizons)
+    reference = _reference_generate(seed, n_groups, horizons)
+    assert corpus.facts_jsonl() == reference.facts_jsonl()
+    assert corpus.qa_json() == reference.qa_json()
+    assert corpus.scenarios == reference.scenarios
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_groups=st.integers(1, 21),
+    horizons=st.integers(1, len(ALL_HORIZONS)),
+)
+def test_a_corpus_is_a_prefix_of_the_corpus_with_one_more_group(seed, n_groups, horizons):
+    # Each group's draws come before the next group's, so adding a group
+    # appends to every output and changes nothing before it.
+    shorter = generate_synthetic(seed, n_groups, horizons)
+    longer = generate_synthetic(seed, n_groups + 1, horizons)
+    assert longer.facts[: len(shorter.facts)] == shorter.facts
+    assert len(longer.facts) > len(shorter.facts)
+    assert longer.qa[: len(shorter.qa)] == shorter.qa
+    assert longer.scenarios[:-1] == shorter.scenarios

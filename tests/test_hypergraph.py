@@ -5,6 +5,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from collections.abc import Mapping
+import dataclasses
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -169,6 +170,116 @@ def test_equal_hyperedges_hash_equal_and_fit_in_a_set():
 def test_hyperedge_needs_two_entities():
     with pytest.raises(ValueError):
         _edge(ids=("solo",))
+
+
+# --- Hyperedge's one-step constructor, against a generated-init copy -------
+
+
+@dataclasses.dataclass(frozen=True)
+class _GeneratedInitEdge:
+    """Hyperedge as the dataclass decorator writes it: generated init and
+    `__post_init__` checks; the methods compared are Hyperedge's own."""
+
+    id: str
+    relation: str
+    family: int
+    entity_ids: frozenset[str]
+    evidence: str
+    attributes: dict[str, str] = dataclasses.field(default_factory=dict)
+    confidence: float = 1.0
+    group_id: str = ""
+    horizon: int | None = None
+    text_position: int = 0
+
+    def __post_init__(self) -> None:
+        if len(self.entity_ids) < 2:
+            raise ValueError(f"hyperedge {self.relation!r} needs at least two entities")
+        if not 0.0 < self.confidence <= 1.0:
+            raise ValueError(f"hyperedge confidence must be in (0, 1], got {self.confidence}")
+        if self.text_position < 0:
+            raise ValueError("text_position must be >= 0")
+        if self.horizon is not None and self.horizon <= 0:
+            raise ValueError("horizon must be a positive lead time in hours")
+
+    __hash__ = Hyperedge.__hash__
+    to_dict = Hyperedge.to_dict
+
+
+_GeneratedInitEdge.__qualname__ = "Hyperedge"  # the name `repr` prints
+
+_EDGE_REFUSALS = [
+    ({"entity_ids": frozenset({"a"})}, "needs at least two entities"),
+    ({"confidence": 0.0}, "confidence must be in"),
+    ({"confidence": 1.5}, "confidence must be in"),
+    ({"text_position": -1}, "text_position must be >= 0"),
+    ({"horizon": 0}, "horizon must be a positive lead time"),
+]
+
+
+@pytest.mark.parametrize(("change", "message"), _EDGE_REFUSALS)
+def test_each_edge_refusal_raises_through_every_way_to_build_an_edge(change, message):
+    edge = _edge(group_id="g", horizon=24)
+    fields = {name: getattr(edge, name) for name in ("id", "relation", "family", "entity_ids", "evidence")}
+    with pytest.raises(ValueError, match=message):
+        Hyperedge(**{**fields, **change})
+    with pytest.raises(ValueError, match=message):
+        replace(edge, **change)
+    created = {"entity_ids": ("a", "b"), "confidence": 1.0, "text_position": 0, "horizon": None, **change}
+    with pytest.raises(ValueError, match=message):
+        Hyperedge.create("forecasts_hazard_at_horizon", evidence="ev", **created)
+
+
+def test_edges_built_without_attributes_do_not_share_a_dict():
+    ids = frozenset({"a", "b"})
+    first = Hyperedge("0" * 16, "has_attribute", 12, ids, "ev")
+    second = Hyperedge("0" * 16, "has_attribute", 12, ids, "ev")
+    assert first.attributes == {} and first.attributes is not second.attributes
+    assert _edge().attributes is not _edge().attributes
+
+
+_edge_fields = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["0" * 16, "00000000000000ff"]),
+        "relation": st.sampled_from(sorted(FAMILY_OF)[:3]),
+        "family": st.integers(1, 13),
+        "entity_ids": st.frozensets(st.sampled_from(["a", "b", "c:T-24", horizon_anchor_id(24)]), max_size=4),
+        "evidence": st.sampled_from(["", "ev"]),
+    },
+    optional={
+        "attributes": st.dictionaries(st.sampled_from(["k", "z"]), st.sampled_from(["1", "2"]), max_size=2),
+        "confidence": st.sampled_from([0.0, 0.5, 1.0, 1.5, 1, float("nan")]),
+        "group_id": st.sampled_from(["", "g"]),
+        "horizon": st.sampled_from([None, -1, 0, 24, 48]),
+        "text_position": st.integers(-1, 2),
+    },
+)
+
+
+def _built(cls, fields):
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_fields, _edge_fields)
+def test_one_step_edges_match_generated_init_edges(first, second):
+    edges = [_built(Hyperedge, fields) for fields in (first, second)]
+    references = [_built(_GeneratedInitEdge, fields) for fields in (first, second)]
+    for edge, reference in zip(edges, references):
+        if isinstance(reference, tuple):
+            assert edge == reference
+            continue
+        assert repr(edge) == repr(reference)
+        assert hash(edge) == hash(reference)
+        assert edge.to_dict() == reference.to_dict()
+        assert dataclasses.astuple(edge) == dataclasses.astuple(reference)
+    if not any(isinstance(reference, tuple) for reference in references):
+        assert (edges[0] == edges[1]) == (references[0] == references[1])
+    assert [(f.name, f.default, f.default_factory) for f in dataclasses.fields(Hyperedge)] == [
+        (f.name, f.default, f.default_factory) for f in dataclasses.fields(_GeneratedInitEdge)
+    ]
 
 
 def test_anchor_horizons_sorted_descending():
