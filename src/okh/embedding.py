@@ -323,7 +323,10 @@ class EmbeddingCache:
     def lookup_many(self, texts: Sequence[str]) -> tuple[np.ndarray, list[int]]:
         """The vectors of ``texts`` as the rows of one matrix, and the positions
         of the texts that have no record, whose rows are zero."""
-        keys = [content_key(text) for text in texts]
+        return self._lookup_keys([content_key(text) for text in texts])
+
+    def _lookup_keys(self, keys: Sequence[bytes]) -> tuple[np.ndarray, list[int]]:
+        """`lookup_many` of the texts with these content keys."""
         get = self._row_of.get
         rows = [get(key, -1) for key in keys]
         misses = [i for i, row in enumerate(rows) if row < 0]
@@ -345,6 +348,14 @@ class EmbeddingCache:
             raise DimensionMismatch(f"cache holds {self.dim}-d vectors, got {vector.shape}")
         with self._lock:
             self._stored[content_key(text)] = np.asarray(vector, dtype=np.float64)
+
+    def _store_keys(self, keys: Sequence[bytes], vectors: np.ndarray) -> None:
+        """`store` of each float64 row of ``vectors`` under the content key
+        at its position, under one lock acquisition."""
+        if vectors.shape[1:] != (self.dim,):
+            raise DimensionMismatch(f"cache holds {self.dim}-d vectors, got {vectors.shape[1:]}")
+        with self._lock:
+            self._stored.update(zip(keys, vectors))
 
     def save(self) -> None:
         """Write the records in key order.
@@ -433,15 +444,20 @@ class EmbeddingStore:
         if cache is None:
             matrix = np.asarray(embedder.embed(texts), dtype=np.float64)
         else:
-            matrix, misses = cache.lookup_many(texts)
-            bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-            if bad.size:
-                raise _non_finite(cache, texts[bad[0]])
+            keys = [content_key(text) for text in texts]
+            matrix, misses = cache._lookup_keys(keys)
+            if len(misses) < len(texts):
+                bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+                if bad.size:
+                    raise _non_finite(cache, texts[bad[0]])
             if misses:
-                fresh = embedder.embed([texts[i] for i in misses])
-                for slot, i in enumerate(misses):
-                    cache.store(texts[i], fresh[slot])
-                matrix[misses] = fresh
+                fresh = np.asarray(embedder.embed([texts[i] for i in misses]), dtype=np.float64)
+                cache._store_keys([keys[i] for i in misses], fresh)
+                # With every text missed, the fresh rows are the matrix.
+                if len(misses) == len(texts):
+                    matrix = fresh
+                else:
+                    matrix[misses] = fresh
         return cls(ids, matrix, embedder, cache)
 
     def vector(self, edge_id: str) -> np.ndarray:

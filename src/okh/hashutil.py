@@ -37,14 +37,14 @@ def fnv1a64_many(payloads: Sequence[bytes]) -> list[int]:
     order = np.argsort(-lengths, kind="stable")
     ranked = lengths[order]
     width = int(ranked[0])
-    columns = np.arange(width)
-    padded = np.zeros((count, width), dtype=np.uint8)
-    padded[columns < ranked[:, None]] = np.frombuffer(
-        b"".join(payloads[i] for i in order.tolist()), dtype=np.uint8
-    )
+    # Each row is padded with zero bytes to the width; a padding byte is
+    # never hashed, since only the live prefix of a column is read.
+    padded = np.frombuffer(
+        b"".join([payloads[i].ljust(width, b"\0") for i in order.tolist()]), dtype=np.uint8
+    ).reshape(count, width)
     columns_major = np.ascontiguousarray(padded.T)
     # live[j]: rows whose payload is longer than j, a prefix of the ranking.
-    live = np.searchsorted(-ranked, -columns, side="left")
+    live = np.searchsorted(-ranked, -np.arange(width), side="left")
     state = np.full(count, _FNV64_OFFSET, dtype=np.uint64)
     prime = np.uint64(_FNV64_PRIME)
     for column, rows in zip(columns_major, live.tolist()):

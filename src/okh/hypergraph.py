@@ -114,7 +114,7 @@ def entity_stem(entity_id: str) -> str | None:
     return entity_id[:cut]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Entity:
     """A node of the hypergraph."""
 
@@ -124,13 +124,28 @@ class Entity:
     description: str = ""
     confidence: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        name: str,
+        entity_type: EntityType,
+        description: str = "",
+        confidence: float = 1.0,
+    ) -> None:
+        # One step, as `Hyperedge.__init__`: a merge parses thousands.
+        if not id:
             raise ValueError("entity id must be non-empty")
-        if not 0.0 < self.confidence <= 1.0:
-            raise ValueError(f"entity confidence must be in (0, 1], got {self.confidence}")
-        if self.entity_type is EntityType.HORIZON_TIME and not HORIZON_ANCHOR_RE.match(self.id):
-            raise ValueError(f"horizon_time entity id {self.id!r} must match horizon:T-<int>")
+        if not 0.0 < confidence <= 1.0:
+            raise ValueError(f"entity confidence must be in (0, 1], got {confidence}")
+        if entity_type is EntityType.HORIZON_TIME and not HORIZON_ANCHOR_RE.match(id):
+            raise ValueError(f"horizon_time entity id {id!r} must match horizon:T-<int>")
+        self.__dict__.update(
+            id=id,
+            name=name,
+            entity_type=entity_type,
+            description=description,
+            confidence=confidence,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         # Keys in sorted order, as the snapshot writes them.
@@ -270,6 +285,12 @@ def _hashed(drafts: Sequence[tuple]) -> list[Hyperedge]:
     """
     ids = _dedup_ids((draft[0], draft[2], draft[3]) for draft in drafts)
     return [Hyperedge(edge_id, *draft) for edge_id, draft in zip(ids, drafts)]
+
+
+_draft_fields = attrgetter(
+    "relation", "family", "entity_ids", "evidence", "attributes",
+    "confidence", "group_id", "horizon", "text_position",
+)  # an edge's fields after its id, as a draft holds them
 
 
 def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[tuple]:
@@ -896,16 +917,22 @@ def merge_facts(fact_batches: Iterable[Iterable[Mapping[str, Any]]]) -> Knowledg
                 else:
                     add_anchor(lead)
     # A change edge that the facts already hold (a merged graph's facts fed
-    # back in) takes the id its fact was hashed to; the rest are hashed.
-    ids = {
-        (edge.relation, edge.entity_ids, edge.evidence): edge.id
+    # back in) takes the id its fact was hashed to, and is not built at all
+    # where its fields equal the draft's, since `add_edge` would keep the
+    # held one; the rest are hashed.
+    held = {
+        (edge.relation, edge.entity_ids, edge.evidence): edge
         for edge in edges.values()
         if edge.family == CROSS_HORIZON_FAMILY
     }
-    contents = [(change[0], change[2], change[3]) for change in changes]
-    unseen = [content for content in contents if content not in ids]
-    ids.update(zip(unseen, _dedup_ids(unseen)))
-    for content, change in zip(contents, changes):
-        add_edge(Hyperedge(ids[content], *change))
+    unseen = []
+    for change in changes:
+        edge = held.get((change[0], change[2], change[3]))
+        if edge is None:
+            unseen.append(change)
+        elif _draft_fields(edge) != change:
+            add_edge(Hyperedge(edge.id, *change))
+    for edge in _hashed(unseen):
+        add_edge(edge)
 
     return KnowledgeHypergraph(entities, edges)

@@ -4,7 +4,7 @@ Four rule families induce a strict partial order over each group's
 hyperedges: within-horizon phase ordering, cross-horizon evolution of the
 same family toward landfall, within-horizon causal chains, and state-before-
 transition edges into cross-horizon change hyperedges. Reachability questions
-are answered from precomputed transitive-closure bitsets.
+are answered from transitive-closure bitsets, computed on first use.
 
 The contract: every precedence pair rises in (-lead time, family), the first
 two fields of ``_sort_key``. Phase and causal pairs rise in family within one
@@ -119,8 +119,38 @@ class GroupPrecedence:
     edge_ids: list[str]
     index_of: dict[str, int]
     successors: dict[str, set[str]]
-    closure: list[int]
     edges: Sequence[Hyperedge]
+
+    @cached_property
+    def closure(self) -> list[int]:
+        """Each edge's transitive successors as bits ``1 << j`` over
+        ``edge_ids``, computed on first use: `okh build` only writes the
+        direct pairs, and pair mining only reads ``trajectory``.
+
+        The bits are filled in reverse of a plain Kahn order: every
+        topological order gives the same bits, so the sort waits for
+        ``trajectory``.
+        """
+        index_of = self.index_of
+        after: list[list[int]] = [[] for _ in self.edge_ids]
+        indegree = [0] * len(self.edge_ids)
+        for src, dsts in self.successors.items():
+            targets = after[index_of[src]] = [index_of[dst] for dst in dsts]
+            for j in targets:
+                indegree[j] += 1
+        order = [i for i, degree in enumerate(indegree) if not degree]
+        for i in order:  # the list grows while it is walked
+            for j in after[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+        closure = [0] * len(self.edge_ids)
+        for i in reversed(order):
+            mask = 0
+            for j in after[i]:
+                mask |= (1 << j) | closure[j]
+            closure[i] = mask
+        return closure
 
     @cached_property
     def trajectory(self) -> list[str]:
@@ -148,32 +178,11 @@ class GroupPrecedence:
 def _build_group(
     edges: Sequence[Hyperedge], successors: dict[str, set[str]]
 ) -> GroupPrecedence:
-    """Index a group's DAG, whose pairs rise in (-lead time, family).
-
-    The closure is filled in reverse of a plain Kahn order: every topological
-    order gives the same bits, so the sort waits for ``trajectory``.
-    """
+    """Index a group's DAG, whose pairs rise in (-lead time, family); the
+    closure and the canonical order wait for their first reader."""
     edge_ids = sorted(edge.id for edge in edges)
     index_of = {edge_id: i for i, edge_id in enumerate(edge_ids)}
-    after: list[list[int]] = [[] for _ in edge_ids]
-    indegree = [0] * len(edge_ids)
-    for src, dsts in successors.items():
-        targets = after[index_of[src]] = [index_of[dst] for dst in dsts]
-        for j in targets:
-            indegree[j] += 1
-    order = [i for i, degree in enumerate(indegree) if not degree]
-    for i in order:  # the list grows while it is walked
-        for j in after[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                order.append(j)
-    closure = [0] * len(edge_ids)
-    for i in reversed(order):
-        mask = 0
-        for j in after[i]:
-            mask |= (1 << j) | closure[j]
-        closure[i] = mask
-    return GroupPrecedence(edge_ids, index_of, successors, closure, edges)
+    return GroupPrecedence(edge_ids, index_of, successors, edges)
 
 
 def build_precedence(group_edges: Iterable[Hyperedge]) -> GroupPrecedence:
@@ -216,7 +225,7 @@ class PrecedenceIndex:
         hypergraph: KnowledgeHypergraph,
         direct: Mapping[str, Sequence[tuple[str, str]]],
     ) -> "PrecedenceIndex":
-        """Rebuild the closure from persisted direct DAG edges.
+        """Index the persisted direct DAG edges.
 
         A malformed snapshot is refused with SchemaError: at
         ``precedence.<group>`` for a group the graph lacks or a group of the

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 from okh import cli
 from okh.cli import main
 from okh.corpus import QA_KINDS
+from okh.errors import NonFiniteLoss
 from okh.hypergraph import merge_facts
 from okh.transition import TransitionModel
 
@@ -658,6 +660,94 @@ def test_out_of_memory_exits_one_without_a_traceback(monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "synth", cli._COMMANDS["synth"]._replace(run=exhausted))
     assert main(["synth"]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def _raise(error):
+    def run(values):
+        raise error
+
+    return run
+
+
+_EXITS = {
+    "success": (["synth", "--groups", "1", "--horizons", "2"], None, 0),
+    "schema error": (["synth", "--config", "missing.json"], None, 2),
+    "okh error": (["synth"], _raise(NonFiniteLoss("loss is nan")), 1),
+    "usage error": (["not-a-command"], None, 2),
+    "help": (["--help"], None, 0),
+    "out of memory": (["synth"], _raise(MemoryError()), 1),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("exit_kind", sorted(_EXITS))
+def test_main_leaves_the_collector_as_it_found_it(
+    monkeypatch, tmp_path, capsys, enabled, exit_kind
+):
+    argv, run, code = _EXITS[exit_kind]
+    monkeypatch.chdir(tmp_path)
+    if run is not None:
+        monkeypatch.setitem(cli._COMMANDS, "synth", cli._COMMANDS["synth"]._replace(run=run))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_an_exception_main_does_not_handle_still_restores_the_collector(monkeypatch):
+    monkeypatch.setitem(
+        cli._COMMANDS, "synth", cli._COMMANDS["synth"]._replace(run=_raise(KeyboardInterrupt()))
+    )
+    assert gc.isenabled()
+    with pytest.raises(KeyboardInterrupt):
+        main(["synth"])
+    assert gc.isenabled()
+
+
+def test_a_command_runs_with_the_collector_paused(monkeypatch):
+    seen = []
+
+    def run(values):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", cli._COMMANDS["synth"]._replace(run=run))
+    assert gc.isenabled()
+    assert main(["synth"]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def test_build_and_train_never_compute_a_closure(pipeline, tmp_path, monkeypatch, capsys):
+    # `okh build` writes only the direct pairs, and pair mining reads only
+    # the canonical order; a retrieve of the snapshot reads the closure.
+    from okh.precedence import GroupPrecedence
+
+    def refuse(self):
+        raise AssertionError("a closure was computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GroupPrecedence, "closure", property(refuse))
+        snapshot, checkpoint = tmp_path / "graph.snap", tmp_path / "model.okht"
+        assert main(["build", "--corpus", str(pipeline["facts"]), "--snapshot", str(snapshot)]) == 0
+        assert main(["train", "--snapshot", str(snapshot), "--checkpoint", str(checkpoint),
+                     "--dim", "32", "--rank", "4", "--epochs", "2"]) == 0
+        with pytest.raises(AssertionError, match="a closure was computed"):
+            main(["retrieve", "--snapshot", str(snapshot), "--checkpoint", str(checkpoint),
+                  "--dim", "32", "--query", "q"])
+    assert snapshot.read_bytes() == pipeline["snapshot"].read_bytes()
+    assert checkpoint.read_bytes() == pipeline["checkpoint"].read_bytes()
+    outputs = []
+    for path in (pipeline["snapshot"], snapshot):
+        capsys.readouterr()
+        assert main(["retrieve", "--snapshot", str(path),
+                     "--checkpoint", str(checkpoint), "--dim", "32",
+                     "--query", "Did the port operation status escalate before landfall?"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "=== Trajectory 1 ===" in outputs[0]
 
 
 def test_one_parser_serves_every_command_of_a_process(pipeline, tmp_path, capsys):

@@ -527,3 +527,84 @@ def test_sparse_query_over_wide_ranging_values_is_the_dense_product():
         query[:4] = (rng.standard_normal(4) * 2.0 ** rng.integers(-40, 1, 4)).astype(np.float32)
         assert store.relevance(query).tobytes() == (store.matrix @ query).tobytes()
     assert set(store.columns) == {0, 1, 2, 3}
+
+
+# --- Store build with a cache: one key per text, misses stored at once -----
+
+
+def _synthetic_graph_texts():
+    graph = merge_facts([generate_synthetic(seed=4, n_groups=2, horizons_per_group=2).facts])
+    labels = {entity_id: _entity_label(entity) for entity_id, entity in graph.entities.items()}
+    texts = [_compose(graph.hyperedges[edge_id], labels) for edge_id in sorted(graph.hyperedges)]
+    return graph, texts
+
+
+@pytest.mark.parametrize("state", ["empty", "partly warm", "warm from file", "warm in memory"])
+def test_cached_store_matrix_is_the_uncached_build_bit_for_bit(tmp_path, state):
+    graph, texts = _synthetic_graph_texts()
+    embedder = LocalHashingEmbedder(16)
+    expected = EmbeddingStore.build(graph, embedder).matrix
+    path = tmp_path / "c.okhe"
+    cache = EmbeddingCache(str(path), 16)
+    if state == "partly warm":
+        for text in texts[::3]:
+            cache.store(text, embedder.embed_one(text))
+    elif state.startswith("warm"):
+        EmbeddingStore.build(graph, embedder, cache)
+        if state == "warm from file":
+            cache.save()
+            cache = EmbeddingCache(str(path), 16)
+    counting = _CountingEmbedder(16)
+    store = EmbeddingStore.build(graph, counting, cache)
+    assert store.matrix.dtype == np.float64 and not store.matrix.flags.writeable
+    assert store.matrix.tobytes() == expected.tobytes()
+    assert counting.calls == (0 if state.startswith("warm") else 1)
+    assert all(cache.lookup(text).tobytes() == row.tobytes() for text, row in zip(texts, expected))
+
+
+@pytest.mark.parametrize("warm_share", [0, 2, 1])
+def test_cached_store_build_saves_the_bytes_of_a_per_text_store_loop(tmp_path, warm_share):
+    graph, texts = _synthetic_graph_texts()
+    embedder = LocalHashingEmbedder(16)
+    built = EmbeddingCache(str(tmp_path / "built.okhe"), 16)
+    looped = EmbeddingCache(str(tmp_path / "looped.okhe"), 16)
+    if warm_share:
+        for text in texts[::warm_share]:
+            built.store(text, embedder.embed_one(text))
+    EmbeddingStore.build(graph, embedder, built)
+    for text, row in zip(texts, embedder.embed(texts)):
+        looped.store(text, row)
+    built.save()
+    looped.save()
+    assert (tmp_path / "built.okhe").read_bytes() == (tmp_path / "looped.okhe").read_bytes()
+    assert len(EmbeddingCache(str(tmp_path / "built.okhe"), 16)) == len(set(texts))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_cached_store_build_refuses_an_embedder_of_another_width(tmp_path, warm):
+    graph, texts = _synthetic_graph_texts()
+    cache = EmbeddingCache(str(tmp_path / "c.okhe"), 16)
+    if warm:
+        cache.store(texts[0], LocalHashingEmbedder(16).embed_one(texts[0]))
+    with pytest.raises(DimensionMismatch) as info:
+        EmbeddingStore.build(graph, LocalHashingEmbedder(8), cache)
+    assert str(info.value) == "cache holds 16-d vectors, got (8,)"
+    assert len(cache) == int(warm)
+
+
+def test_cached_store_build_refuses_a_non_finite_cached_row_before_embedding(tmp_path):
+    graph, texts = _synthetic_graph_texts()
+    path = tmp_path / "c.okhe"
+    cache = EmbeddingCache(str(path), 16)
+    embedder = LocalHashingEmbedder(16)
+    for text in texts[:4]:
+        cache.store(text, embedder.embed_one(text))
+    cache.store(texts[2], np.full(16, np.nan))
+    counting = _CountingEmbedder(16)
+    with pytest.raises(SchemaError) as info:
+        EmbeddingStore.build(graph, counting, cache)
+    assert info.value.path == "cache"
+    assert info.value.message == (
+        f"{path}: the vector recorded for text {content_key(texts[2]).hex()} is not finite"
+    )
+    assert counting.calls == 0 and len(cache) == 4

@@ -7,6 +7,7 @@ from collections import OrderedDict
 from collections.abc import Mapping
 import dataclasses
 from dataclasses import replace
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from okh.corpus import generate_synthetic
 from okh.errors import ConflictingHorizon, OkhError, SchemaError
 from okh.hashutil import content_key, fnv1a64, fnv1a64_many
+from okh import hypergraph
 from okh.hypergraph import (
     HORIZON_ANCHOR_RE,
     Entity,
@@ -29,6 +31,7 @@ from okh.hypergraph import (
     merge_facts,
     validate_fact,
     _anchor_leads,
+    _better_edge,
     _change_drafts,
     _entity_from_dict,
     _id_parts,
@@ -65,6 +68,9 @@ def test_fnv1a64_matches_reference_loop_on_arbitrary_bytes():
 @example([])
 @example([b""])
 @example([b"", "pörtø".encode("utf-8"), bytes(range(256)), b"x" * 300, b"a", b""])
+# Trailing zero bytes are hashed, unlike the zero padding after them.
+@example([b"a\x00", b"a", b"\x00", b"\x00\x00\x00", b"", b"ab\x00\x00"])
+@example([bytes([i, 0, i]) * 5 for i in range(40)])
 def test_fnv1a64_many_matches_reference_loop(payloads):
     assert fnv1a64_many(payloads) == [reference_fnv1a64(data) for data in payloads]
 
@@ -145,6 +151,73 @@ def test_horizon_time_entity_id_must_match_anchor_pattern():
     Entity(horizon_anchor_id(48), "T-48", EntityType.HORIZON_TIME)
     with pytest.raises(ValueError):
         Entity("not_an_anchor", "T-48", EntityType.HORIZON_TIME)
+
+
+# --- Entity's one-step constructor, against a generated-init copy ---------
+
+
+@dataclasses.dataclass(frozen=True)
+class _GeneratedInitEntity:
+    """Entity as the dataclass decorator writes it: generated init and
+    `__post_init__` checks; the method compared is Entity's own."""
+
+    id: str
+    name: str
+    entity_type: EntityType
+    description: str = ""
+    confidence: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.id:
+            raise ValueError("entity id must be non-empty")
+        if not 0.0 < self.confidence <= 1.0:
+            raise ValueError(f"entity confidence must be in (0, 1], got {self.confidence}")
+        if self.entity_type is EntityType.HORIZON_TIME and not HORIZON_ANCHOR_RE.match(self.id):
+            raise ValueError(f"horizon_time entity id {self.id!r} must match horizon:T-<int>")
+
+    to_dict = Entity.to_dict
+
+
+_GeneratedInitEntity.__qualname__ = "Entity"  # the name `repr` prints
+
+_entity_fields = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["", "port:a", horizon_anchor_id(24), "horizon:T-x"]),
+        "name": st.sampled_from(["", "A"]),
+        "entity_type": st.sampled_from([EntityType.PORT, EntityType.HORIZON_TIME, EntityType.OTHER]),
+    },
+    optional={
+        "description": st.sampled_from(["", "d"]),
+        "confidence": st.sampled_from([0.0, 0.5, 1.0, 1.5, 1, float("nan")]),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entity_fields, _entity_fields, _entity_fields)
+def test_one_step_entities_match_generated_init_entities(first, second, change):
+    entities = [_built(Entity, fields) for fields in (first, second)]
+    references = [_built(_GeneratedInitEntity, fields) for fields in (first, second)]
+    for entity, reference in zip(entities, references):
+        if isinstance(reference, tuple):
+            assert entity == reference
+            continue
+        assert repr(entity) == repr(reference)
+        assert hash(entity) == hash(reference)
+        assert entity.to_dict() == reference.to_dict()
+        assert dataclasses.astuple(entity) == dataclasses.astuple(reference)
+        # `replace` goes through the constructor, refusals included.
+        replaced = _built(partial(replace, entity), change)
+        expected = _built(partial(replace, reference), change)
+        if isinstance(expected, tuple):
+            assert replaced == expected
+        else:
+            assert dataclasses.astuple(replaced) == dataclasses.astuple(expected)
+    if not any(isinstance(reference, tuple) for reference in references):
+        assert (entities[0] == entities[1]) == (references[0] == references[1])
+    assert [(f.name, f.default) for f in dataclasses.fields(Entity)] == [
+        (f.name, f.default) for f in dataclasses.fields(_GeneratedInitEntity)
+    ]
 
 
 def _edge(relation="forecasts_hazard_at_horizon", ids=("a", "b"), evidence="ev", **kw):
@@ -410,6 +483,64 @@ def test_merge_facts_synthesizes_change_edges():
     graph = merge_facts([facts])
     families = sorted(edge.family for edge in graph.hyperedges.values())
     assert families == [6, 6, 13]
+
+
+def _refed_facts(graph):
+    """The graph's own edges as facts: its change edges included."""
+    return [
+        {
+            "relation": edge.relation,
+            "entities": [graph.entities[entity_id].to_dict() for entity_id in sorted(edge.entity_ids)],
+            "evidence": edge.evidence,
+            "attributes": dict(edge.attributes),
+            "confidence": edge.confidence,
+            "group": edge.group_id,
+            "horizon": edge.horizon,
+            "text_position": edge.text_position,
+        }
+        for edge in map(graph.hyperedges.get, sorted(graph.hyperedges))
+    ]
+
+
+def test_merging_held_change_edges_builds_no_change_edge(monkeypatch):
+    corpus = generate_synthetic(seed=2, n_groups=3, horizons_per_group=3)
+    graph = merge_facts([corpus.facts])
+    refed = _refed_facts(graph)
+    built = []
+
+    def counted(*args, **kwargs):
+        edge = Hyperedge(*args, **kwargs)
+        built.append(edge.family)
+        return edge
+
+    monkeypatch.setattr(hypergraph, "Hyperedge", counted)
+    # `okh synth` writes every change edge as a fact, as does a graph's
+    # own facts: one edge is built per fact, and none per change draft.
+    for facts in (corpus.facts, refed):
+        built.clear()
+        again = merge_facts([facts])
+        assert len(built) == len(facts) and built.count(13) > 0
+        assert again.to_snapshot() == graph.to_snapshot()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"confidence": 0.5}, {"text_position": 0}, {"text_position": 9}, {"confidence": 0.5, "text_position": 9}],
+)
+def test_a_held_change_edge_that_differs_from_its_draft_resolves_by_the_tie_break(change):
+    states = [_state_fact("wind_fcst", 72, 3), _state_fact("wind_fcst", 48, 5)]
+    graph = merge_facts([states])
+    (draft,) = _change_edges(graph)
+    held_fact = {**next(f for f in _refed_facts(graph) if FAMILY_OF[f["relation"]] == 13), **change}
+    (held,) = merge_facts([[held_fact]]).hyperedges.values()
+    assert held.id == draft.id and held != draft
+    # The draft goes through the tie-break against the held edge.
+    expected = _better_edge(held, draft)
+    for batches in ([states + [held_fact]], [[held_fact], states]):
+        merged = merge_facts(batches)
+        assert _change_edges(merged) == [expected]
+        resolved = KnowledgeHypergraph(graph.entities, {**graph.hyperedges, draft.id: expected})
+        assert merged.to_snapshot() == resolved.to_snapshot()
 
 
 def test_merge_facts_derives_horizon_from_lone_anchor():
