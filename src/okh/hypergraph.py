@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import attrgetter
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -293,20 +293,14 @@ _draft_fields = attrgetter(
 )  # an edge's fields after its id, as a draft holds them
 
 
-def _change_drafts(group_edges: Iterable[Hyperedge]) -> list[tuple]:
+def _change_drafts(edges: list[Hyperedge]) -> list[tuple]:
     """Drafts (see `_hashed`) of the family-13 change edges of one group.
 
-    For each (family, entity stem) present at two or more lead times, one
-    change edge is drafted per consecutive horizon pair in decreasing lead
-    order, linking both horizon-specific state entities and both temporal
-    anchors.
+    ``edges`` are the group's edges, at least one, in any order. For each
+    (family, entity stem) present at two or more lead times, one change edge
+    is drafted per consecutive horizon pair in decreasing lead order, linking
+    both horizon-specific state entities and both temporal anchors.
     """
-    edges = list(group_edges)
-    if not edges:
-        return []
-    groups = {edge.group_id for edge in edges}
-    if len(groups) != 1:
-        raise ValueError(f"cross-horizon synthesis expects one group, got {sorted(groups)}")
     group_id = edges[0].group_id
 
     observed: dict[tuple[int, str], set[int]] = {}
@@ -449,9 +443,6 @@ class KnowledgeHypergraph:
         for edge_id in sorted(hyperedges):
             self.groups.setdefault(hyperedges[edge_id].group_id, []).append(edge_id)
 
-    def __len__(self) -> int:
-        return len(self.hyperedges)
-
     def group_edges(self, group_id: str) -> list[Hyperedge]:
         return [self.hyperedges[edge_id] for edge_id in self.groups.get(group_id, [])]
 
@@ -504,18 +495,18 @@ class KnowledgeHypergraph:
         for index, raw in enumerate(snapshot.get("entities", [])):
             try:
                 entity = _entity_from_dict(raw, "")
-            except (SchemaError, ValueError):
-                raise _named_refusal(_entity_from_dict, raw, f"entities[{index}]") from None
+            except (SchemaError, ValueError) as exc:
+                raise _refused_at(exc, f"entities[{index}]") from None
             entities[entity.id] = entity
         parsed: list[Hyperedge] = []
         malformed: SchemaError | ValueError | None = None
         for index, raw in enumerate(snapshot.get("hyperedges", [])):
             try:
                 parsed.append(_edge_from_dict(raw, ""))
-            except (SchemaError, ValueError):
+            except (SchemaError, ValueError) as exc:
                 # Raised after the edges before it are checked, so the first
                 # bad edge in index order is the one reported.
-                malformed = _named_refusal(_edge_from_dict, raw, f"hyperedges[{index}]")
+                malformed = _refused_at(exc, f"hyperedges[{index}]")
                 break
         expected_ids = _dedup_ids((edge.relation, edge.entity_ids, edge.evidence) for edge in parsed)
         hyperedges: dict[str, Hyperedge] = {}
@@ -567,19 +558,16 @@ def _require(fact: Mapping[str, Any], key: str, kind: type | tuple, path: str) -
 _TYPE_OF_VALUE = {member.value: member for member in EntityType}
 
 
-def _named_refusal(
-    parse: Callable[[Any, str], Any], raw: Any, path: str
-) -> SchemaError | ValueError:
-    """The error ``parse`` raises for an entry it refused, naming ``path``.
+def _refused_at(exc: SchemaError | ValueError, path: str) -> SchemaError | ValueError:
+    """The error a parse given ``path`` raises, from the one it raised given ``""``.
 
     Entries are parsed without their path, which every entry would format
-    and only a refused one reads; a refused entry is parsed again with it.
+    and only a refused one reads. Every parser names a field as ``path`` or
+    ``f"{path}..."``, and no ValueError names one.
     """
-    try:
-        parse(raw, path)
-    except (SchemaError, ValueError) as exc:
-        return exc
-    raise AssertionError(f"{path} was refused once and then parsed")
+    if isinstance(exc, SchemaError):
+        return SchemaError(path + exc.path, exc.message)
+    return exc
 
 
 # The snapshot parsers. Each field is first tested for the exact type the
@@ -732,8 +720,8 @@ def validate_fact(
     for raw in entities:
         try:
             parsed.append(parse_entity(raw, ""))
-        except (SchemaError, ValueError):
-            raise _named_refusal(parse_entity, raw, f"{path}.entities[{len(parsed)}]") from None
+        except (SchemaError, ValueError) as exc:
+            raise _refused_at(exc, f"{path}.entities[{len(parsed)}]") from None
     if len(set(map(_entity_id, parsed))) < 2:
         raise SchemaError(f"{path}.entities", "entity ids must name at least two distinct entities")
     attributes = fact.get("attributes", {})
@@ -849,12 +837,8 @@ def merge_facts(fact_batches: Iterable[Iterable[Mapping[str, Any]]]) -> Knowledg
         for fact_index, fact in enumerate(batch):
             try:
                 fact_entities = validate_fact(fact, "", parse_entity=parse_entity)
-            except (SchemaError, ValueError):
-                raise _named_refusal(
-                    partial(validate_fact, parse_entity=parse_entity),
-                    fact,
-                    f"batch[{batch_index}].fact[{fact_index}]",
-                ) from None
+            except (SchemaError, ValueError) as exc:
+                raise _refused_at(exc, f"batch[{batch_index}].fact[{fact_index}]") from None
             for entity in fact_entities:
                 if entities.get(entity.id) is not entity:  # most are the memo's own
                     add_entity(entity)
@@ -899,23 +883,12 @@ def merge_facts(fact_batches: Iterable[Iterable[Mapping[str, Any]]]) -> Knowledg
     for edge in _hashed(drafts):
         add_edge(edge)
 
-    # `_change_drafts` reads a group's edges in any order.
     by_group: dict[str, list[Hyperedge]] = {}
     for edge in edges.values():
         by_group.setdefault(edge.group_id, []).append(edge)
     changes = []
     for group in sorted(by_group):
         changes.extend(_change_drafts(by_group[group]))
-    for change in changes:
-        for entity_id in change[2]:
-            if entity_id not in entities:
-                # The anchors and state entities of a change edge always
-                # come from its source edges, so this is a guard.
-                lead = _id_parts(entity_id)[0]
-                if lead is None:
-                    add_entity(Entity(entity_id, entity_id, EntityType.OTHER))
-                else:
-                    add_anchor(lead)
     # A change edge that the facts already hold (a merged graph's facts fed
     # back in) takes the id its fact was hashed to, and is not built at all
     # where its fields equal the draft's, since `add_edge` would keep the

@@ -64,6 +64,9 @@ def _sort_key(edge: Hyperedge) -> tuple[float, int, int, int, str]:
 
 
 def _direct_edges(edges: Sequence[Hyperedge]) -> set[tuple[str, str]]:
+    # No rule pairs an edge with itself: phase pairs cross families,
+    # evolution pairs cross horizons, causal rules have disjoint source and
+    # target families, and only change pairs end at a change edge.
     pairs: set[tuple[str, str]] = set()
 
     # Ids of the horizon-grounded edges by horizon, then by family; and by
@@ -108,7 +111,6 @@ def _direct_edges(edges: Sequence[Hyperedge]) -> set[tuple[str, str]]:
         for stem in change.state_stems():
             pairs.update((src, change.id) for src in by_stem.get(stem, ()))
 
-    pairs.difference_update((edge.id, edge.id) for edge in edges)
     return pairs
 
 

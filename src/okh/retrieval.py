@@ -49,6 +49,9 @@ class RetrievalWeights:
 # The diversity selection's cost grows with the cube of the beam width, so
 # the width is bounded.
 MAX_BEAM_WIDTH = 1024
+# Two trajectories are near-duplicates when they share more than this
+# fraction of their steps.
+DIVERSITY_OVERLAP_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class SearchConfig:
     beam_width: int = 8
     trajectory_length: int = 4
     num_trajectories: int = 3
-    diversity_overlap_threshold: float = 0.5
     diversity_penalty: float = 0.5
 
     def __post_init__(self) -> None:
@@ -66,11 +68,6 @@ class SearchConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.beam_width > MAX_BEAM_WIDTH:
             raise ValueError(f"beam_width must be <= {MAX_BEAM_WIDTH}, got {self.beam_width}")
-        if not 0.0 <= self.diversity_overlap_threshold <= 1.0:
-            raise ValueError(
-                "diversity_overlap_threshold must be in [0, 1],"
-                f" got {self.diversity_overlap_threshold}"
-            )
         if not math.isfinite(self.diversity_penalty) or self.diversity_penalty < 0:
             raise ValueError(
                 f"diversity_penalty must be finite and non-negative, got {self.diversity_penalty}"
@@ -603,7 +600,7 @@ def beam_search(
             np.concatenate((steps[rows[order]], cols[order, None]), axis=1),
             n,
             keep,
-            config.diversity_overlap_threshold,
+            DIVERSITY_OVERLAP_THRESHOLD,
             config.diversity_penalty,
         )
         kept = np.sort(order[selected])
@@ -635,7 +632,7 @@ def beam_search(
         steps[order],
         n,
         config.num_trajectories,
-        config.diversity_overlap_threshold,
+        DIVERSITY_OVERLAP_THRESHOLD,
         config.diversity_penalty,
     )
     return [finals[k] for k in order[selected].tolist()]

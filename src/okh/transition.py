@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -156,20 +156,6 @@ class PairList(Sequence[tuple[str, str, str]]):
         self.signals = signals
         self.codes = codes.reshape(-1, 3)
 
-    @classmethod
-    def from_tuples(cls, items: Iterable[tuple[str, str, str]]) -> "PairList":
-        ids: dict[str, int] = {}
-        signals: dict[str, int] = {}
-        codes = [
-            (
-                ids.setdefault(src, len(ids)),
-                ids.setdefault(dst, len(ids)),
-                signals.setdefault(signal, len(signals)),
-            )
-            for src, dst, signal in items
-        ]
-        return cls(list(ids), list(signals), np.array(codes, dtype=np.int64))
-
     def __len__(self) -> int:
         return self.codes.shape[0]
 
@@ -184,30 +170,13 @@ class PairList(Sequence[tuple[str, str, str]]):
         for src, dst, signal in self.codes.tolist():
             yield ids[src], ids[dst], signals[signal]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
 
 @dataclass
 class TrainingPairs:
-    """Ordered pairs with their mining signal: (source id, target id, signal).
+    """Ordered pairs with their mining signal: (source id, target id, signal)."""
 
-    Either side may be given as any iterable of such tuples; it is kept as
-    a ``PairList``.
-    """
-
-    positives: PairList = field(default_factory=lambda: PairList.from_tuples(()))
-    negatives: PairList = field(default_factory=lambda: PairList.from_tuples(()))
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.positives, PairList):
-            self.positives = PairList.from_tuples(self.positives)
-        if not isinstance(self.negatives, PairList):
-            self.negatives = PairList.from_tuples(self.negatives)
+    positives: PairList = field(default_factory=lambda: PairList((), SIGNALS, np.zeros(0, np.int64)))
+    negatives: PairList = field(default_factory=lambda: PairList((), SIGNALS, np.zeros(0, np.int64)))
 
 
 def _triples(src: np.ndarray, dst: np.ndarray, signal: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from okh.hypergraph import (
     validate_fact,
     _anchor_leads,
     _better_edge,
-    _change_drafts,
     _entity_from_dict,
     _id_parts,
     _optional_horizon,
@@ -418,13 +417,6 @@ def test_synthesize_cross_horizon_skips_non_consecutive_pairs():
         (int(c.attributes["from_horizon"]), int(c.attributes["to_horizon"])) for c in changes
     )
     assert spans == [(48, 12), (96, 48)]
-
-
-def test_synthesize_cross_horizon_rejects_mixed_groups():
-    a = _edge(ids=("s:T-48", horizon_anchor_id(48)), group_id="g1", horizon=48)
-    b = _edge(ids=("s:T-24", horizon_anchor_id(24)), evidence="other", group_id="g2", horizon=24)
-    with pytest.raises(ValueError):
-        _change_drafts([a, b])
 
 
 def test_merge_facts_deduplicates_identical_facts_across_batches():

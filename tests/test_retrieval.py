@@ -19,6 +19,7 @@ from okh.hypergraph import merge_facts
 from okh.precedence import Order, PrecedenceIndex
 from okh.relations import COVERAGE_PHASES, phase_of_family
 from okh.retrieval import (
+    DIVERSITY_OVERLAP_THRESHOLD,
     HEURISTIC_BACKWARD,
     HEURISTIC_FORWARD,
     HEURISTIC_UNRELATED,
@@ -462,7 +463,6 @@ def test_diversity_penalty_trades_score_for_distinct_steps():
             beam_width=8,
             trajectory_length=3,
             num_trajectories=2,
-            diversity_overlap_threshold=0.5,
             diversity_penalty=penalty,
         )
         trajectories = beam_search(
@@ -481,7 +481,6 @@ def test_diversity_penalty_does_not_change_reported_totals():
         beam_width=8,
         trajectory_length=3,
         num_trajectories=2,
-        diversity_overlap_threshold=0.5,
         diversity_penalty=5.0,
     )
     trajectories = beam_search(
@@ -614,8 +613,6 @@ def test_retrieval_weights_and_configs_reject_bad_values():
         RetrievalWeights(lambda_coherence=-0.1)
     with pytest.raises(ValueError):
         SearchConfig(beam_width=0)
-    with pytest.raises(ValueError):
-        SearchConfig(diversity_overlap_threshold=1.5)
     with pytest.raises(ValueError):
         SearchConfig(diversity_penalty=-1.0)
     with pytest.raises(ValueError):
@@ -844,7 +841,7 @@ def _reference_beam_search(
             for _, beam in _reference_select(
                 extensions,
                 config.beam_width,
-                config.diversity_overlap_threshold,
+                DIVERSITY_OVERLAP_THRESHOLD,
                 config.diversity_penalty,
             )
         ]
@@ -864,7 +861,7 @@ def _reference_beam_search(
 
     finals = [(rescored(beam)[0], beam["tie"], beam) for beam in beams]
     chosen = _reference_select(
-        finals, config.num_trajectories, config.diversity_overlap_threshold, config.diversity_penalty
+        finals, config.num_trajectories, DIVERSITY_OVERLAP_THRESHOLD, config.diversity_penalty
     )
     return [
         Trajectory([ids[i] for i in beam["steps"]], *rescored(beam)) for _, beam in chosen
@@ -899,8 +896,8 @@ def test_vectorized_beam_matches_reference_loop_on_tied_pools():
         RetrievalWeights(0.5, 1.0, 0.0, 1.5),
     ]
     cases = 0
-    for penalty, threshold in itertools.product((0.0, 0.5, 3.0), (0.0, 0.5, 1.0)):
-        for _ in range(4):
+    for penalty in (0.0, 0.5, 3.0):
+        for _ in range(12):
             n = int(rng.integers(2, 40))
             ids = [all_ids[i] for i in rng.choice(len(all_ids), n, replace=False)]
             # Rows drawn from three vectors: relevance ties broken only by id.
@@ -914,7 +911,6 @@ def test_vectorized_beam_matches_reference_loop_on_tied_pools():
                 beam_width=int(rng.integers(1, 12)),
                 trajectory_length=int(rng.integers(1, 7)),
                 num_trajectories=int(rng.integers(1, 5)),
-                diversity_overlap_threshold=threshold,
                 diversity_penalty=penalty,
             )
             weights = weight_choices[int(rng.integers(len(weight_choices)))]
@@ -932,7 +928,6 @@ def test_vectorized_beam_matches_reference_loop_on_tied_pools():
                 beam_width=width,
                 trajectory_length=length,
                 num_trajectories=3,
-                diversity_overlap_threshold=threshold,
                 diversity_penalty=penalty,
             )
             _assert_matches_reference(
