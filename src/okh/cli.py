@@ -151,9 +151,7 @@ def _make_embedder(values: dict[str, Any]):
 
 def _load_graph(values: dict[str, Any]) -> tuple[KnowledgeHypergraph, PrecedenceIndex]:
     graph, direct = KnowledgeHypergraph.load_snapshot(values["snapshot"])
-    if direct:
-        return graph, PrecedenceIndex.from_direct_edges(graph, direct)
-    return graph, PrecedenceIndex.build(graph)
+    return graph, PrecedenceIndex.from_direct_edges(graph, direct)
 
 
 def _make_store(graph: KnowledgeHypergraph, embedder, values: dict[str, Any]) -> EmbeddingStore:

@@ -20,6 +20,7 @@ from okh.errors import SchemaError
 from okh.hypergraph import (
     Hyperedge,
     KnowledgeHypergraph,
+    _fold_segment,
     _optional_horizon,
     _require,
     canonical_entity_id,
@@ -129,9 +130,7 @@ def _unique_name(pool: tuple[str, ...], index: int) -> str:
 
 def group_id_for(storm: str, port: str) -> str:
     """Group key STORM:port, folded like canonical entity id segments."""
-    folded_storm = "_".join(storm.strip().split()).upper()
-    folded_port = "_".join(port.strip().split()).lower()
-    return f"{folded_storm}:{folded_port}"
+    return f"{_fold_segment(storm, upper=True)}:{_fold_segment(port)}"
 
 
 @dataclass(frozen=True)

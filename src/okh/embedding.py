@@ -190,7 +190,7 @@ class RemoteEmbeddingClient:
         self,
         endpoint: str,
         model_name: str,
-        dim: int | None = None,
+        dim: int,
         api_key: str | None = None,
         batch_size: int = 64,
         max_attempts: int = 3,
@@ -241,8 +241,6 @@ class RemoteEmbeddingClient:
         for row in rows:
             if row is None:
                 raise ProviderError(200, "response is missing an embedding index")
-            if self.dim is None:
-                self.dim = int(row.shape[0])
             if row.shape[0] != self.dim:
                 raise DimensionMismatch(
                     f"provider returned dimension {row.shape[0]}, expected {self.dim}"
@@ -255,7 +253,7 @@ class RemoteEmbeddingClient:
         for start in range(0, len(texts), self.batch_size):
             vectors.extend(self._embed_batch(texts[start : start + self.batch_size]))
         if not vectors:
-            return np.zeros((0, self.dim or 0), dtype=np.float64)
+            return np.zeros((0, self.dim), dtype=np.float64)
         return np.stack(vectors)
 
 
@@ -313,12 +311,8 @@ class EmbeddingCache:
         return len(self._row_of.keys() | self._stored.keys())
 
     def lookup(self, text: str) -> np.ndarray | None:
-        key = content_key(text)
-        vector = self._stored.get(key)
-        if vector is None:
-            row = self._row_of.get(key)
-            return None if row is None else self._matrix[row].copy()
-        return vector.copy()
+        found, misses = self._lookup_keys([content_key(text)])
+        return None if misses else found[0]
 
     def lookup_many(self, texts: Sequence[str]) -> tuple[np.ndarray, list[int]]:
         """The vectors of ``texts`` as the rows of one matrix, and the positions
@@ -344,14 +338,11 @@ class EmbeddingCache:
         return found, misses
 
     def store(self, text: str, vector: np.ndarray) -> None:
-        if vector.shape != (self.dim,):
-            raise DimensionMismatch(f"cache holds {self.dim}-d vectors, got {vector.shape}")
-        with self._lock:
-            self._stored[content_key(text)] = np.asarray(vector, dtype=np.float64)
+        self._store_keys([content_key(text)], np.asarray(vector, dtype=np.float64)[None])
 
     def _store_keys(self, keys: Sequence[bytes], vectors: np.ndarray) -> None:
-        """`store` of each float64 row of ``vectors`` under the content key
-        at its position, under one lock acquisition."""
+        """Store each float64 row of ``vectors`` under the content key at its
+        position, under one lock acquisition."""
         if vectors.shape[1:] != (self.dim,):
             raise DimensionMismatch(f"cache holds {self.dim}-d vectors, got {vectors.shape[1:]}")
         with self._lock:

@@ -17,7 +17,6 @@ refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 from itertools import product
@@ -114,14 +113,16 @@ def _direct_edges(edges: Sequence[Hyperedge]) -> set[tuple[str, str]]:
     return pairs
 
 
-@dataclass
 class GroupPrecedence:
-    """Precedence structure for one group's hyperedges."""
+    """Precedence structure for one group's hyperedges: a DAG whose pairs
+    rise in (-lead time, family), indexed by sorted edge id. The closure and
+    the canonical order wait for their first reader."""
 
-    edge_ids: list[str]
-    index_of: dict[str, int]
-    successors: dict[str, set[str]]
-    edges: Sequence[Hyperedge]
+    def __init__(self, edges: Sequence[Hyperedge], successors: dict[str, set[str]]):
+        self.edges = edges
+        self.successors = successors
+        self.edge_ids = sorted(edge.id for edge in edges)
+        self.index_of = {edge_id: i for i, edge_id in enumerate(self.edge_ids)}
 
     @cached_property
     def closure(self) -> list[int]:
@@ -177,16 +178,6 @@ class GroupPrecedence:
         )
 
 
-def _build_group(
-    edges: Sequence[Hyperedge], successors: dict[str, set[str]]
-) -> GroupPrecedence:
-    """Index a group's DAG, whose pairs rise in (-lead time, family); the
-    closure and the canonical order wait for their first reader."""
-    edge_ids = sorted(edge.id for edge in edges)
-    index_of = {edge_id: i for i, edge_id in enumerate(edge_ids)}
-    return GroupPrecedence(edge_ids, index_of, successors, edges)
-
-
 def build_precedence(group_edges: Iterable[Hyperedge]) -> GroupPrecedence:
     """Apply the rule families to one group and index the resulting DAG."""
     edges = sorted(group_edges, key=lambda edge: edge.id)
@@ -199,7 +190,7 @@ def build_precedence(group_edges: Iterable[Hyperedge]) -> GroupPrecedence:
     successors: dict[str, set[str]] = {}
     for src, dst in pairs:
         successors.setdefault(src, set()).add(dst)
-    return _build_group(edges, successors)
+    return GroupPrecedence(edges, successors)
 
 
 class PrecedenceIndex:
@@ -254,7 +245,7 @@ class PrecedenceIndex:
                         f"{src!r} does not come before {dst!r} in lead time, then family",
                     )
                 successors.setdefault(src, set()).add(dst)
-            groups[group] = _build_group(edges, successors)
+            groups[group] = GroupPrecedence(edges, successors)
         return cls(groups)
 
     def precedes(self, first: str, second: str) -> Order:

@@ -76,11 +76,9 @@ class TransitionModel:
         self.u = quantize_f32(self.u)
         self.v = quantize_f32(self.v)
 
-    def logits(self, sources: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
-        """Pairwise logit matrix between source rows and target rows."""
-        if targets is None:
-            targets = sources
-        return (sources @ self.u.T) @ (targets @ self.v.T).T
+    def logits(self, rows: np.ndarray) -> np.ndarray:
+        """Pairwise logit matrix: entry (i, j) scores row i followed by row j."""
+        return (rows @ self.u.T) @ (rows @ self.v.T).T
 
     def log_transition_matrix(self, candidates: np.ndarray) -> np.ndarray:
         """Row-stochastic log P(next | prev) over one candidate set."""
@@ -368,11 +366,7 @@ def contrastive_loss(
     (m = 128, k = 64) at d = 256, r = 32 takes, by the minimum of 30
     interleaved runs on a 2-vCPU VM with one BLAS thread: 1.2-1.3 ms on a
     180-edge store, 13.6-14.9 ms on 2,640 edges (all touched) and 34-36 ms
-    on 13,200 edges (9,499 touched). A formulation that gathered the
-    (m, k+1, r) block and projected the sources over all touched rows took
-    2.2-2.5, 14.8-16.7 and 31-33 ms: at 13,200 edges the three (m, T)
-    products cost more than the gather, but no benchmark workload trains on
-    a store that large.
+    on 13,200 edges (9,499 touched).
     """
     if pos_pairs.shape[0] == 0:
         raise EmptyBatch("contrastive loss needs at least one positive pair")

@@ -969,6 +969,33 @@ def test_misplaced_precedence_pairs_and_unknown_groups_exit_two(pipeline, tmp_pa
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+def test_an_emptied_or_missing_precedence_block_exits_two(pipeline, tmp_path, capsys):
+    # The block is read, never rebuilt from the rules: a graph with groups
+    # needs every one of them listed.
+    snapshot = json.loads(pipeline["snapshot"].read_text(encoding="utf-8"))
+    first = min(snapshot["precedence"])
+    emptied, unblocked = (json.loads(json.dumps(snapshot)) for _ in range(2))
+    emptied["precedence"] = {}
+    del unblocked["precedence"]
+    for name, document in [("emptied", emptied), ("unblocked", unblocked)]:
+        path = tmp_path / f"{name}.snap"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        trained = tmp_path / f"{name}.okht"
+        for command in (["retrieve", "--checkpoint", str(pipeline["checkpoint"]), "--query", "q"],
+                        ["train", "--checkpoint", str(trained), "--epochs", "1"]):
+            assert main([*command, "--snapshot", str(path), "--dim", "32"]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: precedence.{first}: the block omits this group of the graph"
+            )
+        assert not trained.exists()
+    # A graph without groups needs no block.
+    empty = tmp_path / "empty.snap"
+    empty.write_text(json.dumps({**snapshot, "entities": [], "hyperedges": [], "precedence": {}}),
+                     encoding="utf-8")
+    graph, precedence = cli._load_graph({"snapshot": str(empty)})
+    assert not graph.hyperedges and precedence.groups == {}
+
+
 def test_build_and_one_question_retrieve_never_sort_the_canonical_order(
     pipeline, tmp_path, monkeypatch, capsys
 ):

@@ -292,7 +292,7 @@ def test_remote_client_normalizes_and_respects_index_field(http_server):
 def test_remote_client_rejects_dimension_drift(http_server):
     url, handler = http_server
     handler.script.append((200, _embedding_payload([[1.0, 0.0], [1.0, 0.0, 0.0]])))
-    client = RemoteEmbeddingClient(url, "m", api_key="k", backoff=0.001)
+    client = RemoteEmbeddingClient(url, "m", dim=2, api_key="k", backoff=0.001)
     with pytest.raises(DimensionMismatch):
         client.embed(["a", "b"])
 

@@ -18,8 +18,8 @@ from okh.hypergraph import (
     merge_facts,
 )
 from okh.precedence import (
-    _build_group,
     _sort_key,
+    GroupPrecedence,
     Order,
     PrecedenceIndex,
     build_precedence,
@@ -411,7 +411,7 @@ def _precedence_groups(draw):
 def test_build_group_matches_the_canonical_order_version(group):
     edges, successors = group
     edge_ids, index_of, closure, trajectory = _reference_build_group(edges, successors)
-    built = _build_group(edges, successors)
+    built = GroupPrecedence(edges, successors)
     assert built.edge_ids == edge_ids
     assert built.index_of == index_of
     assert built.closure == closure

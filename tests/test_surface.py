@@ -1,8 +1,9 @@
-"""The package's surface holds no option or public name that only tests use.
+"""The package's surface holds no option, parameter or public name that only
+tests use.
 
-Both checks read the source with ``ast``: a name counts as used when the
+The checks read the source with ``ast``: a name counts as used when the
 package itself (outside ``__init__.py``, which only re-exports) or the
-bench names it.
+bench names it, and a parameter when a call there passes it.
 """
 
 import ast
@@ -22,6 +23,23 @@ TEST_ONLY_NAMES = {
     "forward_margins",
     # Read by the frozen load-path tests.
     "EmbeddingCache.lookup_many",
+}
+TEST_ONLY_PARAMETERS = {
+    # The fixture builder kept for the tests; the program builds edges
+    # through the merge.
+    "Hyperedge.create(attributes)",
+    "Hyperedge.create(confidence)",
+    "Hyperedge.create(group_id)",
+    "Hyperedge.create(horizon)",
+    "Hyperedge.create(text_position)",
+    # The oracle's mode the tests compare the beam search against.
+    "viterbi(no_repeat)",
+    # Endpoint deployment settings; the key falls back to OKH_EMBED_API_KEY.
+    "RemoteEmbeddingClient(api_key)",
+    "RemoteEmbeddingClient(batch_size)",
+    "RemoteEmbeddingClient(max_attempts)",
+    "RemoteEmbeddingClient(backoff)",
+    "RemoteEmbeddingClient(timeout)",
 }
 
 
@@ -89,3 +107,82 @@ def test_every_public_name_is_used_by_the_program():
     unused = {name for name in _public_definitions() if name.rpartition(".")[2] not in used}
     assert sorted(unused - TEST_ONLY_NAMES) == []
     assert TEST_ONLY_NAMES <= unused, "a name kept for tests is used by the program now"
+
+
+def _defaulted(function, skip_first):
+    """A def's parameters that have defaults, and the positional ones in order."""
+    args = function.args
+    positional = [arg.arg for arg in args.posonlyargs + args.args][skip_first:]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [
+        arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    ]
+    return defaulted, positional
+
+
+def _public_signatures():
+    """Qualified name -> (defaulted parameters, positional parameters) of each
+    public function, public class constructor and public method. A
+    constructor is qualified by its class name, a method as ``Class.name``."""
+    signatures = {}
+    for tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                signatures[node.name] = _defaulted(node, 0)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        signatures[node.name] = _defaulted(item, 1)
+                    elif not item.name.startswith("_"):
+                        signatures[f"{node.name}.{item.name}"] = _defaulted(item, 1)
+    return signatures
+
+
+def _calls():
+    """(callee, the name an attribute call is made on or None, call) for each
+    call in the program. Inside a class, ``cls`` names that class."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.ClassDef) else owner
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    yield (owner if func.id == "cls" and owner else func.id), None, child
+                elif isinstance(func, ast.Attribute):
+                    receiver = func.value.id if isinstance(func.value, ast.Name) else None
+                    if receiver == "cls":
+                        receiver = owner
+                    yield func.attr, receiver, child
+            yield from visit(child, inner)
+
+    for tree in _user_trees():
+        yield from visit(tree, None)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    signatures = _public_signatures()
+    passed = set()
+    for callee, receiver, call in _calls():
+        for name, (defaulted, positional) in signatures.items():
+            owner, _, short = name.rpartition(".")
+            if short != callee or (owner and receiver in signatures and receiver != owner):
+                continue
+            if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                keyword.arg is None for keyword in call.keywords
+            ):
+                given = set(defaulted)
+            else:
+                given = set(positional[: len(call.args)])
+                given.update(keyword.arg for keyword in call.keywords)
+            passed.update(f"{name}({parameter})" for parameter in given)
+    unpassed = {
+        f"{name}({parameter})"
+        for name, (defaulted, _) in signatures.items()
+        for parameter in defaulted
+    } - passed
+    assert len(signatures) > 50
+    assert sorted(unpassed - TEST_ONLY_PARAMETERS) == []
+    assert TEST_ONLY_PARAMETERS <= unpassed, "a parameter kept for tests is passed by the program now"
