@@ -151,6 +151,7 @@ def _make_embedder(values: dict[str, Any]):
 
 def _load_graph(values: dict[str, Any]) -> tuple[KnowledgeHypergraph, PrecedenceIndex]:
     graph, direct = KnowledgeHypergraph.load_snapshot(values["snapshot"])
+    graph.check_horizons()
     return graph, PrecedenceIndex.from_direct_edges(graph, direct)
 
 
@@ -167,11 +168,13 @@ def _make_store(graph: KnowledgeHypergraph, embedder, values: dict[str, Any]) ->
 def _load_retriever(values: dict[str, Any]) -> Retriever:
     """Checkpoint, snapshot and embeddings.
 
-    The checkpoint is read and its dimension checked first, so a bad one
-    exits before the snapshot load and writes no ``--cache`` file.
+    The embedder, which reads no file, is made first, so a dimension out of
+    its range exits before anything is loaded. The checkpoint is read and
+    its dimension checked next, so a bad one exits before the snapshot load
+    and writes no ``--cache`` file.
     """
-    model = TransitionModel.load(values["checkpoint"])
     embedder = _make_embedder(values)
+    model = TransitionModel.load(values["checkpoint"])
     if model.dim != embedder.dim:
         raise SchemaError(
             "checkpoint",
@@ -264,10 +267,11 @@ def _cmd_synth(values: dict[str, Any]) -> int:
 
 
 def _cmd_build(values: dict[str, Any]) -> int:
-    batches = [
-        _read_jsonl(path, f"corpus[{index}]") for index, path in enumerate(values["corpus"])
-    ]
-    graph = merge_facts(batches)
+    # The parsed batches are an argument only, so they are freed once the
+    # merge returns.
+    graph = merge_facts(
+        [_read_jsonl(path, f"corpus[{index}]") for index, path in enumerate(values["corpus"])]
+    )
     precedence = PrecedenceIndex.build(graph)
     graph.save_snapshot(values["snapshot"], precedence.direct_edges())
     print(

@@ -28,13 +28,16 @@ API_KEY_ENV = "OKH_EMBED_API_KEY"
 CACHE_MAGIC = b"OKHE"
 CACHE_VERSION = 2
 DEFAULT_LOCAL_DIM = 256
-# A transition model holds two rank x dim factors, so the dimension is
-# bounded before anything is allocated for it.
-MAX_LOCAL_DIM = 4096
+# A transition model holds two rank x dim factors, so either embedder's
+# dimension is bounded before anything is allocated for it. The bound admits
+# the hosted models' 1,536 and 3,072.
+MAX_DIM = 4096
 # A query reads column slices (`EmbeddingStore.relevance`) only when at most
 # this share of its buckets are nonzero, as a feature-hashed text's are; a
 # denser one, such as a remote embedder's, reads the dense product.
 SPARSE_QUERY_SHARE = 1 / 8
+# The embedding cache widens and writes its records this many at a time.
+CACHE_BLOCK = 1024
 
 
 def _entity_label(entity: Entity) -> str:
@@ -93,8 +96,8 @@ class LocalHashingEmbedder:
     identity = json.dumps(["local"])
 
     def __init__(self, dim: int = DEFAULT_LOCAL_DIM):
-        if not 8 <= dim <= MAX_LOCAL_DIM:
-            raise ValueError(f"local embedder dimension must be in [8, {MAX_LOCAL_DIM}], got {dim}")
+        if not 8 <= dim <= MAX_DIM:
+            raise ValueError(f"local embedder dimension must be in [8, {MAX_DIM}], got {dim}")
         self.dim = dim
 
     def embed_one(self, text: str) -> np.ndarray:
@@ -197,6 +200,8 @@ class RemoteEmbeddingClient:
         backoff: float = 0.5,
         timeout: float = 30.0,
     ):
+        if not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"remote embedder dim must be in [1, {MAX_DIM}], got {dim}")
         self.endpoint = endpoint.rstrip("/")
         self.model_name = model_name
         self.dim = dim
@@ -265,9 +270,10 @@ class EmbeddingCache:
     16-byte digest followed by dimension little-endian f32 values. The
     identity names the provider, plus the endpoint and model for a remote
     one, so vectors of another embedder with the same dimension are never
-    reused. The records load as the rows of one float64 matrix; a digest
-    recorded twice reads as its later record. Reads are lock-free once
-    loaded; writes are serialized.
+    reused. The records are held as they load, as f32 rows read in place
+    from the file's bytes, and a row is widened to float64 when it is
+    looked up; a digest recorded twice reads as its later record. Reads are
+    lock-free once loaded; writes are serialized.
     """
 
     def __init__(self, path: str, dim: int, identity: str = LocalHashingEmbedder.identity):
@@ -275,11 +281,11 @@ class EmbeddingCache:
         self.dim = dim
         self.identity = identity
         self._record = np.dtype([("key", "V16"), ("vector", "<f4", (dim,))])
-        # The loaded records, as a key -> row index into one matrix that is
-        # never written after loading, and the vectors stored since, which
-        # win over a loaded row of the same key.
+        # The loaded records, as a key -> row index into one read-only f32
+        # matrix, and the float64 vectors stored since, which win over a
+        # loaded row of the same key.
         self._row_of: dict[bytes, int] = {}
-        self._matrix = np.zeros((0, dim), dtype=np.float64)
+        self._rows = np.zeros((0, dim), dtype="<f4")
         self._stored: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
         self._load()
@@ -302,10 +308,19 @@ class EmbeddingCache:
         size = self._record.itemsize
         count = (len(blob) - len(header)) // size
         records = np.frombuffer(blob, dtype=self._record, count=count, offset=len(header))
-        self._matrix = records["vector"].astype(np.float64)
+        # A view of the file's bytes, which it keeps alive: no second copy.
+        self._rows = records["vector"]
         starts = range(len(header), len(header) + count * size, size)
         keys = [blob[start : start + 16] for start in starts]
         self._row_of = dict(zip(keys, range(count)))
+
+    def _widened(self, rows: Sequence[int]) -> np.ndarray:
+        """The loaded records at ``rows`` as float64 rows, gathered in blocks
+        so that the f32 rows gathered on the way stay few."""
+        out = np.empty((len(rows), self.dim), dtype=np.float64)
+        for start in range(0, len(rows), CACHE_BLOCK):
+            out[start : start + CACHE_BLOCK] = self._rows[rows[start : start + CACHE_BLOCK]]
+        return out
 
     def __len__(self) -> int:
         return len(self._row_of.keys() | self._stored.keys())
@@ -317,24 +332,31 @@ class EmbeddingCache:
     def lookup_many(self, texts: Sequence[str]) -> tuple[np.ndarray, list[int]]:
         """The vectors of ``texts`` as the rows of one matrix, and the positions
         of the texts that have no record, whose rows are zero."""
-        return self._lookup_keys([content_key(text) for text in texts])
+        found, misses = self._lookup_keys([content_key(text) for text in texts])
+        if found is None:
+            found = np.zeros((len(texts), self.dim), dtype=np.float64)
+        return found, misses
 
-    def _lookup_keys(self, keys: Sequence[bytes]) -> tuple[np.ndarray, list[int]]:
-        """`lookup_many` of the texts with these content keys."""
+    def _lookup_keys(self, keys: Sequence[bytes]) -> tuple[np.ndarray | None, list[int]]:
+        """`lookup_many` of the texts with these content keys, except that the
+        matrix is None when every key misses."""
         get = self._row_of.get
         rows = [get(key, -1) for key in keys]
-        misses = [i for i, row in enumerate(rows) if row < 0]
-        if len(misses) == len(rows):
-            found = np.zeros((len(rows), self.dim), dtype=np.float64)
+        unloaded = [i for i, row in enumerate(rows) if row < 0]
+        stored = self._stored
+        misses = [i for i in unloaded if keys[i] not in stored] if stored else unloaded
+        if len(misses) == len(keys):
+            return None, misses
+        if len(unloaded) == len(keys):
+            found = np.zeros((len(keys), self.dim), dtype=np.float64)
         else:
-            found = self._matrix[rows]
-            found[misses] = 0.0
-        if self._stored:
+            found = self._widened(rows)
+            found[unloaded] = 0.0
+        if stored:
             for i, key in enumerate(keys):
-                vector = self._stored.get(key)
+                vector = stored.get(key)
                 if vector is not None:
                     found[i] = vector
-            misses = [i for i in misses if keys[i] not in self._stored]
         return found, misses
 
     def store(self, text: str, vector: np.ndarray) -> None:
@@ -349,10 +371,12 @@ class EmbeddingCache:
             self._stored.update(zip(keys, vectors))
 
     def save(self) -> None:
-        """Write the records in key order.
+        """Write the records in key order, ``CACHE_BLOCK`` records at a time.
 
-        Refuses (SchemaError at ``cache``) to replace a non-empty file that
-        does not start with the cache magic, since that file is not a cache.
+        A loaded row goes through float64 on its way back to f32, as a
+        looked-up one does, so a signalling NaN is written quieted. Refuses
+        (SchemaError at ``cache``) to replace a non-empty file that does not
+        start with the cache magic, since that file is not a cache.
         """
         with self._lock:
             try:
@@ -365,23 +389,25 @@ class EmbeddingCache:
                     "cache", f"{self.path} is not an embedding cache; refusing to overwrite it"
                 )
             keys = sorted(self._row_of.keys() | self._stored.keys())
-            records = np.empty(len(keys), dtype=self._record)
-            records["key"] = np.frombuffer(b"".join(keys), dtype="V16")
-            vectors = records["vector"]
-            loaded = [i for i, key in enumerate(keys) if key not in self._stored]
-            rows = [self._row_of[keys[i]] for i in loaded]
-            # In blocks, so that the float64 rows gathered on the way stay few.
-            for start in range(0, len(rows), 1024):
-                vectors[loaded[start : start + 1024]] = self._matrix[rows[start : start + 1024]]
-            for i, key in enumerate(keys):
-                vector = self._stored.get(key)
-                if vector is not None:
-                    vectors[i] = vector
             tmp = self.path + ".tmp"
             with open(tmp, "wb") as handle:
                 handle.write(self._header())
-                handle.write(records)
+                for start in range(0, len(keys), CACHE_BLOCK):
+                    handle.write(self._block(keys[start : start + CACHE_BLOCK]))
             os.replace(tmp, self.path)
+
+    def _block(self, keys: list[bytes]) -> np.ndarray:
+        """The file records of ``keys``, each of which is loaded or stored."""
+        records = np.empty(len(keys), dtype=self._record)
+        records["key"] = np.frombuffer(b"".join(keys), dtype="V16")
+        vectors, stored = records["vector"], self._stored
+        loaded = [i for i, key in enumerate(keys) if key not in stored]
+        fresh = [i for i, key in enumerate(keys) if key in stored]
+        if loaded:
+            vectors[loaded] = self._widened([self._row_of[keys[i]] for i in loaded])
+        if fresh:
+            vectors[fresh] = np.stack([stored[keys[i]] for i in fresh])
+        return records
 
 
 def _non_finite(cache: EmbeddingCache, text: str) -> SchemaError:
@@ -437,7 +463,7 @@ class EmbeddingStore:
         else:
             keys = [content_key(text) for text in texts]
             matrix, misses = cache._lookup_keys(keys)
-            if len(misses) < len(texts):
+            if matrix is not None:
                 bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
                 if bad.size:
                     raise _non_finite(cache, texts[bad[0]])
@@ -445,7 +471,7 @@ class EmbeddingStore:
                 fresh = np.asarray(embedder.embed([texts[i] for i in misses]), dtype=np.float64)
                 cache._store_keys([keys[i] for i in misses], fresh)
                 # With every text missed, the fresh rows are the matrix.
-                if len(misses) == len(texts):
+                if matrix is None:
                     matrix = fresh
                 else:
                     matrix[misses] = fresh

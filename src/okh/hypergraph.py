@@ -10,6 +10,7 @@ snapshot and reloaded byte-for-byte.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -34,6 +35,8 @@ from okh.relations import (
 
 HORIZON_ANCHOR_RE = re.compile(r"^horizon:T-(\d+)$")
 SNAPSHOT_VERSION = 1
+# A snapshot load checks its edges' content ids this many at a time.
+_HASH_BLOCK = 1024
 
 
 def _id_payload(relation: str, entity_ids: Iterable[str], evidence: str) -> bytes:
@@ -470,16 +473,36 @@ class KnowledgeHypergraph:
         path: str,
         precedence_edges: dict[str, list[tuple[str, str]]] | None = None,
     ) -> None:
-        # `to_snapshot` builds its objects key-sorted, so the encoder need not
-        # sort them.
-        payload = json.dumps(
-            self.to_snapshot(precedence_edges),
-            ensure_ascii=False,
-            separators=(",", ":"),
-            allow_nan=False,
-        ) + "\n"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        """Write ``json.dumps(to_snapshot(...))`` in the compact layout, then a newline.
+
+        The document's items are encoded and written one at a time, each
+        dropped once written, so the whole text is never held. They go to a
+        temporary file that replaces ``path`` once all are written, so a value
+        the encoder refuses leaves ``path`` as it was. `to_snapshot` builds
+        its objects key-sorted, so the encoder need not sort them.
+        """
+        document = self.to_snapshot(precedence_edges)
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                separator = "{"
+                for key in list(document):
+                    handle.write(f"{separator}{json.dumps(key)}:")
+                    handle.write(
+                        json.dumps(
+                            document.pop(key),
+                            ensure_ascii=False,
+                            separators=(",", ":"),
+                            allow_nan=False,
+                        )
+                    )
+                    separator = ","
+                handle.write("}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def from_snapshot(cls, snapshot: Any) -> tuple["KnowledgeHypergraph", dict[str, list[tuple[str, str]]]]:
@@ -508,7 +531,16 @@ class KnowledgeHypergraph:
                 # bad edge in index order is the one reported.
                 malformed = _refused_at(exc, f"hyperedges[{index}]")
                 break
-        expected_ids = _dedup_ids((edge.relation, edge.entity_ids, edge.evidence) for edge in parsed)
+        # Hashed in blocks, so that the padded payloads stay few while the
+        # document and the parsed edges are both held.
+        expected_ids = [
+            edge_id
+            for start in range(0, len(parsed), _HASH_BLOCK)
+            for edge_id in _dedup_ids(
+                (edge.relation, edge.entity_ids, edge.evidence)
+                for edge in parsed[start : start + _HASH_BLOCK]
+            )
+        ]
         hyperedges: dict[str, Hyperedge] = {}
         for index, (edge, expected) in enumerate(zip(parsed, expected_ids)):
             if edge.id != expected:
@@ -525,6 +557,39 @@ class KnowledgeHypergraph:
     @classmethod
     def load_snapshot(cls, path: str) -> tuple["KnowledgeHypergraph", dict[str, list[tuple[str, str]]]]:
         return cls.from_snapshot(_read_snapshot(path))
+
+    def check_horizons(self) -> None:
+        """Refuse (SchemaError at ``hyperedges[i].horizon``) the first edge
+        whose horizon breaks the rules `merge_facts` builds by.
+
+        A set horizon must be the lead time of every temporal anchor on the
+        edge, and there must be one. A null horizon goes with any number of
+        anchors but one, which would have implied it. ``i`` counts the
+        distinct edges in the order they were added, which for a loaded
+        snapshot is the file's order, and the file's index wherever no edge
+        is listed twice.
+        """
+        lead_of = {
+            entity_id: _id_parts(entity_id)[0]
+            for entity_id, entity in self.entities.items()
+            if entity.entity_type is _ANCHOR_TYPE
+        }
+        anchor_ids = set(lead_of)
+        for index, edge in enumerate(self.hyperedges.values()):
+            horizon = edge.horizon
+            anchors = edge.entity_ids & anchor_ids
+            if len(anchors) == 1:
+                (anchor,) = anchors
+                if lead_of[anchor] == horizon:
+                    continue
+            elif horizon is None or {lead_of[anchor] for anchor in anchors} == {horizon}:
+                continue
+            problem = (
+                f"null, but the edge's one anchor {min(anchors)!r} sets it"
+                if horizon is None
+                else f"{horizon} is not the lead time of the edge's anchors {sorted(anchors)}"
+            )
+            raise SchemaError(f"hyperedges[{index}].horizon", problem)
 
 
 def _read_snapshot(path: str) -> Any:

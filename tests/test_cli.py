@@ -587,6 +587,61 @@ def test_train_refuses_a_local_dimension_above_the_bound_before_loading(tmp_path
     assert not checkpoint.exists()
 
 
+def test_remote_dimension_out_of_range_exits_two_naming_dim_before_loading(tmp_path, capsys):
+    # 2**40 would fail to allocate at once if it reached the model; nothing
+    # here is read, written or contacted.
+    missing, qa = tmp_path / "missing", tmp_path / "qa.json"
+    qa.write_text("[]", encoding="utf-8")
+    remote = ["--provider", "remote", "--endpoint", "http://127.0.0.1:9", "--model-name", "m"]
+    for command in (["train"], ["retrieve", "--query", "q"], ["eval", "--qa", str(qa)]):
+        for dim in (2**40, -1):
+            assert main([*command, "--snapshot", str(missing), "--checkpoint", str(missing),
+                         *remote, "--dim", str(dim)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: remote embedder dim must be in [1, 4096], got {dim}\n"
+            ), (command, dim)
+    assert not missing.exists()
+
+
+def test_a_horizon_that_disagrees_with_its_anchors_exits_two_naming_the_edge(tmp_path, capsys):
+    # The README quick-start snapshot, with edited copies of one family-6
+    # edge at T-24 and of one change edge, which joins two anchors.
+    data, snapshot = tmp_path / "data", tmp_path / "graph.snap"
+    assert main(["synth", "--seed", "11", "--groups", "2", "--horizons", "3", "--out", str(data)]) == 0
+    assert main(["build", "--corpus", str(data / "facts.jsonl"), "--snapshot", str(snapshot)]) == 0
+    capsys.readouterr()
+    document = json.loads(snapshot.read_text(encoding="utf-8"))
+    edges = document["hyperedges"]
+    index = next(i for i, edge in enumerate(edges) if edge["family"] == 6 and edge["horizon"] == 24)
+    assert [entity for entity in edges[index]["entities"] if entity.startswith("horizon:")] == [
+        "horizon:T-24"
+    ]
+    change = next(i for i, edge in enumerate(edges) if edge["family"] == 13)
+    anchors = sorted(entity for entity in edges[change]["entities"] if entity.startswith("horizon:"))
+    lead = int(anchors[0].removeprefix("horizon:T-"))
+    checkpoint, refused = tmp_path / "model.okht", tmp_path / "refused.okht"
+    assert main(["train", "--snapshot", str(snapshot), "--checkpoint", str(checkpoint),
+                 "--dim", "32", "--rank", "4", "--epochs", "0"]) == 0
+    capsys.readouterr()
+    for position, horizon, message in [
+        (index, 1, "1 is not the lead time of the edge's anchors ['horizon:T-24']"),
+        (index, None, "null, but the edge's one anchor 'horizon:T-24' sets it"),
+        (change, lead, f"{lead} is not the lead time of the edge's anchors {anchors}"),
+    ]:
+        edited = json.loads(json.dumps(document))
+        edited["hyperedges"][position]["horizon"] = horizon
+        path = tmp_path / "edited.snap"
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        for command in (["train", "--checkpoint", str(refused), "--rank", "4"],
+                        ["retrieve", "--checkpoint", str(checkpoint), "--query", "q"]):
+            assert main([*command, "--snapshot", str(path), "--dim", "32"]) == 2
+            assert capsys.readouterr().err == f"error: hyperedges[{position}].horizon: {message}\n"
+        assert not refused.exists()
+    # The unedited snapshot loads.
+    assert main(["retrieve", "--snapshot", str(snapshot), "--checkpoint", str(checkpoint),
+                 "--dim", "32", "--query", "q"]) == 0
+
+
 def test_search_and_scope_refusals_name_their_field_and_value(pipeline, capsys):
     for flags, message in [
         (["--beam", "0"], "beam_width must be >= 1, got 0"),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 import okh
 from okh.corpus import generate_synthetic
 from okh.embedding import (
+    CACHE_BLOCK,
     CACHE_MAGIC,
+    CACHE_VERSION,
     EmbeddingCache,
     EmbeddingStore,
     LocalHashingEmbedder,
@@ -25,6 +28,7 @@ from okh.embedding import (
     _compose,
     _entity_label,
     post_json_with_retries,
+    quantize_f32,
 )
 from okh.errors import DimensionMismatch, ProviderError, SchemaError
 from okh.hashutil import content_key, fnv1a64
@@ -608,3 +612,67 @@ def test_cached_store_build_refuses_a_non_finite_cached_row_before_embedding(tmp
         f"{path}: the vector recorded for text {content_key(texts[2]).hex()} is not finite"
     )
     assert counting.calls == 0 and len(cache) == 4
+
+
+def _traced_peak(call):
+    """What ``call()`` returns, and the peak bytes it held while running."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_cold_cached_store_build_holds_one_matrix(tmp_path):
+    # Every text misses, so the embedder's rows are the matrix: no zeroed
+    # block of the matrix's size is made and thrown away on the way.
+    graph = merge_facts([generate_synthetic(seed=2, n_groups=10, horizons_per_group=3).facts])
+    embedder = LocalHashingEmbedder(256)
+    rows = len(graph.hyperedges) * 256 * 8
+    uncached, uncached_peak = _traced_peak(lambda: EmbeddingStore.build(graph, embedder))
+    cache = EmbeddingCache(str(tmp_path / "cold.okhe"), 256)
+    cold, cold_peak = _traced_peak(lambda: EmbeddingStore.build(graph, embedder, cache))
+    assert cold.matrix.tobytes() == uncached.matrix.tobytes()
+    assert cold_peak < uncached_peak + rows / 2
+
+
+def test_a_cache_of_several_save_blocks_round_trips_every_record(tmp_path):
+    dim, count, later = 4, 2 * CACHE_BLOCK + 300, 500
+    texts = [f"record {i}" for i in range(count + later)]
+    vectors = quantize_f32(np.random.default_rng(7).standard_normal((count + later, dim)))
+    path = tmp_path / "big.okhe"
+    cache = EmbeddingCache(str(path), dim)
+    for text, vector in zip(texts[:count], vectors):
+        cache.store(text, vector)
+    cache.save()
+    loaded = EmbeddingCache(str(path), dim)
+    assert len(loaded) == count
+    # Loaded records and records stored after the load share save blocks.
+    for text, vector in zip(texts[count:], vectors[count:]):
+        loaded.store(text, vector)
+    loaded.save()
+    identity = LocalHashingEmbedder.identity.encode("utf-8")
+    expected = struct.pack("<4sIII", CACHE_MAGIC, CACHE_VERSION, dim, len(identity)) + identity
+    records = sorted(zip([content_key(text) for text in texts], vectors.astype("<f4")), key=lambda r: r[0])
+    expected += b"".join(key + vector.tobytes() for key, vector in records)
+    assert path.read_bytes() == expected
+
+    reloaded = EmbeddingCache(str(path), dim)
+    assert len(reloaded) == len(texts)
+    for text, vector in zip(texts, vectors):
+        found = reloaded.lookup(text)
+        assert found.dtype == np.float64 and found.tobytes() == vector.tobytes()
+    found, misses = reloaded.lookup_many([*texts, "never stored", "nor this"])
+    assert found[: len(texts)].tobytes() == vectors.tobytes()
+    assert misses == [len(texts), len(texts) + 1] and not found[len(texts) :].any()
+    reloaded.save()
+    assert path.read_bytes() == expected
+
+
+def test_remote_client_dimension_is_bounded():
+    for dim in (1, 1536, 3072, 4096):
+        assert RemoteEmbeddingClient("http://127.0.0.1:9", "m", dim=dim).dim == dim
+    for dim in (0, -1, 4097, 2**40):
+        with pytest.raises(ValueError) as info:
+            RemoteEmbeddingClient("http://127.0.0.1:9", "m", dim=dim)
+        assert str(info.value) == f"remote embedder dim must be in [1, 4096], got {dim}"
