@@ -23,14 +23,7 @@ from okh.corpus import GroupScenario, QAItem
 from okh.embedding import EmbeddingStore
 from okh.errors import ElementMismatch
 from okh.hypergraph import KnowledgeHypergraph
-from okh.retrieval import (
-    RetrievalWeights,
-    Retriever,
-    ScopeConfig,
-    SearchConfig,
-    scope_candidates,
-    trajectory_score,
-)
+from okh.retrieval import RetrievalWeights, Retriever, ScopeConfig, SearchConfig
 from okh.transition import TransitionModel
 
 
@@ -191,45 +184,20 @@ def run_ablation(
     tau_sum = 0.0
     tau_samples = 0
     correct = 0
-    answered = 0
 
     for query_index, qa in enumerate(qa_items):
         truth = truth_of.get(qa.group_id)
         if truth is None:
             raise ValueError(f"no scenario recorded for group {qa.group_id!r}")
-        query_vector = retriever.store.embed_query(qa.question)
-        trajectories = retriever.retrieve(
-            query_vector, active, search, scope, qa.group_id, transition
-        )
-        if not trajectories:
-            continue
-        best = trajectories[0]
-        steps = list(best.steps)
-        total, breakdown = best.total_score, best.breakdown
+        best = retriever.retrieve(qa.question, active, search, scope, qa.group_id, transition)[0]
         if variant is AblationVariant.SHUFFLED:
-            steps = _shuffled_steps(steps, seed, query_index)
-            candidates = scope_candidates(
-                query_vector, retriever.hypergraph, retriever.store, scope, qa.group_id
-            )
-            matrix = retriever.transition_matrix(candidates, transition)
-            index_of = {eid: i for i, eid in enumerate(candidates)}
-            all_relevance = retriever.store.relevance(query_vector)
-            relevance = {
-                eid: float(all_relevance[retriever.store.row_of[eid]]) for eid in steps
-            }
-            total, breakdown = trajectory_score(
-                steps,
-                relevance.__getitem__,
-                lambda a, b: float(matrix[index_of[a], index_of[b]]),
-                retriever.precedence,
-                retriever.hypergraph,
-                active,
-            )
-        answered += 1
-        totals["score"] += total
-        totals["precedence"] += breakdown["precedence"]
-        totals["continuity"] += breakdown["continuity"]
-        totals["coverage"] += breakdown["coverage"]
+            shuffled = _shuffled_steps(best.steps, seed, query_index)
+            best = retriever.score(qa.question, shuffled, active, scope, qa.group_id, transition)
+        steps = best.steps
+        totals["score"] += best.total_score
+        totals["precedence"] += best.breakdown["precedence"]
+        totals["continuity"] += best.breakdown["continuity"]
+        totals["coverage"] += best.breakdown["coverage"]
 
         in_truth = set(truth)
         predicted = [eid for eid in steps if eid in in_truth]
@@ -240,10 +208,10 @@ def run_ablation(
         if extract_answer(steps, retriever.hypergraph, qa) == qa.expected:
             correct += 1
 
-    n = max(answered, 1)
+    n = max(len(qa_items), 1)
     return AblationReport(
         variant=variant.value,
-        n_queries=answered,
+        n_queries=len(qa_items),
         mean_score=totals["score"] / n,
         mean_tau=tau_sum / tau_samples if tau_samples else 0.0,
         tau_samples=tau_samples,

@@ -439,7 +439,8 @@ def _select_diverse(
     """
     m, length = steps.shape
     head = min(limit, m)
-    too_many, dtype, width, every, bias, earlier = _lane_layout(length, limit, threshold)
+    # One lane per slot that can be filled.
+    too_many, dtype, width, every, bias, earlier = _lane_layout(length, head, threshold)
     judged = penalty > 0 and too_many <= length
     lanes = np.zeros((n, width), dtype=dtype)
     words = lanes.view(np.uint64)
@@ -454,14 +455,14 @@ def _select_diverse(
     value = score[:head]
     if judged:
         # A head entry is judged against the head entries before it.
-        value = np.where(too_close(slice(0, head), earlier[:head]), value - penalty, value)
+        value = np.where(too_close(slice(0, head), earlier), value - penalty, value)
     kept = list(range(head))
     values = value.tolist()
     ties = tie[:head].tolist()
     descending = -score
     position = head
     while position < m:
-        worst = max(range(limit), key=lambda k: (-values[k], ties[k]))
+        worst = max(range(head), key=lambda k: (-values[k], ties[k]))
         floor, floor_tie = values[worst], ties[worst]
         stop = int(np.searchsorted(descending, -floor, side="right"))
         if stop <= position:
@@ -724,7 +725,7 @@ class Retriever:
 
     def retrieve(
         self,
-        query: str | np.ndarray,
+        query: str,
         weights: RetrievalWeights = RetrievalWeights(),
         search: SearchConfig = SearchConfig(),
         scope: ScopeConfig = ScopeConfig(),
@@ -732,9 +733,7 @@ class Retriever:
         transition: str = "learned",
     ) -> list[Trajectory]:
         """Scope the candidates, build their transition matrix, and beam-search them."""
-        query_vector = (
-            self.store.embed_query(query) if isinstance(query, str) else np.asarray(query)
-        )
+        query_vector = self.store.embed_query(query)
         candidates = scope_candidates(query_vector, self.hypergraph, self.store, scope, query_group)
         return beam_search(
             query_vector,
@@ -746,6 +745,39 @@ class Retriever:
             weights,
             search,
         )
+
+    def score(
+        self,
+        query: str,
+        steps: Sequence[str],
+        weights: RetrievalWeights,
+        scope: ScopeConfig,
+        query_group: str | None,
+        transition: str,
+    ) -> Trajectory:
+        """Score given steps over the pool ``retrieve`` would search.
+
+        The question is embedded, the pool scoped and its transition matrix
+        built as in ``retrieve``, and each step's relevance is read from the
+        product beam search reads, ``store.matrix[pool rows] @ q``. So a
+        trajectory ``retrieve`` returns scores here as it was scored there.
+        Every step must be in the pool.
+        """
+        query_vector = self.store.embed_query(query)
+        candidates = scope_candidates(query_vector, self.hypergraph, self.store, scope, query_group)
+        matrix = self.transition_matrix(candidates, transition)
+        position = {eid: i for i, eid in enumerate(candidates)}
+        vectors = self.store.matrix[[self.store.row_of[eid] for eid in candidates]]
+        relevance = vectors @ np.asarray(query_vector, dtype=np.float64)
+        total, breakdown = trajectory_score(
+            steps,
+            lambda step: relevance.item(position[step]),
+            lambda prev, cur: matrix.item(position[prev], position[cur]),
+            self.precedence,
+            self.hypergraph,
+            weights,
+        )
+        return Trajectory(list(steps), total, breakdown)
 
     def result_dict(self, query_text: str, trajectories: Sequence[Trajectory]) -> dict:
         return {

@@ -298,6 +298,9 @@ class TrainingConfig:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        # The seeds numpy takes, and the ones a checkpoint's 8 bytes record.
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def _row_map(population: int, parts: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

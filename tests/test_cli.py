@@ -603,6 +603,17 @@ def test_remote_dimension_out_of_range_exits_two_naming_dim_before_loading(tmp_p
     assert not missing.exists()
 
 
+def test_a_training_seed_outside_64_bits_exits_two_naming_seed_before_loading(tmp_path, capsys):
+    # numpy refuses -1 and a checkpoint would record 2**64 as seed 0; both
+    # are refused before the snapshot is read.
+    missing, checkpoint = tmp_path / "missing", tmp_path / "model.okht"
+    for seed in (-1, 2**64):
+        assert main(["train", "--snapshot", str(missing), "--checkpoint", str(checkpoint),
+                     "--dim", "32", "--rank", "4", "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert not missing.exists() and not checkpoint.exists()
+
+
 def test_a_horizon_that_disagrees_with_its_anchors_exits_two_naming_the_edge(tmp_path, capsys):
     # The README quick-start snapshot, with edited copies of one family-6
     # edge at T-24 and of one change edge, which joins two anchors.

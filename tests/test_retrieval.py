@@ -718,6 +718,44 @@ def test_retriever_rejects_unknown_transition_kind():
         retriever.retrieve(corpus.qa[0].question, transition="heuristc")
 
 
+def test_score_gives_every_retrieved_trajectory_its_own_score():
+    corpus, retriever = _small_retriever()
+    scope = ScopeConfig(top_k=20, pool_cap=40)
+    checked = 0
+    for variant in AblationVariant:
+        weights, transition = variant_weights(variant), variant_transition(variant)
+        for qa in corpus.qa:
+            for trajectory in retriever.retrieve(
+                qa.question, weights, SearchConfig(), scope, qa.group_id, transition
+            ):
+                scored = retriever.score(
+                    qa.question, trajectory.steps, weights, scope, qa.group_id, transition
+                )
+                assert scored.steps == trajectory.steps
+                assert scored.total_score == trajectory.total_score, (variant, qa.question)
+                assert scored.breakdown == trajectory.breakdown
+                checked += 1
+    assert checked > len(AblationVariant) * len(corpus.qa)
+
+
+def test_a_trajectory_count_beyond_the_beam_keeps_the_beams_results():
+    # At most beam_width finals exist; a lane table sized by the count asked
+    # for would need 8 TB.
+    corpus, retriever = _small_retriever()
+    qa = corpus.qa[0]
+    query = retriever.store.embed_query(qa.question)
+    pool = scope_candidates(query, retriever.hypergraph, retriever.store, ScopeConfig(), qa.group_id)
+    matrix = retriever.transition_matrix(pool)
+
+    def search(count):
+        return beam_search(
+            query, pool, retriever.hypergraph, retriever.store, retriever.precedence, matrix,
+            config=SearchConfig(beam_width=8, num_trajectories=count),
+        )
+
+    assert _bits(search(2**40)) == _bits(search(8))
+
+
 # -- Reference beam search ---------------------------------------------------
 # The per-extension loop and full-sort selection that beam_search replaced
 # with one (beams x candidates) score array and a provable shortlist. Kept

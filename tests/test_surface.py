@@ -109,6 +109,23 @@ def test_every_public_name_is_used_by_the_program():
     assert TEST_ONLY_NAMES <= unused, "a name kept for tests is used by the program now"
 
 
+def test_only_retrieval_scopes_and_scores_a_pool():
+    # Given steps are scored through `Retriever.score`, so only
+    # `okh.retrieval` knows how a pool's steps are scored.
+    scorers = {"scope_candidates", "trajectory_score"}
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("__init__.py", "retrieval.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in scorers:
+                    callers.add(f"{path.name}: {name}")
+    assert sorted(callers) == []
+
+
 def _defaulted(function, skip_first):
     """A def's parameters that have defaults, and the positional ones in order."""
     args = function.args
