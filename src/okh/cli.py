@@ -9,13 +9,14 @@ config file supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
 import math
 import os
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from okh.corpus import QAItem, GroupScenario, generate_synthetic
 from okh.embedding import (
@@ -184,25 +185,64 @@ def _load_retriever(values: dict[str, Any]) -> Retriever:
     return Retriever(graph, _make_store(graph, embedder, values), precedence, model)
 
 
+# The option that sets each field of the settings `retrieve`, `eval` and
+# `train` build.
+_DEST_OF_FIELD = {
+    "lambda_coherence": "lambda_",
+    "mu_precedence": "mu",
+    "nu_continuity": "nu",
+    "rho_coverage": "rho",
+    "beam_width": "beam",
+    "trajectory_length": "length",
+    "num_trajectories": "paths",
+    "top_k": "topk",
+    "pool_cap": "cap",
+    "group_reserve_fraction": "reserve",
+    "alpha": "alpha",
+    "negatives_per_example": "negatives",
+    "step_size": "step",
+    "epochs": "epochs",
+    "batch_size": "batch",
+    "seed": "seed",
+}
+
+
+@contextlib.contextmanager
+def _naming_flags() -> Iterator[None]:
+    """Put the flag in front of a settings value refused in the block:
+    ``--beam: beam_width must be <= 1024, got 1025``.
+
+    Every refusal of the settings dataclasses opens with the field's name.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        dest = _DEST_OF_FIELD.get(str(exc).partition(" ")[0])
+        if dest is None:
+            raise
+        raise ValueError(f"{_flag(dest)}: {exc}") from None
+
+
 def _retrieval_settings(
     values: dict[str, Any],
 ) -> tuple[RetrievalWeights, SearchConfig, ScopeConfig]:
-    weights = RetrievalWeights(
-        lambda_coherence=values["lambda_"],
-        mu_precedence=values["mu"],
-        nu_continuity=values["nu"],
-        rho_coverage=values["rho"],
-    )
-    search = SearchConfig(
-        beam_width=values["beam"],
-        trajectory_length=values["length"],
-        num_trajectories=values["paths"],
-    )
-    scope = ScopeConfig(
-        top_k=values["topk"],
-        pool_cap=values["cap"],
-        group_reserve_fraction=values["reserve"],
-    )
+    with _naming_flags():
+        weights = RetrievalWeights(
+            lambda_coherence=values["lambda_"],
+            mu_precedence=values["mu"],
+            nu_continuity=values["nu"],
+            rho_coverage=values["rho"],
+        )
+        search = SearchConfig(
+            beam_width=values["beam"],
+            trajectory_length=values["length"],
+            num_trajectories=values["paths"],
+        )
+        scope = ScopeConfig(
+            top_k=values["topk"],
+            pool_cap=values["cap"],
+            group_reserve_fraction=values["reserve"],
+        )
     return weights, search, scope
 
 
@@ -224,9 +264,9 @@ def _json_line(line: str) -> Any:
     return json.loads(line)
 
 
-def _read_jsonl(path: str, field: str) -> list[Any]:
-    """The JSON value of each non-blank line of ``path``; a bad line names its number."""
-    rows = []
+def _read_jsonl(path: str, field: str) -> Iterator[Any]:
+    """The JSON value of each non-blank line of ``path``, read as iterated;
+    a bad line names its number."""
     # Undecodable bytes come back as lone surrogates, which encode() refuses.
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for number, raw in enumerate(handle, start=1):
@@ -235,7 +275,7 @@ def _read_jsonl(path: str, field: str) -> list[Any]:
                 continue
             try:
                 line.encode("utf-8")
-                rows.append(_json_line(line))
+                value = _json_line(line)
             except UnicodeEncodeError:
                 raise SchemaError(field, f"{path} line {number}: not valid UTF-8") from None
             except json.JSONDecodeError as exc:
@@ -243,7 +283,7 @@ def _read_jsonl(path: str, field: str) -> list[Any]:
                 raise SchemaError(
                     field, f"{path} line {number} column {column}: {exc.msg}"
                 ) from None
-    return rows
+            yield value
 
 
 def _cmd_synth(values: dict[str, Any]) -> int:
@@ -267,8 +307,9 @@ def _cmd_synth(values: dict[str, Any]) -> int:
 
 
 def _cmd_build(values: dict[str, Any]) -> int:
-    # The parsed batches are an argument only, so they are freed once the
-    # merge returns.
+    # Each file is read as the merge reaches it, and each fact is dropped
+    # once merged, so the parsed facts never all exist at once. A file is
+    # opened only when the files before it are merged.
     graph = merge_facts(
         [_read_jsonl(path, f"corpus[{index}]") for index, path in enumerate(values["corpus"])]
     )
@@ -283,14 +324,15 @@ def _cmd_build(values: dict[str, Any]) -> int:
 
 
 def _cmd_train(values: dict[str, Any]) -> int:
-    config = TrainingConfig(
-        alpha=values["alpha"],
-        negatives_per_example=values["negatives"],
-        step_size=values["step"],
-        epochs=values["epochs"],
-        batch_size=values["batch"],
-        seed=values["seed"],
-    )
+    with _naming_flags():
+        config = TrainingConfig(
+            alpha=values["alpha"],
+            negatives_per_example=values["negatives"],
+            step_size=values["step"],
+            epochs=values["epochs"],
+            batch_size=values["batch"],
+            seed=values["seed"],
+        )
     # The model is made first, so a rank the dimension cannot hold exits
     # before the snapshot load.
     embedder = _make_embedder(values)

@@ -37,10 +37,12 @@ HORIZON_ANCHOR_RE = re.compile(r"^horizon:T-(\d+)$")
 SNAPSHOT_VERSION = 1
 # A snapshot load checks its edges' content ids this many at a time.
 _HASH_BLOCK = 1024
+# A snapshot save encodes this many items of a list at a time.
+_SAVE_BLOCK = 256
 
 
 def _id_payload(relation: str, entity_ids: Iterable[str], evidence: str) -> bytes:
-    return "|".join((relation, ",".join(sorted(entity_ids)), evidence)).encode("utf-8")
+    return f"{relation}|{','.join(sorted(entity_ids))}|{evidence}".encode("utf-8")
 
 
 def dedup_id(relation: str, entity_ids: Iterable[str], evidence: str) -> str:
@@ -475,29 +477,21 @@ class KnowledgeHypergraph:
     ) -> None:
         """Write ``json.dumps(to_snapshot(...))`` in the compact layout, then a newline.
 
-        The document's items are encoded and written one at a time, each
-        dropped once written, so the whole text is never held. They go to a
-        temporary file that replaces ``path`` once all are written, so a value
-        the encoder refuses leaves ``path`` as it was. `to_snapshot` builds
-        its objects key-sorted, so the encoder need not sort them.
+        Each list of the document is encoded `_SAVE_BLOCK` items at a time,
+        and each block is dropped from the document once it is written, so
+        neither the whole text nor the whole document outlives its part of
+        the write. The blocks go to a temporary file that replaces ``path``
+        once all are written, so a value the encoder refuses leaves ``path``
+        as it was. `to_snapshot` builds its objects key-sorted, so the
+        encoder need not sort them.
         """
         document = self.to_snapshot(precedence_edges)
+        encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
         tmp = path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                separator = "{"
-                for key in list(document):
-                    handle.write(f"{separator}{json.dumps(key)}:")
-                    handle.write(
-                        json.dumps(
-                            document.pop(key),
-                            ensure_ascii=False,
-                            separators=(",", ":"),
-                            allow_nan=False,
-                        )
-                    )
-                    separator = ","
-                handle.write("}\n")
+                _write_blocks(handle.write, document, encode)
+                handle.write("\n")
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -521,11 +515,16 @@ class KnowledgeHypergraph:
             except (SchemaError, ValueError) as exc:
                 raise _refused_at(exc, f"entities[{index}]") from None
             entities[entity.id] = entity
+        # The graph holds one string object per distinct value: an edge's
+        # entity ids are the entity table's keys, and its group and attribute
+        # values are shared through ``strings``.
+        entity_ids = dict(zip(entities, entities))
+        strings: dict[str, str] = {}
         parsed: list[Hyperedge] = []
         malformed: SchemaError | ValueError | None = None
         for index, raw in enumerate(snapshot.get("hyperedges", [])):
             try:
-                parsed.append(_edge_from_dict(raw, ""))
+                parsed.append(_edge_from_dict(raw, "", entity_ids, strings))
             except (SchemaError, ValueError) as exc:
                 # Raised after the edges before it are checked, so the first
                 # bad edge in index order is the one reported.
@@ -590,6 +589,34 @@ class KnowledgeHypergraph:
                 else f"{horizon} is not the lead time of the edge's anchors {sorted(anchors)}"
             )
             raise SchemaError(f"hyperedges[{index}].horizon", problem)
+
+
+def _write_blocks(write: Callable[[str], Any], value: Any, encode: Callable[[Any], str]) -> None:
+    """Write ``encode(value)`` for a document of dicts, lists and scalars.
+
+    A dict's entries and a list's blocks of `_SAVE_BLOCK` items are removed
+    as they are written. With compact separators an item's text does not
+    depend on its neighbours, so a list's text is its blocks' texts, each
+    without its brackets, joined by commas.
+    """
+    if value.__class__ is dict:
+        separator = "{"
+        for key in list(value):
+            write(f"{separator}{encode(key)}:")
+            _write_blocks(write, value.pop(key), encode)
+            separator = ","
+        write("{}" if separator == "{" else "}")
+    elif value.__class__ is list:
+        separator = "["
+        while value:
+            block = encode(value[:_SAVE_BLOCK])
+            del value[:_SAVE_BLOCK]
+            write(separator)
+            write(block[1:-1])
+            separator = ","
+        write("[]" if separator == "[" else "]")
+    else:
+        write(encode(value))
 
 
 def _read_snapshot(path: str) -> Any:
@@ -677,23 +704,39 @@ def _optional_horizon(raw: Mapping[str, Any], path: str) -> int | None:
     return horizon
 
 
-def _edge_from_dict(raw: Any, path: str) -> Hyperedge:
+# Each canonical relation and its family, looked up once per edge.
+_RELATION_FAMILY = {relation: (relation, family) for relation, family in FAMILY_OF.items()}
+
+
+def _edge_from_dict(
+    raw: Any, path: str, entity_ids: Mapping[str, str], strings: dict[str, str]
+) -> Hyperedge:
+    """The edge ``raw`` holds, with its entity ids taken from ``entity_ids``
+    where it has them, its relation from the vocabulary, and its group and
+    attribute values from ``strings``, which gains those it lacks."""
     if raw.__class__ is not dict and not isinstance(raw, Mapping):
         raise SchemaError(path, "hyperedge must be an object")
-    entity_ids = raw.get("entities")
-    if entity_ids.__class__ is not list:
-        entity_ids = _require(raw, "entities", list, path)
-    if not all(map(isinstance, entity_ids, repeat(str))):
-        raise SchemaError(f"{path}.entities", "entity ids must be strings")
+    listed = raw.get("entities")
+    if listed.__class__ is not list:
+        listed = _require(raw, "entities", list, path)
+    try:
+        members = frozenset(map(entity_ids.__getitem__, listed))
+    except (KeyError, TypeError):
+        if not all(map(isinstance, listed, repeat(str))):
+            raise SchemaError(f"{path}.entities", "entity ids must be strings") from None
+        # An id that names no listed entity is kept as it is; the load
+        # names it once the edges before it are checked.
+        members = frozenset(map(entity_ids.get, listed, listed))
     attributes = raw.get("attributes", {})
     if attributes.__class__ is not dict and not isinstance(attributes, Mapping):
         raise SchemaError(f"{path}.attributes", "expected object")
     relation = raw.get("relation")
     if relation.__class__ is not str:
         relation = _require(raw, "relation", str, path)
-    expected_family = FAMILY_OF.get(relation)
-    if expected_family is None:
+    known = _RELATION_FAMILY.get(relation)
+    if known is None:
         raise SchemaError(f"{path}.relation", f"{relation!r} is not a canonical relation")
+    relation, expected_family = known
     family = raw.get("family")
     if family.__class__ is not int:
         family = _require(raw, "family", int, path)
@@ -704,9 +747,13 @@ def _edge_from_dict(raw: Any, path: str) -> Hyperedge:
     edge_id, evidence = raw.get("id"), raw.get("evidence")
     if edge_id.__class__ is not str or evidence.__class__ is not str:
         edge_id, evidence = _require(raw, "id", str, path), _require(raw, "evidence", str, path)
+    # The keys need no table: json's decoder makes one object per distinct
+    # key of a document.
+    intern = strings.setdefault
     converted = {}  # a loop: a comprehension would build a function per edge
     for key, value in attributes.items():
-        converted[str(key)] = str(value)
+        value = str(value)
+        converted[str(key)] = intern(value, value)
     confidence = raw.get("confidence")
     if confidence.__class__ is not float:
         confidence = float(_require(raw, "confidence", (int, float), path))
@@ -720,17 +767,21 @@ def _edge_from_dict(raw: Any, path: str) -> Hyperedge:
     if position.__class__ is not int:
         position = int(_require(raw, "text_position", int, path))
     return Hyperedge(
-        edge_id, relation, family, frozenset(entity_ids), evidence, converted,
-        confidence, group, horizon, position,
+        edge_id, relation, family, members, evidence, converted,
+        confidence, intern(group, group), horizon, position,
     )
 
 
 def _precedence_from_dict(
     raw: Any, hyperedges: Mapping[str, Hyperedge]
 ) -> dict[str, list[tuple[str, str]]]:
-    """Direct precedence pairs per group; every id must name a snapshot edge."""
+    """Direct precedence pairs per group; every id must name a snapshot edge.
+
+    Each stored id is the object that keys its edge in ``hyperedges``.
+    """
     if not isinstance(raw, Mapping):
         raise SchemaError("precedence", "expected an object mapping each group to [src, dst] pairs")
+    key_of = dict(zip(hyperedges, hyperedges))
     precedence = {}
     for group, pairs in raw.items():
         if not isinstance(pairs, list):
@@ -745,10 +796,11 @@ def _precedence_from_dict(
             ):
                 raise SchemaError(f"precedence.{group}[{index}]", "expected a [src, dst] pair of edge ids")
             src, dst = pair
-            if src not in hyperedges or dst not in hyperedges:
-                missing = src if src not in hyperedges else dst
+            src_id, dst_id = key_of.get(src), key_of.get(dst)
+            if src_id is None or dst_id is None:
+                missing = src if src_id is None else dst
                 raise SchemaError(f"precedence.{group}[{index}]", f"unknown edge {missing!r}")
-            checked.append((src, dst))
+            checked.append((src_id, dst_id))
         precedence[group] = checked
     return precedence
 

@@ -610,7 +610,7 @@ def test_a_training_seed_outside_64_bits_exits_two_naming_seed_before_loading(tm
     for seed in (-1, 2**64):
         assert main(["train", "--snapshot", str(missing), "--checkpoint", str(checkpoint),
                      "--dim", "32", "--rank", "4", "--seed", str(seed)]) == 2
-        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert capsys.readouterr().err == f"error: --seed: seed must be in [0, 2**64), got {seed}\n"
     assert not missing.exists() and not checkpoint.exists()
 
 
@@ -655,13 +655,13 @@ def test_a_horizon_that_disagrees_with_its_anchors_exits_two_naming_the_edge(tmp
 
 def test_search_and_scope_refusals_name_their_field_and_value(pipeline, capsys):
     for flags, message in [
-        (["--beam", "0"], "beam_width must be >= 1, got 0"),
-        (["--beam", "1025"], "beam_width must be <= 1024, got 1025"),
-        (["--length", "0"], "trajectory_length must be >= 1, got 0"),
-        (["--paths", "-2"], "num_trajectories must be >= 1, got -2"),
-        (["--topk", "0"], "top_k must be >= 1, got 0"),
-        (["--cap", "0"], "pool_cap must be >= 1, got 0"),
-        (["--reserve", "1.5"], "group_reserve_fraction must be in [0, 1], got 1.5"),
+        (["--beam", "0"], "--beam: beam_width must be >= 1, got 0"),
+        (["--beam", "1025"], "--beam: beam_width must be <= 1024, got 1025"),
+        (["--length", "0"], "--length: trajectory_length must be >= 1, got 0"),
+        (["--paths", "-2"], "--paths: num_trajectories must be >= 1, got -2"),
+        (["--topk", "0"], "--topk: top_k must be >= 1, got 0"),
+        (["--cap", "0"], "--cap: pool_cap must be >= 1, got 0"),
+        (["--reserve", "1.5"], "--reserve: group_reserve_fraction must be in [0, 1], got 1.5"),
     ]:
         for command in (["retrieve", "--query", "q"], ["eval", "--qa", str(pipeline["qa"])]):
             assert main([*command, "--snapshot", str(pipeline["snapshot"]),
@@ -1144,3 +1144,64 @@ def test_a_jsonl_line_decodes_as_json_loads_decodes_it(text):
             return "error", exc.msg, exc.pos
 
     assert outcome(cli._json_line) == outcome(json.loads)
+
+
+def test_settings_refusals_name_the_flag_then_the_field(pipeline, tmp_path, capsys):
+    common = ["--snapshot", str(pipeline["snapshot"]),
+              "--checkpoint", str(pipeline["checkpoint"]), "--dim", "32"]
+    for flag, field in [("--lambda", "lambda_coherence"), ("--mu", "mu_precedence"),
+                        ("--nu", "nu_continuity"), ("--rho", "rho_coverage")]:
+        for command in (["retrieve", "--query", "q"], ["eval", "--qa", str(pipeline["qa"])]):
+            assert main([*command, *common, f"{flag}=nan"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {flag}: {field} must be finite and non-negative, got nan\n"
+            )
+    # The training settings are checked before the snapshot is read.
+    missing, checkpoint = tmp_path / "missing.snap", tmp_path / "model.okht"
+    for flags, message in [
+        (["--batch", "0"], "--batch: batch_size must be >= 1, got 0"),
+        (["--negatives", "0"], "--negatives: negatives_per_example must be >= 1, got 0"),
+        (["--step", "-1"], "--step: step_size must be finite and > 0, got -1.0"),
+        (["--alpha", "-0.5"], "--alpha: alpha must be finite and >= 0, got -0.5"),
+        (["--epochs", "-1"], "--epochs: epochs must be >= 0, got -1"),
+    ]:
+        assert main(["train", "--snapshot", str(missing), "--checkpoint", str(checkpoint),
+                     "--dim", "32", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not checkpoint.exists()
+    # A value from `--config` names the flag it stands in for.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"beam": 1025}), encoding="utf-8")
+    assert main(["retrieve", "--config", str(config), *common, "--query", "q"]) == 2
+    assert capsys.readouterr().err == "error: --beam: beam_width must be <= 1024, got 1025\n"
+
+
+def test_build_reports_a_bad_fact_of_an_earlier_file_before_a_bad_line_of_a_later_one(
+    pipeline, tmp_path, capsys
+):
+    # Each file is merged as it is read, so the fact's refusal comes first.
+    lines = pipeline["facts"].read_text(encoding="utf-8").splitlines()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    first.write_text(f"{lines[0]}\n{{\"relation\": 5}}\n", encoding="utf-8")
+    second.write_text(f"{lines[1]}\n{{\"relation\" 2}}\n", encoding="utf-8")
+    snapshot = tmp_path / "never.snap"
+    assert main(["build", "--corpus", str(first), str(second), "--snapshot", str(snapshot)]) == 2
+    assert capsys.readouterr().err == (
+        "error: batch[0].fact[1].relation: expected str, got int\n"
+    )
+    assert main(["build", "--corpus", str(second), str(first), "--snapshot", str(snapshot)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: corpus[0]: {second} line 2 column 13: Expecting ':' delimiter\n"
+    )
+    assert not snapshot.exists()
+
+
+def test_build_with_a_missing_second_file_exits_two_and_writes_no_snapshot(
+    pipeline, tmp_path, capsys
+):
+    missing, snapshot = tmp_path / "missing.jsonl", tmp_path / "never.snap"
+    assert main(["build", "--corpus", str(pipeline["facts"]), str(missing),
+                 "--snapshot", str(snapshot)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not snapshot.exists()

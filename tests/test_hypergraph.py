@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import math
 import os
 import tempfile
+import tracemalloc
 from collections import OrderedDict
 from collections.abc import Mapping
 import dataclasses
@@ -1070,3 +1072,117 @@ def test_snapshot_is_written_key_sorted_without_the_encoder_sorting(tmp_path):
         graph.to_snapshot(unsorted), sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False
     )
     assert path.read_text(encoding="utf-8") == expected + "\n"
+
+
+# --- The snapshot writer's blocks and the loaded graph's strings -----------
+
+
+def _one_shot(graph, direct):
+    """The snapshot text as one `json.dumps` call writes it."""
+    text = json.dumps(
+        graph.to_snapshot(direct), ensure_ascii=False, separators=(",", ":"), allow_nan=False
+    )
+    return text + "\n"
+
+
+def _sized_graph(count):
+    """``count`` entities and ``count`` edges in one group, with non-ASCII text."""
+    entities = {}
+    for index in range(count):
+        entity = Entity(f"port:p{index:04d}", f"Pört {index}", EntityType.PORT, "é")
+        entities[entity.id] = entity
+    edges = [
+        _edge("has_operation_status", (f"port:p{index:04d}", f"ops:é{index}"), f"Évidence {index}",
+              attributes={"status": "ouvert", "n": str(index)}, group_id="G:é", text_position=index)
+        for index in range(count)
+    ]
+    return KnowledgeHypergraph(entities, {edge.id: edge for edge in edges})
+
+
+_BLOCK = hypergraph._SAVE_BLOCK
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_block_writer_writes_the_one_shot_bytes_at_every_block_boundary(tmp_path, count):
+    graph = _sized_graph(count)
+    ids = sorted(graph.hyperedges)
+    # One group with `count` pairs, the same boundaries, and one with none.
+    pairs = [(ids[index], ids[(index + 1) % count]) for index in range(count)]
+    for direct in (None, {"G:é": pairs, "H": []}):
+        path = tmp_path / "graph.snap"
+        graph.save_snapshot(str(path), direct)
+        assert path.read_text(encoding="utf-8") == _one_shot(graph, direct)
+        assert len(json.loads(path.read_bytes())["hyperedges"]) == count
+
+
+@pytest.mark.parametrize("refused, error", [(float("nan"), ValueError), (np.int64(2), TypeError)])
+def test_a_value_refused_in_a_later_block_leaves_the_snapshot_as_it_was(tmp_path, refused, error):
+    graph = _sized_graph(2 * _BLOCK + 1)
+    path = tmp_path / "graph.snap"
+    graph.save_snapshot(str(path))
+    before = path.read_bytes()
+    # The edge opens the third block of edges: two blocks of the list are
+    # written before the encoder refuses it.
+    late = graph.hyperedges[sorted(graph.hyperedges)[2 * _BLOCK]]
+    late.attributes["refused"] = refused
+    with pytest.raises(error):
+        graph.save_snapshot(str(path))
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["graph.snap"]
+
+
+def test_a_loaded_graph_holds_one_string_object_per_distinct_value(tmp_path):
+    path = tmp_path / "graph.snap"
+    graph = merge_facts([generate_synthetic(seed=1, n_groups=3).facts])
+    graph.save_snapshot(str(path), PrecedenceIndex.build(graph).direct_edges())
+    loaded, direct = KnowledgeHypergraph.load_snapshot(str(path))
+    key = {entity_id: entity_id for entity_id in loaded.entities}
+    edges = list(loaded.hyperedges.values())
+    for edge in edges:
+        assert all(key[entity_id] is entity_id for entity_id in edge.entity_ids)
+    # A string object per distinct relation, group and attribute string.
+    values = [edge.relation for edge in edges] + [edge.group_id for edge in edges]
+    values += [text for edge in edges for item in edge.attributes.items() for text in item]
+    assert len(set(map(id, values))) == len(set(values))
+    assert all(edge.group_id is group for group, ids in loaded.groups.items()
+               for edge in map(loaded.hyperedges.get, ids))
+    assert sum(map(len, direct.values())) > 0
+    for pairs in direct.values():
+        for src, dst in pairs:
+            assert src is loaded.hyperedges[src].id and dst is loaded.hyperedges[dst].id
+
+
+def _live_size(build):
+    """Bytes still allocated once ``build()`` returns, with what it returned held."""
+    gc.collect()
+    _id_parts.cache_clear()  # its stems are the process's, not the graph's
+    tracemalloc.start()
+    try:
+        held = build()
+        _id_parts.cache_clear()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del held
+    return size
+
+
+def test_a_loaded_graph_is_not_larger_than_the_merged_one(tmp_path):
+    # Each side builds a graph and its direct pairs from the same text, which
+    # it parses itself, so each holds only the strings it kept.
+    path = tmp_path / "graph.snap"
+    corpus = generate_synthetic(seed=1, n_groups=44)
+    lines = corpus.facts_jsonl().splitlines()
+    graph = merge_facts([corpus.facts])
+    assert len(graph.hyperedges) == 2640
+    graph.save_snapshot(str(path), PrecedenceIndex.build(graph).direct_edges())
+    del corpus, graph
+
+    def merged():
+        graph = merge_facts([[json.loads(line) for line in lines]])
+        return graph, PrecedenceIndex.build(graph).direct_edges()
+
+    merged_size = _live_size(merged)
+    loaded_size = _live_size(lambda: KnowledgeHypergraph.load_snapshot(str(path)))
+    assert loaded_size <= 1.15 * merged_size, (loaded_size, merged_size)
